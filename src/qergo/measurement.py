@@ -5,9 +5,10 @@ partition per commuting set.  Measuring an observable set at time ``u``
 reads off the label active at ``u`` — the outcome is deterministic once the
 partitions are fixed; randomness enters only through the choice of
 measurement time.  The state then collapses to the outcome eigenvector and
-every partition is rebuilt from the collapsed state: the remainder of the
-current window is treated as a fresh origin whose sub-interval measures are
-proportional to the new probabilities over the remaining span.
+the remainder of the current window becomes a fresh origin: every set's
+partition of it has sub-interval measures proportional to the collapsed
+state's probabilities over the remaining span.  A partition is built on its
+first read, so one that is never read is never built.
 
 All operations are by value: each returns a new system snapshot, so runs
 can be branched, replayed, and compared without interference.
@@ -16,7 +17,7 @@ can be branched, replayed, and compared without interference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -71,12 +72,14 @@ class MeasurementRecord:
 class SystemUnderObservation:
     """Immutable snapshot of a monitored system.
 
-    ``partitions`` maps each commuting-set id to the live partition of the
-    current (possibly partial) window; every stored partition was built
-    from the state at its own origin.  ``bases`` keeps, for each set whose
-    members all commute with the Hamiltonian, the window-0-normalized
-    layout reused verbatim at every crossing (exact periodicity);
-    non-conserved sets rebuild from fresh probabilities instead.
+    Every live partition of the current (possibly partial) window is a pure
+    function of the span origin: ``origin_state`` frozen at time ``origin``
+    (the window start, or the last collapse time) in window
+    ``window_index``.  Sets whose members all commute with the Hamiltonian
+    lay out whole windows as window-0 layouts of ``base_state`` (the last
+    collapsed state, or the initial one) shifted in place (exact
+    periodicity).  :meth:`partition` builds a set's partition on its first
+    read and keeps it while the origin stays put.
     """
 
     state: QuantumState
@@ -84,10 +87,14 @@ class SystemUnderObservation:
     csets: tuple[CommutingSet, ...]
     schedulers: Mapping[str, SchedulerSpec]
     current_time: float
-    partitions: Mapping[str, WindowPartition]
-    bases: Mapping[str, WindowPartition]
+    origin_state: QuantumState
+    origin: float
+    window_index: int
+    base_state: QuantumState
     history: tuple[MeasurementRecord, ...] = ()
     renorm_events: int = 0
+    # Partitions read so far; init=False so ``replace`` starts a new memo.
+    _built: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def start(
@@ -97,27 +104,23 @@ class SystemUnderObservation:
         csets: tuple[CommutingSet, ...],
         schedulers: Mapping[str, SchedulerSpec] | None = None,
     ) -> "SystemUnderObservation":
-        """Set up observation at u = 0 with window-0 partitions."""
-        schedulers = dict(schedulers or {})
+        """Set up observation at u = 0, at the start of window 0."""
         ids = [c.id for c in csets]
         if len(set(ids)) != len(ids):
             raise ValueError("commuting set ids must be distinct")
-        partitions: dict[str, WindowPartition] = {}
-        bases: dict[str, WindowPartition] = {}
-        for c in csets:
-            p = born_probabilities(state, c)
-            part = build_partition(p, 0, schedulers.get(c.id, SchedulerSpec()))
-            partitions[c.id] = part
-            if is_conserved(hamiltonian, c):
-                bases[c.id] = part
+        # Partitions are built later, on read: check their inputs now.
+        if {c.dimension for c in csets} | {hamiltonian.dimension} != {state.dimension}:
+            raise ValueError("state, hamiltonian and commuting set dimensions must agree")
         return cls(
             state=state,
             hamiltonian=hamiltonian,
             csets=tuple(csets),
-            schedulers=schedulers,
+            schedulers=dict(schedulers or {}),
             current_time=0.0,
-            partitions=partitions,
-            bases=bases,
+            origin_state=state,
+            origin=0.0,
+            window_index=0,
+            base_state=state,
         )
 
     @classmethod
@@ -137,38 +140,39 @@ class SystemUnderObservation:
 
     @property
     def window_end(self) -> float:
-        return next(iter(self.partitions.values())).hi
+        return float(self.window_index) + 1.0
 
+    def partition(self, cset_id: str) -> WindowPartition:
+        """The live partition of one set, built from the span origin on first read."""
+        part = self._built.get(cset_id)
+        if part is None:
+            c = self.cset(cset_id)
+            spec = self.scheduler_for(cset_id)
+            n = self.window_index
+            if self.origin != n:  # after a mid-window collapse: the remainder only
+                p = born_probabilities(self.origin_state, c)
+                part = build_partition_span(p, self.origin, self.window_end, spec, n)
+            elif is_conserved(self.hamiltonian, c):
+                p = born_probabilities(self.base_state, c)
+                part = periodic_extend(build_partition(p, 0, spec), n)
+            else:
+                part = build_partition(born_probabilities(self.origin_state, c), n, spec)
+            self._built[cset_id] = part
+        return part
 
-def _fresh_partitions(
-    sys: SystemUnderObservation,
-    state: QuantumState,
-    window_index: int,
-    bases: dict[str, WindowPartition],
-) -> dict[str, WindowPartition]:
-    """Full-window partitions for window ``window_index`` built from ``state``.
-
-    Conserved sets reuse their stored base layout shifted in place; the
-    others refreeze probabilities.  ``bases`` is consulted and preserved.
-    """
-    parts: dict[str, WindowPartition] = {}
-    for c in sys.csets:
-        if c.id in bases:
-            parts[c.id] = periodic_extend(bases[c.id], window_index)
-        else:
-            p = born_probabilities(state, c)
-            parts[c.id] = build_partition(p, window_index, sys.scheduler_for(c.id))
-    return parts
+    @property
+    def partitions(self) -> Mapping[str, WindowPartition]:
+        return {c.id: self.partition(c.id) for c in self.csets}
 
 
 def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservation:
     """Evolve the system to ``u_target``, refreezing layouts at each crossing.
 
     Stepping stops at every window boundary on the way: the state is evolved
-    to the boundary, all partitions are rebuilt for the next window from the
-    there-and-then probabilities, and evolution continues.  Arriving exactly
-    on a boundary does not open the next window (the boundary still belongs
-    to the old one).
+    to the boundary, which becomes the origin the next window's partitions
+    are built from, and evolution continues.  Arriving exactly on a boundary
+    does not open the next window (the boundary still belongs to the old
+    one).
     """
     if u_target < sys.current_time:
         raise ValueError(
@@ -179,10 +183,9 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     state = sys.state
     u = sys.current_time
     renorms = sys.renorm_events
-    partitions = dict(sys.partitions)
-    bases = dict(sys.bases)
+    n, origin_state, origin = sys.window_index, sys.origin_state, sys.origin
     while True:
-        end = next(iter(partitions.values())).hi
+        end = float(n) + 1.0
         if u_target <= end:
             state = evolve(state, sys.hamiltonian, u_target - u)
             renorms += int(state.renormalized)
@@ -191,15 +194,19 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
         state = evolve(state, sys.hamiltonian, end - u)
         renorms += int(state.renormalized)
         u = end
-        partitions = _fresh_partitions(sys, state, int(end), bases)
-    return replace(
+        n, origin_state, origin = int(end), state, end
+    out = replace(
         sys,
         state=state,
         current_time=u,
-        partitions=partitions,
-        bases=bases,
+        origin_state=origin_state,
+        origin=origin,
+        window_index=n,
         renorm_events=renorms,
     )
+    if n == sys.window_index:  # same origin, so the same partitions
+        object.__setattr__(out, "_built", sys._built)
+    return out
 
 
 def measure(
@@ -209,15 +216,15 @@ def measure(
 
     Advances to ``u``, reads the label active in that set's partition (the
     outcome — deterministic given the partitions), collapses the state to
-    the outcome eigenvector bitwise, rebuilds ALL partitions from the
-    collapsed state over the remainder of the window, and appends the
-    record.  A measurement exactly on a window boundary starts the next
-    window fresh instead (the remainder is empty).
+    the outcome eigenvector bitwise, makes the collapse the new origin of
+    the remainder of the window, and appends the record.  Every partition
+    is later built from the collapsed state, on its first read.  A
+    measurement exactly on a window boundary starts the next window fresh
+    instead (the remainder is empty).
     """
     here = advance(sys, u)
     c = here.cset(cset_id)  # raises for unknown ids before any state change
-    part = here.partitions[cset_id]
-    idx = active_label(part, u)
+    idx = active_label(here.partition(cset_id), u)
     pre = here.state
     post = QuantumState(c.basis_vector(idx))
     record = MeasurementRecord(
@@ -229,30 +236,14 @@ def measure(
         pre_state=pre,
         post_state=post,
     )
-    window_index = part.window_index
-    window_hi = part.hi
-    bases = dict(here.bases)
-    partitions: dict[str, WindowPartition] = {}
-    # Conserved layouts are refrozen from the collapsed state: their stored
-    # base becomes stale the moment the weights jump.
-    for cc in here.csets:
-        if cc.id in bases:
-            bases[cc.id] = build_partition(
-                born_probabilities(post, cc), 0, here.scheduler_for(cc.id)
-            )
-    if u == window_hi:
-        partitions = _fresh_partitions(here, post, int(window_hi), bases)
-    else:
-        for cc in here.csets:
-            p = born_probabilities(post, cc)
-            partitions[cc.id] = build_partition_span(
-                p, u, window_hi, here.scheduler_for(cc.id), window_index
-            )
     after = replace(
         here,
         state=post,
-        partitions=partitions,
-        bases=bases,
+        origin_state=post,
+        origin=u,
+        window_index=here.window_index + (u == here.window_end),
+        # Conserved layouts are refrozen from the collapsed state too.
+        base_state=post,
         history=here.history + (record,),
     )
     return record, after

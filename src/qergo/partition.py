@@ -334,6 +334,8 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
 
     Only meaningful when the eigenbasis weights are conserved, so the same
     layout is valid in every window; the caller is responsible for that.
+    A sub-ulp piece that the shift collapses to nothing is dropped and the
+    tiling re-sealed, as in :func:`build_partition_span`.
     """
     if base.window_index != 0 or base.lo != 0.0 or base.hi != 1.0:
         raise ValueError("periodic_extend needs a full window-0 partition as its base")
@@ -342,13 +344,19 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
     if window_index == 0:
         return base
     n = float(window_index)
-    segments = tuple((seg.shifted(n), k) for seg, k in base.segments)
+    segments = []
+    cursor = n
+    for seg, k in base.segments:
+        hi = seg.hi + n
+        if hi > cursor:
+            segments.append((SubInterval(cursor, hi), k))
+            cursor = hi
     return WindowPartition(
         window_index=window_index,
         lo=n,
         hi=n + 1.0,
         probabilities=base.probabilities,
-        segments=segments,
+        segments=tuple(segments),
     )
 
 

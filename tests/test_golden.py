@@ -1,0 +1,71 @@
+"""Golden test: the bundled configs write the artifacts recorded for them.
+
+The SHA-256 of every experiment artifact of ``configs/*.cfg`` is frozen
+here.  ``manifest.txt`` is left out because it names the numpy version;
+the digests themselves are only checked on the numpy version they were
+recorded with.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qergo.runner import run_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RECORDED_NUMPY = "2.4.6"
+DIGESTS = {
+    "minimal.cfg": {
+        "00-single-window.csv":
+            "9854716e739f7ca6b524a8fa553b3204358cec305d433448b52766a4d61c494d",
+    },
+    "order-dependence.cfg": {
+        "00-z-then-x-log.csv":
+            "2d7212edf1f77bca608ff9feabe1db159c10d119027a2912b460c973836303ef",
+        "00-z-then-x-summary.csv":
+            "a221887af08e6490e58a26b49d0e580103b222f9534616b40cf4575cf3b7f7db",
+        "01-x-then-z-log.csv":
+            "082c85fb65fce876aed3fcb4f228f2cdf68c58ccd99a9f065f1bba01d19c12b3",
+        "01-x-then-z-summary.csv":
+            "a9b082081b54f0dcd20f967d2ceaa97254c95ca1ceaeb8ece0fd7b50cd983318",
+    },
+    "qgrid-gaussian.cfg": {
+        "00-gaussian-window-cells.csv":
+            "ff55c28ecf52fcd718cc7353aef0dc5baa54b62481ef694181bfb5ef39197a42",
+        "00-gaussian-window-partition.csv":
+            "af17cb25d05c0be1a97b7cc54866d582c0d41655f44cdf27eb548ae8a13e922a",
+    },
+    "rabi-born.cfg": {
+        "00-rabi-windows.csv":
+            "65c8ebf3eec6cf1737531624734f859d3260866726b1d4c6f5f182028d30b9b8",
+        "01-rabi-sampling.csv":
+            "6dea8fe934d5c199d59ca50706e573a64f4991ef36f067adeaafde14514979f7",
+        "02-rabi-offset.csv":
+            "25efa07f9e628584be496e4f7d58ed2f6410c2ac560d36bff228df0d92bc94ba",
+    },
+    "subtau.cfg": {
+        "00-lag-tenth.csv":
+            "aa60acb1cbb72f8886efc864237276b7fcb7821ba3819bd29a3d17942ca2fcec",
+        "01-stationary-offset.csv":
+            "483a3fb7708da3ed381346dff7c565954fb0105607a368e0001c80c50640890b",
+    },
+}
+
+
+def test_every_bundled_config_is_recorded():
+    assert sorted(p.name for p in CONFIGS.glob("*.cfg")) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("config", sorted(DIGESTS))
+def test_bundled_config_artifacts_match_recorded_digests(config, tmp_path):
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
+    written = run_scenario(CONFIGS / config, tmp_path)
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in written
+        if p.name != "manifest.txt"
+    }
+    assert got == DIGESTS[config]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qergo.ergodic import sample_born
-from qergo.hilbert import Hamiltonian, born_probabilities, evolve, make_state
+from qergo.hilbert import CommutingSet, Hamiltonian, born_probabilities, evolve, make_state
 from qergo.measurement import (
     SystemUnderObservation,
     advance,
@@ -17,7 +17,7 @@ from qergo.measurement import (
 )
 from qergo.microstate import Scenario, trajectory
 from qergo.partition import SchedulerSpec, dump_partition, interval_measure, periodic_extend
-from qergo.testing import sigma_x_set, sigma_z_set
+from qergo.testing import haar_unitary, sigma_x_set, sigma_z_set
 
 H0 = Hamiltonian(np.zeros((2, 2)))
 RABI = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
@@ -125,6 +125,13 @@ def test_measure_on_window_boundary_starts_next_window():
     assert (part.lo, part.hi) == (1.0, 2.0)
 
 
+def test_start_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimensions must agree"):
+        start_qubit(state=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="dimensions must agree"):
+        start_qubit(H=Hamiltonian(np.zeros((3, 3))))
+
+
 def test_measure_unknown_set_rejected():
     with pytest.raises(ValueError, match="no commuting set"):
         measure(start_qubit(), "sy", 0.5)
@@ -191,6 +198,32 @@ def test_sequential_conserved_repeat_always_agrees():
     dist = sequential_experiment(sc, [("sz", 0.5), ("sz", 1.5)], n_runs=300, seed=15)
     for key in dist.counts:
         assert key[0] == key[1]
+
+
+def _haar_qubit_scenario():
+    # H = 0 conserves both sets; collapsing onto a column of the Haar basis
+    # leaves a sub-ulp sliver in that set's window-0 base layout.
+    r = CommutingSet(
+        id="r",
+        basis=haar_unitary(np.random.default_rng(0), 2),
+        labels=((0,), (1,)),
+        eigenvalues=((1.0,), (-1.0,)),
+    )
+    return Scenario(
+        state0=make_state([1.0, 0.0]), hamiltonian=H0, csets=(sigma_z_set(), r), schedulers={}
+    )
+
+
+def test_conserved_measure_then_cross_window_same_set():
+    dist = sequential_experiment(_haar_qubit_scenario(), [("r", 0.5), ("r", 1.5)], 50, 1)
+    assert dist.total == 50
+    for key in dist.counts:
+        assert key[0] == key[1]  # H = 0: the second read repeats the first
+
+
+def test_conserved_measure_then_cross_window_other_set():
+    dist = sequential_experiment(_haar_qubit_scenario(), [("r", 0.5), ("sz", 1.5)], 50, 1)
+    assert dist.total == 50
 
 
 def test_sequential_order_dependence_against_enumeration():

@@ -160,6 +160,15 @@ def test_periodic_extend_examples():
         assert abs(interval_measure(s2, k) - interval_measure(p2, k)) <= 1e-9
 
 
+def test_periodic_extend_drops_piece_collapsed_by_shift():
+    # A sub-ulp piece of the window-0 base vanishes once shifted by N.
+    base = build_partition([1.9e-32, 1.0], 0, SchedulerSpec())
+    assert base.segments[0] == (SubInterval(0.0, 1.9e-32), 0)
+    out = periodic_extend(base, 1)
+    assert out.segments == ((SubInterval(1.0, 2.0), 1),)
+    assert check_partition(out) <= 1e-9
+
+
 def test_periodic_extend_requires_window_zero():
     p = build_partition([1.0], 1, SchedulerSpec())
     with pytest.raises(ValueError, match="window-0"):
