@@ -29,9 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="scenario config file")
     p_run.add_argument("--out-dir", default=None, help="override the config's output directory")
     p_run.add_argument(
-        "--threads", type=int, default=1, help="compute independent experiment blocks in parallel"
-    )
-    p_run.add_argument(
         "--strict-float",
         action="store_true",
         help="fail (exit 3) if any state needed renormalization against float drift",
@@ -52,7 +49,6 @@ def _cmd_run(args) -> int:
     written = run_scenario(
         args.config,
         out_dir=args.out_dir,
-        threads=args.threads,
         strict_float=args.strict_float,
     )
     for path in written:

@@ -532,8 +532,4 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     """Read and parse a scenario file; relative paths resolve next to it."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError:
-        raise
-    return parse_config_text(text, base_dir=p.parent)
+    return parse_config_text(p.read_text(encoding="utf-8"), base_dir=p.parent)

@@ -112,8 +112,6 @@ def sample_born(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if not traj.events:
-        raise ValueError("cannot sample an empty trajectory")
     if not 0 <= window < traj.windows_covered:
         raise ValueError(
             f"window {window} outside the covered range [0, {traj.windows_covered})"
@@ -147,16 +145,14 @@ def offset_window_average(
             f"(0, {traj.windows_covered}]"
         )
     lo, hi = alpha, alpha + 1.0
-    pieces = []
-    # First event whose upper end exceeds lo, then walk until past hi.
-    start = int(np.searchsorted(traj._upper_bounds, lo, side="right"))
-    for ev in traj.events[start:]:
-        if ev.interval.lo >= hi:
-            break
-        overlap = min(ev.interval.hi, hi) - max(ev.interval.lo, lo)
-        if overlap > 0.0:
-            pieces.append(overlap * cset.eigenvalues[ev.label_index][member])
-    return float(math.fsum(pieces))  # offset window has unit span
+    b = traj.bounds
+    # Stretches whose upper end exceeds lo, up to the first starting at hi.
+    first = int(np.searchsorted(b[1:], lo, side="right"))
+    stop = max(first, int(np.searchsorted(b[:-1], hi, side="left")))
+    overlap = np.minimum(b[first + 1:stop + 1], hi) - np.maximum(b[first:stop], lo)
+    values = np.array([ev[member] for ev in cset.eigenvalues])[traj.labels[first:stop]]
+    inside = overlap > 0.0
+    return float(math.fsum(overlap[inside] * values[inside]))  # offset window has unit span
 
 
 def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) -> float:
@@ -175,18 +171,14 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
         raise ValueError("base span plus delta must fit inside the covered windows")
     if delta == 0.0:
         return 1.0
-    bounds = [ev.interval.lo for ev in traj.events] + [traj.events[-1].interval.hi]
-    shifted = [b - delta for b in bounds]
-    cuts = sorted(set(b for b in bounds + shifted if 0.0 < b < base_windows))
-    edges = [0.0] + cuts + [float(base_windows)]
-    matched = []
-    for a, b in zip(edges, edges[1:]):
-        if b <= a:
-            continue
-        mid = 0.5 * (a + b)
-        if traj.label_at(mid) == traj.label_at(mid + delta):
-            matched.append(b - a)
-    return float(math.fsum(matched)) / base_windows
+    b = traj.bounds
+    cuts = np.concatenate((b, b - delta))
+    cuts = np.unique(cuts[(cuts > 0.0) & (cuts < base_windows)])
+    edges = np.concatenate(([0.0], cuts, [float(base_windows)]))
+    a, z = edges[:-1], edges[1:]
+    mid = 0.5 * (a + z)
+    same = traj.labels_at(mid) == traj.labels_at(mid + delta)
+    return float(math.fsum((z - a)[same])) / base_windows
 
 
 def sub_tau_correlation(

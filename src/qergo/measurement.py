@@ -30,7 +30,7 @@ from .hilbert import (
     evolve,
     is_conserved,
 )
-from .microstate import Scenario
+from .microstate import ObservedSets, Scenario
 from .partition import (
     SchedulerSpec,
     WindowPartition,
@@ -69,7 +69,7 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemUnderObservation:
+class SystemUnderObservation(ObservedSets):
     """Immutable snapshot of a monitored system.
 
     Every live partition of the current (possibly partial) window is a pure
@@ -128,15 +128,6 @@ class SystemUnderObservation:
         return cls.start(
             scenario.state0, scenario.hamiltonian, scenario.csets, scenario.schedulers
         )
-
-    def cset(self, cset_id: str) -> CommutingSet:
-        for c in self.csets:
-            if c.id == cset_id:
-                return c
-        raise ValueError(f"no commuting set with id {cset_id!r}")
-
-    def scheduler_for(self, cset_id: str) -> SchedulerSpec:
-        return self.schedulers.get(cset_id, SchedulerSpec())
 
     @property
     def window_end(self) -> float:

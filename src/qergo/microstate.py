@@ -12,7 +12,6 @@ state at every integer crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -81,15 +80,22 @@ class TrajectoryEvent:
 class JumpTrajectory:
     """A jump trajectory over whole windows ``(0, windows_covered]``.
 
-    ``events`` tile the covered span exactly (consecutive intervals share
-    boundary floats); ``partitions[N]`` and ``states[N]`` hold the layout
-    and the window-start state for window ``N``.  ``renorm_events`` counts
-    drift corrections applied during the underlying evolution.
+    The constant stretches of every window, in time order, live in two
+    read-only arrays: ``bounds`` (``float64[S+1]``, from ``0.0`` to
+    ``windows_covered``) and ``labels`` (``intp[S]``); stretch ``i`` is
+    ``(bounds[i], bounds[i+1]]`` with label index ``labels[i]``.  Window
+    ``N`` owns stretches ``offsets[N]`` to ``offsets[N+1] - 1``, and
+    ``partitions[N]`` is that window's layout, whose arrays are views into
+    ``bounds`` and ``labels``.  ``states[N]`` is the window-start state.
+    ``renorm_events`` counts drift corrections applied during the underlying
+    evolution.
     """
 
     cset: CommutingSet
     scheduler: SchedulerSpec
-    events: tuple[TrajectoryEvent, ...]
+    bounds: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
     partitions: tuple[WindowPartition, ...]
     states: tuple[QuantumState, ...]
     renorm_events: int
@@ -102,39 +108,32 @@ class JumpTrajectory:
     def windows_covered(self) -> int:
         return len(self.partitions)
 
-    @cached_property
-    def _upper_bounds(self) -> np.ndarray:
-        a = np.array([ev.interval.hi for ev in self.events])
-        a.setflags(write=False)
-        return a
+    def _stretch_windows(self) -> list[int]:
+        return np.repeat(np.arange(self.windows_covered), np.diff(self.offsets)).tolist()
 
-    @cached_property
-    def _event_labels(self) -> np.ndarray:
-        a = np.array([ev.label_index for ev in self.events], dtype=np.intp)
-        a.setflags(write=False)
-        return a
-
-    def event_at(self, u: float) -> TrajectoryEvent:
-        return self.events[self._event_index(u)]
+    @property
+    def events(self) -> tuple[TrajectoryEvent, ...]:
+        """One :class:`TrajectoryEvent` per stretch, built anew on each access."""
+        b, c = self.bounds.tolist(), self.cset
+        return tuple(
+            TrajectoryEvent(n, SubInterval(lo, hi), k, c.labels[k], c.eigenvalues[k])
+            for n, lo, hi, k in zip(self._stretch_windows(), b, b[1:], self.labels.tolist())
+        )
 
     def label_at(self, u: float) -> int:
         """Active label index at time ``u``."""
-        return int(self._event_labels[self._event_index(u)])
+        if not 0.0 < u <= self.windows_covered:
+            raise ValueError(
+                f"time {u!r} outside the covered span (0, {self.windows_covered}]"
+            )
+        return int(self.labels[self.bounds[1:].searchsorted(u)])
 
     def labels_at(self, us: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`label_at` for sampling experiments."""
         us = np.asarray(us, dtype=float)
         if us.size and (us.min() <= 0.0 or us.max() > self.windows_covered):
             raise ValueError("sample times must lie in (0, windows_covered]")
-        idx = np.searchsorted(self._upper_bounds, us, side="left")
-        return self._event_labels[idx]
-
-    def _event_index(self, u: float) -> int:
-        if not 0.0 < u <= self.windows_covered:
-            raise ValueError(
-                f"time {u!r} outside the covered span (0, {self.windows_covered}]"
-            )
-        return int(np.searchsorted(self._upper_bounds, u, side="left"))
+        return self.labels[self.bounds[1:].searchsorted(us)]
 
 
 def microstate_at(partition: WindowPartition, cset: CommutingSet, u: float) -> MicrostateSnapshot:
@@ -185,13 +184,30 @@ def apply_value_operator(
     return cset.eigenvalues[k][member] * cset.basis_vector(k)
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A closed-system setup: initial state, generator, observable sets.
+class ObservedSets:
+    """Commuting-set lookup for classes holding ``csets`` and ``schedulers``.
 
     ``schedulers`` maps commuting-set ids to layout strategies; sets without
     an entry get the default contiguous layout.
     """
+
+    def cset(self, cset_id: str | None = None) -> CommutingSet:
+        if cset_id is None:
+            if len(self.csets) != 1:
+                raise ValueError("several commuting sets are defined; name one")
+            return self.csets[0]
+        for c in self.csets:
+            if c.id == cset_id:
+                return c
+        raise ValueError(f"no commuting set with id {cset_id!r}")
+
+    def scheduler_for(self, cset_id: str) -> SchedulerSpec:
+        return self.schedulers.get(cset_id, SchedulerSpec())
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario(ObservedSets):
+    """A closed-system setup: initial state, generator, observable sets."""
 
     state0: QuantumState
     hamiltonian: Hamiltonian
@@ -212,19 +228,6 @@ class Scenario:
             raise ValueError("hamiltonian dimension differs from the state")
         if self.windows < 1:
             raise ValueError("windows must be at least 1")
-
-    def cset(self, cset_id: str | None = None) -> CommutingSet:
-        if cset_id is None:
-            if len(self.csets) != 1:
-                raise ValueError("scenario has several commuting sets; name one")
-            return self.csets[0]
-        for c in self.csets:
-            if c.id == cset_id:
-                return c
-        raise ValueError(f"no commuting set with id {cset_id!r}")
-
-    def scheduler_for(self, cset_id: str) -> SchedulerSpec:
-        return self.schedulers.get(cset_id, SchedulerSpec())
 
     def build_trajectory(self, cset_id: str | None = None, windows: int | None = None) -> JumpTrajectory:
         c = self.cset(cset_id)
@@ -248,11 +251,12 @@ def trajectory(
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
     Per window: freeze the eigenbasis weights of the current state, build
-    the window layout, emit one event per sub-interval, then evolve the
-    state to the next integer boundary.  When every member observable
-    commutes with the Hamiltonian the weights are constants of motion and
-    the window-0 layout is reused verbatim, shifted by the window index —
-    the layout freedom is resolved in favour of exact periodicity.
+    the window layout, then evolve the state to the next integer boundary;
+    the layouts end up back to back in the trajectory's arrays.  When every
+    member observable commutes with the Hamiltonian the weights are
+    constants of motion and the window-0 layout is reused verbatim, shifted
+    by the window index — the layout freedom is resolved in favour of exact
+    periodicity.
     """
     if windows < 1:
         raise ValueError("windows must be at least 1")
@@ -273,22 +277,28 @@ def trajectory(
             psi = evolve(psi, hamiltonian, 1.0)
             renorms += int(psi.renormalized)
             states.append(psi)
-    events = tuple(
-        TrajectoryEvent(
-            window=part.window_index,
-            interval=seg,
-            label_index=k,
-            label=cset.labels[k],
-            eigenvalues=cset.eigenvalues[k],
+    # One pair of arrays for the whole trajectory; windows share their
+    # boundary float, so each partition becomes a view into them.
+    offsets = np.cumsum([0] + [part.labels.size for part in partitions])
+    bounds = np.concatenate([p.bounds[:-1] for p in partitions] + [partitions[-1].bounds[-1:]])
+    labels = np.concatenate([part.labels for part in partitions])
+    for a in (offsets, bounds, labels):
+        a.setflags(write=False)
+    o = offsets.tolist()
+    views = tuple(
+        WindowPartition(
+            part.window_index, part.lo, part.hi, part.probabilities,
+            bounds[o[n]:o[n + 1] + 1], labels[o[n]:o[n + 1]],
         )
-        for part in partitions
-        for seg, k in part.segments
+        for n, part in enumerate(partitions)
     )
     return JumpTrajectory(
         cset=cset,
         scheduler=scheduler,
-        events=events,
-        partitions=tuple(partitions),
+        bounds=bounds,
+        labels=labels,
+        offsets=offsets,
+        partitions=views,
         states=tuple(states),
         renorm_events=renorms,
     )
@@ -301,9 +311,11 @@ def dump_trajectory(traj: JumpTrajectory) -> str:
     (colon-joined, repr floats).  Rows are in time order; floats use repr
     so a dump/parse round trip is bit-exact.
     """
-    lines = ["window,label,lo,hi,eigenvalues"]
-    for ev in traj.events:
-        lab = ":".join(str(i) for i in ev.label)
-        eig = ":".join(repr(x) for x in ev.eigenvalues)
-        lines.append(f"{ev.window},{lab},{ev.interval.lo!r},{ev.interval.hi!r},{eig}")
-    return "\n".join(lines) + "\n"
+    c, b = traj.cset, traj.bounds.tolist()
+    names = [":".join(str(i) for i in lab) for lab in c.labels]
+    eigs = [":".join(repr(x) for x in ev) for ev in c.eigenvalues]
+    rows = (
+        f"{n},{names[k]},{lo!r},{hi!r},{eigs[k]}"
+        for n, lo, hi, k in zip(traj._stretch_windows(), b, b[1:], traj.labels.tolist())
+    )
+    return "\n".join(["window,label,lo,hi,eigenvalues", *rows]) + "\n"

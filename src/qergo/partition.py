@@ -26,10 +26,8 @@ the remaining span.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -108,28 +106,40 @@ class SchedulerSpec:
             raise ValueError("seed must be non-negative")
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array; copied only when the caller could still write it."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class WindowPartition:
     """An exhaustive labelled tiling of one (possibly partial) window.
 
-    ``segments`` holds ``(interval, label_index)`` pairs in time order;
-    consecutive intervals share their boundary float exactly, the first
-    starts at ``lo`` and the last ends at ``hi``, so the segments tile
-    ``(lo, hi]`` with no gaps or overlaps by construction.  ``probabilities``
-    is the frozen probability vector the measures realize: label ``k`` owns
-    total length ``span * probabilities[k]``.
+    Two read-only arrays hold the tiling: ``bounds`` (``float64[S+1]``,
+    strictly increasing, ``bounds[0] == lo`` and ``bounds[-1] == hi``) and
+    ``labels`` (``intp[S]``); stretch ``i`` is ``(bounds[i], bounds[i+1]]``
+    and carries label ``labels[i]``.  Neighbouring stretches share their
+    boundary float, so the stretches tile ``(lo, hi]`` with no gaps or
+    overlaps by construction.  ``probabilities`` is the frozen probability
+    vector the measures realize: label ``k`` owns total length
+    ``span * probabilities[k]``.
     """
 
     window_index: int
     lo: float
     hi: float
     probabilities: np.ndarray
-    segments: tuple[tuple[SubInterval, int], ...]
+    bounds: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float).copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", _frozen(self.probabilities, float))
+        object.__setattr__(self, "bounds", _frozen(self.bounds, float))
+        object.__setattr__(self, "labels", _frozen(self.labels, np.intp))
 
     @property
     def dimension(self) -> int:
@@ -139,35 +149,21 @@ class WindowPartition:
     def span(self) -> float:
         return self.hi - self.lo
 
-    @cached_property
-    def _upper_bounds(self) -> list[float]:
-        return [seg.hi for seg, _ in self.segments]
-
-    @cached_property
-    def _segment_labels(self) -> np.ndarray:
-        a = np.array([k for _, k in self.segments], dtype=np.intp)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def entries(self) -> dict[int, tuple[SubInterval, ...]]:
-        """Sub-intervals grouped by label index (labels with mass only)."""
-        groups: dict[int, list[SubInterval]] = {}
-        for seg, k in self.segments:
-            groups.setdefault(k, []).append(seg)
-        return {k: tuple(v) for k, v in groups.items()}
-
-    def intervals_for(self, label: int) -> tuple[SubInterval, ...]:
-        if not 0 <= label < self.dimension:
-            raise ValueError(f"label index {label} out of range for dimension {self.dimension}")
-        return self.entries.get(label, ())
+    @property
+    def segments(self) -> tuple[tuple[SubInterval, int], ...]:
+        """``(interval, label)`` pairs in time order, built anew on each access."""
+        b = self.bounds.tolist()
+        return tuple(
+            (SubInterval(lo, hi), k) for lo, hi, k in zip(b, b[1:], self.labels.tolist())
+        )
 
 
-def _contiguous_layout(p: np.ndarray) -> list[tuple[float, int]]:
-    return [(float(p[k]), k) for k in range(p.size) if p[k] > 0.0]
+def _contiguous_layout(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    labels = np.flatnonzero(p > 0.0)
+    return p[labels], labels
 
 
-def _two_outcome_layout(p: np.ndarray, offset: float) -> list[tuple[float, int]]:
+def _two_outcome_layout(p: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
     # Label 0 gets one block starting `offset` into the window (clamped so it
     # fits); the other labels fill the complement in order, split across the
     # gap when they straddle it.  For two outcomes this is the familiar
@@ -191,15 +187,16 @@ def _two_outcome_layout(p: np.ndarray, offset: float) -> list[tuple[float, int]]
     if p0 > 0.0:
         widths.append((p0, 0))
     widths.extend((w, k) for k, w in rest[i:])
-    return widths
+    return np.array([w for w, _ in widths]), np.array([k for _, k in widths], dtype=np.intp)
 
 
 def _seeded_random_layout(
     p: np.ndarray, window_index: int, spec: SchedulerSpec
-) -> list[tuple[float, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     # Keyed per window so partitions can be rebuilt out of order.
     rng = np.random.default_rng([spec.seed, window_index])
-    pieces: list[tuple[float, int]] = []
+    widths: list[float] = []
+    labels: list[int] = []
     for k in range(p.size):
         mass = float(p[k])
         if mass <= 0.0:
@@ -210,17 +207,37 @@ def _seeded_random_layout(
         else:
             cuts = np.sort(rng.uniform(0.0, mass, size=n - 1))
             parts = np.diff(np.concatenate(([0.0], cuts, [mass])))
-        pieces.extend((float(w), k) for w in parts if w > 0.0)
-    order = rng.permutation(len(pieces))
-    return [pieces[i] for i in order]
+            parts = parts[parts > 0.0].tolist()
+        widths.extend(parts)
+        labels.extend([k] * len(parts))
+    order = rng.permutation(len(widths))
+    return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
 
-def _layout(p: np.ndarray, window_index: int, spec: SchedulerSpec) -> list[tuple[float, int]]:
+def _layout(
+    p: np.ndarray, window_index: int, spec: SchedulerSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Widths (relative to the span) and labels of the stretches, in time order."""
     if spec.kind == "contiguous":
         return _contiguous_layout(p)
     if spec.kind == "two-outcome":
         return _two_outcome_layout(p, spec.offset)
     return _seeded_random_layout(p, window_index, spec)
+
+
+def _seal(bounds: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the stretches that rounding collapsed to nothing, keeping the tiling gap-free.
+
+    A stretch is dropped when its upper bound is not above its lower one; its
+    successor then starts where the last kept stretch ended.
+    """
+    keep = bounds[1:] > bounds[:-1]
+    if np.count_nonzero(keep) < keep.size:
+        bounds = np.concatenate((bounds[:1], bounds[1:][keep]))
+        labels = labels[keep]
+    bounds.setflags(write=False)
+    labels.setflags(write=False)
+    return bounds, labels
 
 
 def _validated_probabilities(probabilities) -> np.ndarray:
@@ -254,31 +271,15 @@ def build_partition_span(
     if not hi > lo:
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
     p = _validated_probabilities(probabilities)
-    widths = _layout(p, window_index, scheduler)
+    widths, labels = _layout(p, window_index, scheduler)
     # Lay out in relative coordinates, then map onto (lo, hi].  The final
     # boundary is forced to hi exactly so adjacent windows share floats.
-    bounds = [0.0]
-    for w, _ in widths:
-        bounds.append(bounds[-1] + w)
-    span = hi - lo
-    abs_bounds = [lo + b * span for b in bounds]
-    abs_bounds[-1] = hi
-    segments = []
-    for i, (_, k) in enumerate(widths):
-        a, b = abs_bounds[i], abs_bounds[i + 1]
-        if b > a:  # rounding can collapse a sliver; drop empty pieces
-            segments.append((SubInterval(a, b), k))
-    if not segments:
-        raise InvariantViolation("partition construction produced no segments")
-    # Re-seal after any drop so the tiling stays gap-free.
-    sealed = []
-    cursor = lo
-    for seg, k in segments:
-        sealed.append((SubInterval(cursor, seg.hi), k))
-        cursor = seg.hi
-    return WindowPartition(
-        window_index=window_index, lo=lo, hi=hi, probabilities=p, segments=tuple(sealed)
-    )
+    bounds = np.zeros(widths.size + 1)
+    np.cumsum(widths, out=bounds[1:])
+    bounds *= hi - lo
+    bounds += lo
+    bounds[-1] = hi
+    return WindowPartition(window_index, lo, hi, p, *_seal(bounds, labels))
 
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:
@@ -289,12 +290,16 @@ def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) 
     return build_partition_span(probabilities, lo, lo + 1.0, scheduler, window_index)
 
 
-def _locate(partition: WindowPartition, u: float) -> int:
+def _check_inside(partition: WindowPartition, u: float):
     if not partition.lo < u <= partition.hi:
         raise ValueError(
             f"time {u!r} outside the partitioned span ({partition.lo!r}, {partition.hi!r}]"
         )
-    return bisect.bisect_left(partition._upper_bounds, u)
+
+
+def _check_label(partition: WindowPartition, label: int):
+    if not 0 <= label < partition.dimension:
+        raise ValueError(f"label index {label} out of range for dimension {partition.dimension}")
 
 
 def active_label(partition: WindowPartition, u: float) -> int:
@@ -303,7 +308,8 @@ def active_label(partition: WindowPartition, u: float) -> int:
     Exact float comparisons: ``u`` equal to a shared boundary belongs to
     the earlier interval, per the half-open convention.
     """
-    return int(partition._segment_labels[_locate(partition, u)])
+    _check_inside(partition, u)
+    return int(partition.labels[partition.bounds[1:].searchsorted(u)])
 
 
 def step_function(partition: WindowPartition, label: int, u: float) -> int:
@@ -313,20 +319,17 @@ def step_function(partition: WindowPartition, label: int, u: float) -> int:
     delegation to :func:`active_label`, so completeness and idempotency are
     genuinely testable properties rather than tautologies.
     """
-    if not partition.lo < u <= partition.hi:
-        raise ValueError(
-            f"time {u!r} outside the partitioned span ({partition.lo!r}, {partition.hi!r}]"
-        )
-    if not 0 <= label < partition.dimension:
-        raise ValueError(f"label index {label} out of range for dimension {partition.dimension}")
-    return 1 if any(seg.contains(u) for seg in partition.intervals_for(label)) else 0
+    _check_inside(partition, u)
+    _check_label(partition, label)
+    b, mine = partition.bounds, partition.labels == label
+    return int(np.any((b[:-1][mine] < u) & (u <= b[1:][mine])))
 
 
 def interval_measure(partition: WindowPartition, label: int) -> float:
     """Total length owned by a label (the realized probability mass)."""
-    if not 0 <= label < partition.dimension:
-        raise ValueError(f"label index {label} out of range for dimension {partition.dimension}")
-    return float(math.fsum(seg.length for seg in partition.intervals_for(label)))
+    _check_label(partition, label)
+    b = partition.bounds
+    return float(math.fsum((b[1:] - b[:-1])[partition.labels == label]))
 
 
 def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition:
@@ -344,19 +347,8 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
     if window_index == 0:
         return base
     n = float(window_index)
-    segments = []
-    cursor = n
-    for seg, k in base.segments:
-        hi = seg.hi + n
-        if hi > cursor:
-            segments.append((SubInterval(cursor, hi), k))
-            cursor = hi
     return WindowPartition(
-        window_index=window_index,
-        lo=n,
-        hi=n + 1.0,
-        probabilities=base.probabilities,
-        segments=tuple(segments),
+        window_index, n, n + 1.0, base.probabilities, *_seal(base.bounds + n, base.labels)
     )
 
 
@@ -364,27 +356,23 @@ def check_partition(partition: WindowPartition) -> float:
     """Audit coverage, ordering, label sanity, and measures; return worst measure error.
 
     Raises :class:`InvariantViolation` naming the first broken invariant.
-    Coverage is exact: consecutive segments must share their boundary float
-    and the ends must hit ``lo``/``hi`` bitwise.
+    Coverage is exact: the bounds must rise strictly and their ends must hit
+    ``lo``/``hi`` bitwise.
     """
-    segs = partition.segments
-    if not segs:
+    b, labels = partition.bounds.tolist(), partition.labels.tolist()
+    if not labels:
         raise InvariantViolation("partition has no segments")
-    if segs[0][0].lo != partition.lo:
-        raise InvariantViolation(
-            f"first segment starts at {segs[0][0].lo!r}, expected {partition.lo!r}"
-        )
-    if segs[-1][0].hi != partition.hi:
-        raise InvariantViolation(
-            f"last segment ends at {segs[-1][0].hi!r}, expected {partition.hi!r}"
-        )
-    for (a, _), (b, _) in zip(segs, segs[1:]):
-        if a.hi != b.lo:
-            raise InvariantViolation(
-                f"gap or overlap between {a.hi!r} and {b.lo!r}"
-            )
+    if len(b) != len(labels) + 1:
+        raise InvariantViolation(f"{len(b)} bounds for {len(labels)} segments")
+    if b[0] != partition.lo:
+        raise InvariantViolation(f"first segment starts at {b[0]!r}, expected {partition.lo!r}")
+    if b[-1] != partition.hi:
+        raise InvariantViolation(f"last segment ends at {b[-1]!r}, expected {partition.hi!r}")
+    for a, z in zip(b, b[1:]):
+        if not z > a:
+            raise InvariantViolation(f"overlap: segment ({a!r}, {z!r}] is empty or reversed")
     d = partition.dimension
-    for _, k in segs:
+    for k in labels:
         if not 0 <= k < d:
             raise InvariantViolation(f"segment label {k} out of range for dimension {d}")
     total = float(partition.probabilities.sum())
@@ -408,7 +396,6 @@ def dump_partition(partition: WindowPartition) -> str:
     Columns: window_index, label, lo, hi.  Floats use repr so a dump/parse
     round trip is bit-exact.
     """
-    lines = ["window_index,label,lo,hi"]
-    for seg, k in partition.segments:
-        lines.append(f"{partition.window_index},{k},{seg.lo!r},{seg.hi!r}")
-    return "\n".join(lines) + "\n"
+    n, b = partition.window_index, partition.bounds.tolist()
+    rows = (f"{n},{k},{lo!r},{hi!r}" for k, lo, hi in zip(partition.labels.tolist(), b, b[1:]))
+    return "\n".join(["window_index,label,lo,hi", *rows]) + "\n"

@@ -8,7 +8,6 @@ contains a timestamp — two runs of the same config are byte-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +173,7 @@ def _manifest(
     per_experiment_files: list[Artifacts],
 ) -> str:
     # Only config identity, seeds, versions, and outputs: bytes must not
-    # depend on run parameters like --threads.
+    # depend on run parameters like the output directory.
     lines = [
         "format = qergo-run-manifest-1",
         f"package = qergo {__version__}",
@@ -203,7 +202,6 @@ def _write_failure_marker(out_dir: Path, message: str):
 def run_scenario(
     config_path,
     out_dir=None,
-    threads: int = 1,
     strict_float: bool = False,
 ) -> list[Path]:
     """Run every experiment block of a config and write its artifacts.
@@ -211,9 +209,7 @@ def run_scenario(
     All experiments are computed before any file is written; on failure a
     ``FAILED`` marker naming the violated invariant is left in the output
     directory instead of partial results.  Returns the written paths, the
-    manifest last.  ``threads > 1`` computes independent experiment blocks
-    in parallel; outputs are identical either way because every block owns
-    its seeds and shares nothing mutable.
+    manifest last.
     """
     config_path = Path(config_path)
     config = load_config(config_path)
@@ -221,22 +217,11 @@ def run_scenario(
         out = config.base_dir / config.output_dir
     else:
         out = Path(out_dir)
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
 
     try:
-        if threads == 1 or len(config.experiments) <= 1:
-            results = [
-                run_experiment(config, exp, i)
-                for i, exp in enumerate(config.experiments)
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(run_experiment, config, exp, i)
-                    for i, exp in enumerate(config.experiments)
-                ]
-                results = [f.result() for f in futures]
+        results = [
+            run_experiment(config, exp, i) for i, exp in enumerate(config.experiments)
+        ]
         if strict_float:
             for exp, (_, renorms) in zip(config.experiments, results):
                 if renorms:

@@ -179,13 +179,13 @@ def _check_trajectory_tiling():
             _SCHEDULERS[seed % 3],
             windows=5,
         )
-        events = traj.events
-        if events[0].interval.lo != 0.0 or events[-1].interval.hi != 5.0:
-            return 1.0, 0.0, f"seed={seed}: span not (0, 5]"
-        for a, b in zip(events, events[1:]):
-            dev = abs(b.interval.lo - a.interval.hi)
+        b = traj.bounds
+        if b[0] != 0.0 or b[-1] != 5.0 or not np.all(b[1:] > b[:-1]):
+            return 1.0, 0.0, f"seed={seed}: stretches do not tile (0, 5] in order"
+        for n, part in enumerate(traj.partitions):
+            dev = max(abs(float(part.bounds[0]) - n), abs(float(part.bounds[-1]) - (n + 1)))
             if dev > worst:
-                worst, detail = dev, f"seed={seed} at u={a.interval.hi!r}"
+                worst, detail = dev, f"seed={seed}, window={n}"
     return worst, 0.0, detail
 
 
@@ -205,10 +205,15 @@ def _check_conserved_periodicity():
     base = traj.partitions[0]
     for n, part in enumerate(traj.partitions):
         ref = periodic_extend(base, n)
-        for (seg, k), (rseg, rk) in zip(part.segments, ref.segments):
-            dev = max(abs(seg.lo - rseg.lo), abs(seg.hi - rseg.hi), float(k != rk))
-            if dev > worst:
-                worst, detail = dev, f"window={n}"
+        if part.labels.size != ref.labels.size:
+            dev = 1.0
+        else:
+            dev = max(
+                float(np.max(np.abs(part.bounds - ref.bounds))),
+                float(np.any(part.labels != ref.labels)),
+            )
+        if dev > worst:
+            worst, detail = dev, f"window={n}"
         alpha = n + 0.4
         if alpha + 1.0 <= traj.windows_covered:
             a0 = offset_window_average(traj, float(n), cs, 0)

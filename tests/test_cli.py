@@ -46,13 +46,6 @@ def test_runs_are_byte_identical(tmp_path):
     assert read_tree(a) == read_tree(b)
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=a, threads=1)
-    run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=b, threads=4)
-    assert read_tree(a) == read_tree(b)
-
-
 def test_manifest_records_hash_and_seeds(tmp_path):
     import hashlib
 

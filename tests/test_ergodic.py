@@ -226,3 +226,71 @@ def test_format_statistics():
     row = lines[1].split(",")
     assert row[0] == "born:sz" and row[1] == "0"
     assert float(row[5]) == pytest.approx(0.001, abs=1e-12)
+
+
+# Scalar reference loops for the exact averages: one walk over the events and
+# one label lookup per merged edge.  The package computes the same sums with
+# array operations; the differential test below demands equal floats.
+def scalar_offset_window_average(traj, alpha, cset, member=0):
+    lo, hi = alpha, alpha + 1.0
+    events = traj.events
+    uppers = np.array([ev.interval.hi for ev in events])
+    pieces = []
+    for ev in events[int(np.searchsorted(uppers, lo, side="right")):]:
+        if ev.interval.lo >= hi:
+            break
+        overlap = min(ev.interval.hi, hi) - max(ev.interval.lo, lo)
+        if overlap > 0.0:
+            pieces.append(overlap * cset.eigenvalues[ev.label_index][member])
+    return float(math.fsum(pieces))
+
+
+def scalar_same_outcome_measure(traj, delta, base_windows):
+    if delta == 0.0:
+        return 1.0
+    events = traj.events
+    bounds = [ev.interval.lo for ev in events] + [events[-1].interval.hi]
+    shifted = [b - delta for b in bounds]
+    cuts = sorted(set(b for b in bounds + shifted if 0.0 < b < base_windows))
+    edges = [0.0] + cuts + [float(base_windows)]
+    matched = []
+    for a, b in zip(edges, edges[1:]):
+        if b <= a:
+            continue
+        mid = 0.5 * (a + b)
+        if traj.label_at(mid) == traj.label_at(mid + delta):
+            matched.append(b - a)
+    return float(math.fsum(matched)) / base_windows
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+def test_exact_averages_equal_scalar_reference(kind):
+    rng = np.random.default_rng(["contiguous", "two-outcome", "seeded-random"].index(kind))
+    for trial in range(6):
+        d = int(rng.integers(2, 7))
+        windows = int(rng.integers(3, 12))
+        cs = random_cset(rng, d, n_members=2)
+        if trial % 3 == 2:  # conserved: every window repeats window 0
+            H = Hamiltonian((cs.basis * rng.standard_normal(d)) @ cs.basis.conj().T)
+        else:
+            H = random_hamiltonian(rng, d)
+        spec = SchedulerSpec(kind=kind, max_subintervals=4, seed=trial, offset=float(rng.random()))
+        traj = trajectory(random_state(rng, d), H, cs, spec, windows)
+        edges = [ev.interval.lo for ev in traj.events] + [float(windows)]
+        picks = [float(x) for x in rng.choice(edges, size=8)]
+        alphas = [a for a in picks if a + 1.0 <= windows]
+        alphas += [float(x) for x in rng.uniform(0.0, windows - 1.0, size=4)] + [0.0, 1.0]
+        for alpha in alphas:
+            for member in range(2):
+                got = offset_window_average(traj, alpha, cs, member)
+                assert got == scalar_offset_window_average(traj, alpha, cs, member), (trial, alpha)
+        # lags equal to a boundary, or to the distance between two boundaries,
+        # shift boundaries exactly onto other boundaries
+        deltas = [abs(b - a) for a, b in zip(picks, picks[1:])] + picks
+        deltas += [float(x) for x in rng.uniform(0.0, windows - 1.0, size=4)] + [0.0, 1.0]
+        for delta in deltas:
+            base = int(windows - delta)
+            if base < 1 or base + delta > windows:
+                continue
+            got = same_outcome_measure(traj, delta, base)
+            assert got == scalar_same_outcome_measure(traj, delta, base), (trial, delta)

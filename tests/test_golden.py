@@ -1,7 +1,8 @@
 """Golden test: the bundled configs write the artifacts recorded for them.
 
 The SHA-256 of every experiment artifact of ``configs/*.cfg`` is frozen
-here.  ``manifest.txt`` is left out because it names the numpy version;
+here, and so is the SHA-256 of two seeded trajectory dumps and of the exact
+averages read from them.  ``manifest.txt`` is left out because it names the numpy version;
 the digests themselves are only checked on the numpy version they were
 recorded with.
 """
@@ -12,7 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qergo.ergodic import offset_window_average, same_outcome_measure
+from qergo.hilbert import CommutingSet, Hamiltonian, make_state
+from qergo.microstate import dump_trajectory, trajectory
+from qergo.partition import SchedulerSpec
 from qergo.runner import run_scenario
+from qergo.testing import random_cset, random_hamiltonian, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECORDED_NUMPY = "2.4.6"
@@ -69,3 +75,66 @@ def test_bundled_config_artifacts_match_recorded_digests(config, tmp_path):
         if p.name != "manifest.txt"
     }
     assert got == DIGESTS[config]
+
+
+def _trajectory_case() -> dict[str, str]:
+    """Texts of two seeded trajectories and of the exact averages read from them.
+
+    ``long`` is a non-conserved d=16 seeded-random trajectory of 2000 windows
+    (about 80k events).  ``sliver`` is conserved, and its window-0 layout
+    starts with a ``(0, 1e-32]`` piece that every shifted window drops.
+    """
+    rng = np.random.default_rng(2026)
+    d = 16
+    long = trajectory(
+        random_state(rng, d),
+        random_hamiltonian(rng, d),
+        random_cset(rng, d, n_members=2),
+        SchedulerSpec(kind="seeded-random", max_subintervals=4, seed=11),
+        2000,
+    )
+    tri = CommutingSet(
+        id="tri",
+        basis=np.eye(3),
+        labels=((0, 0), (0, 1), (1, 0)),
+        eigenvalues=((0.5, -1.25), (2.0, 0.1), (-0.3, 3.0)),
+    )
+    sliver = trajectory(
+        make_state([1e-16, 0.6, 0.8]),
+        Hamiltonian(np.diag([0.4, -1.1, 0.7])),
+        tri,
+        SchedulerSpec(),
+        40,
+    )
+    out = {}
+    for name, traj, deltas, alphas in [
+        ("long", long, [(0.1, 400), (1.37, 200)], [0.25, 1234.5678, 1998.9]),
+        ("sliver", sliver, [(0.36, 39), (2.5, 30)], [0.0, 1e-32, 0.36, 17.64]),
+    ]:
+        reads = [repr(same_outcome_measure(traj, delta, base)) for delta, base in deltas]
+        reads += [
+            repr(offset_window_average(traj, alpha, traj.cset, member))
+            for alpha in alphas
+            for member in range(2)
+        ]
+        out[f"{name}-dump"] = dump_trajectory(traj)
+        out[f"{name}-reads"] = "\n".join(reads) + "\n"
+    return out
+
+
+TRAJECTORY_DIGESTS = {
+    "long-dump": "172f2fb0d964bebcb479cec294b55049060950ab965063fa036de61753864dca",
+    "long-reads": "628b6ae058c86adf7d544681ee363ea5cfd543d77998118805efff6ed3e990f6",
+    "sliver-dump": "429edab2aa9731a2b1892dea9e0f0d21f75277ce46bee28cd82df0a7026f3466",
+    "sliver-reads": "57665ff1737db60c5513f413fc6dcf25ee0f5edd5081e150f53993517d9f2739",
+}
+
+
+def test_seeded_trajectories_match_recorded_digests():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
+    got = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in _trajectory_case().items()
+    }
+    assert got == TRAJECTORY_DIGESTS

@@ -216,3 +216,27 @@ def test_scenario_validation_and_build():
         Scenario(state0=s, hamiltonian=H, csets=(sz, sigma_z_set()), schedulers={})
     with pytest.raises(ValueError, match="dimension"):
         Scenario(state0=make_state([1.0, 0.0, 0.0]), hamiltonian=H, csets=(sz,), schedulers={})
+
+
+def test_partitions_are_views_into_the_trajectory_arrays():
+    rng = np.random.default_rng(37)
+    traj = trajectory(
+        random_state(rng, 4),
+        random_hamiltonian(rng, 4),
+        random_cset(rng, 4),
+        SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=2),
+        7,
+    )
+    assert traj.bounds.size == traj.labels.size + 1 == traj.offsets[-1] + 1
+    assert traj.bounds[0] == 0.0 and traj.bounds[-1] == 7.0
+    for a in (traj.bounds, traj.labels, traj.offsets):
+        assert not a.flags.writeable
+    for n, part in enumerate(traj.partitions):
+        i, j = traj.offsets[n], traj.offsets[n + 1]
+        assert np.shares_memory(part.bounds, traj.bounds)
+        assert np.shares_memory(part.labels, traj.labels)
+        np.testing.assert_array_equal(part.bounds, traj.bounds[i:j + 1])
+        assert part.bounds[0] == n and part.bounds[-1] == n + 1
+    # events are rebuilt from the arrays on every access
+    assert traj.events is not traj.events
+    assert [ev.label_index for ev in traj.events] == traj.labels.tolist()

@@ -60,7 +60,7 @@ def test_contiguous_quarters():
 
 def test_zero_probability_label_stores_nothing():
     p = build_partition([0.5, 0.0, 0.5], 0, SchedulerSpec())
-    assert p.intervals_for(1) == ()
+    assert 1 not in p.labels
     assert interval_measure(p, 1) == 0.0
     assert interval_measure(p, 0) == 0.5
 
@@ -130,7 +130,7 @@ def test_seeded_random_respects_max_subintervals():
         spec = SchedulerSpec(kind="seeded-random", max_subintervals=n_max, seed=trial)
         p = build_partition(random_probabilities(rng, d), 0, spec)
         for k in range(d):
-            assert len(p.intervals_for(k)) <= n_max
+            assert np.count_nonzero(p.labels == k) <= n_max
 
 
 def test_seeded_random_windows_independent():
@@ -212,21 +212,18 @@ def test_span_partition_scales_measures():
 
 def test_check_partition_flags_corruption():
     p = build_partition([0.5, 0.5], 0, SchedulerSpec())
-    # fault injection: punch a hole in the coverage
-    seg0, k0 = p.segments[0]
-    broken = (
-        (SubInterval(seg0.lo, seg0.hi - 0.1), k0),
-        p.segments[1],
-    )
-    object.__setattr__(p, "segments", broken)
-    with pytest.raises(InvariantViolation, match="gap"):
+    # fault injection: the first stretch overruns the second
+    object.__setattr__(p, "bounds", np.array([0.0, 1.2, 1.0]))
+    with pytest.raises(InvariantViolation, match="overlap"):
+        check_partition(p)
+    object.__setattr__(p, "bounds", np.array([0.0, 1.0]))
+    with pytest.raises(InvariantViolation, match="2 bounds for 2 segments"):
         check_partition(p)
 
 
 def test_check_partition_flags_bad_measure():
     p = build_partition([0.5, 0.5], 0, SchedulerSpec())
-    relabeled = ((p.segments[0][0], 0), (p.segments[1][0], 0))
-    object.__setattr__(p, "segments", relabeled)
+    object.__setattr__(p, "labels", np.array([0, 0]))
     with pytest.raises(InvariantViolation, match="measure"):
         check_partition(p)
 
@@ -268,3 +265,20 @@ def test_partition_invariants_property(weights, kind, window):
     assert check_partition(p) <= 1e-9
     assert p.segments[0][0].lo == float(window)
     assert p.segments[-1][0].hi == float(window + 1)
+
+
+def test_partition_arrays_are_read_only_and_segments_derived():
+    p = build_partition([0.2, 0.0, 0.8], 4, SchedulerSpec(kind="two-outcome", offset=0.5))
+    assert p.bounds.tolist() == [4.0, 4.5, 4.7, 5.0]
+    assert p.labels.tolist() == [2, 0, 2]
+    assert p.bounds.dtype == np.float64 and p.labels.dtype == np.intp
+    with pytest.raises(ValueError, match="read-only"):
+        p.bounds[1] = 4.6
+    with pytest.raises(ValueError, match="read-only"):
+        p.labels[0] = 1
+    assert p.segments == (
+        (SubInterval(4.0, 4.5), 2),
+        (SubInterval(4.5, 4.7), 0),
+        (SubInterval(4.7, 5.0), 2),
+    )
+    assert p.segments is not p.segments
