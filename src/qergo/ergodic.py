@@ -109,6 +109,10 @@ def sample_born(
     Because exactly one step function is 1 at any instant, tallying active
     labels and tallying squared overlaps with the running microstate are
     the same count — there are no cross terms.
+
+    A tally does not depend on the order of the reads, so the draws are
+    sorted and counted per stretch (:meth:`JumpTrajectory.stretch_counts`)
+    instead of being looked up one by one; the counts are the same.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -120,8 +124,10 @@ def sample_born(
     # window + 1 - U with U in [0, 1) lands in (window, window+1], honouring
     # the half-open convention at both ends.
     us = window + 1.0 - rng.random(n_samples)
-    labels = traj.labels_at(us)
-    counts = np.bincount(labels, minlength=traj.cset.dimension)
+    us.sort()
+    counts = np.bincount(
+        traj.labels, weights=traj.stretch_counts(us), minlength=traj.cset.dimension
+    )
     return EmpiricalDistribution(
         counts={k: int(c) for k, c in enumerate(counts)}, total=n_samples
     )
@@ -176,13 +182,18 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
     cuts = np.unique(cuts[(cuts > 0.0) & (cuts < base_windows)])
     edges = np.concatenate(([0.0], cuts, [float(base_windows)]))
     a, z = edges[:-1], edges[1:]
-    mid = 0.5 * (a + z)
-    same = traj.labels_at(mid) == traj.labels_at(mid + delta)
+    mid = 0.5 * (a + z)  # sorted, and so is mid + delta
+    before = np.repeat(traj.labels, traj.stretch_counts(mid))
+    same = before == np.repeat(traj.labels, traj.stretch_counts(mid + delta))
     return float(math.fsum((z - a)[same])) / base_windows
 
 
 def sub_tau_correlation(
-    scenario: Scenario, delta: float, n_pairs: int, seed: int, cset_id: str | None = None
+    scenario: Scenario | JumpTrajectory,
+    delta: float,
+    n_pairs: int,
+    seed: int,
+    cset_id: str | None = None,
 ) -> CorrelationEstimate:
     """Monte Carlo same-outcome fraction for reads separated by ``delta``.
 
@@ -191,12 +202,24 @@ def sub_tau_correlation(
     drawn uniformly over a whole number of windows so the estimate targets
     the per-window overlap measure.  ``delta = 0`` returns exactly 1: the
     trajectory is piecewise constant and both reads coincide.
+
+    ``scenario`` is either a scenario, whose trajectory for ``cset_id`` is
+    built here, or that trajectory already built (``cset_id`` then must be
+    omitted or name its set).  The estimate is the mean of a 0/1 array,
+    which floating point sums exactly, so the order of the pairs does not
+    enter: the base times are sorted once, the shifted times ``u + delta``
+    stay sorted because rounding is monotone, and both are read per stretch.
     """
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
-    traj = scenario.build_trajectory(cset_id)
+    if isinstance(scenario, JumpTrajectory):
+        traj = scenario
+        if cset_id not in (None, traj.cset_id):
+            raise ValueError(f"trajectory is of set {traj.cset_id!r}, not {cset_id!r}")
+    else:
+        traj = scenario.build_trajectory(cset_id)
     span = traj.windows_covered - delta
     base_windows = int(math.floor(span))
     if base_windows < 1:
@@ -205,7 +228,9 @@ def sub_tau_correlation(
         )
     rng = np.random.default_rng(seed)
     us = base_windows * (1.0 - rng.random(n_pairs))
-    same = np.asarray(traj.labels_at(us)) == np.asarray(traj.labels_at(us + delta))
+    us.sort()
+    before = np.repeat(traj.labels, traj.stretch_counts(us))
+    same = before == np.repeat(traj.labels, traj.stretch_counts(us + delta))
     frac = float(np.mean(same))
     stderr = math.sqrt(frac * (1.0 - frac) / n_pairs)
     return CorrelationEstimate(delta=delta, same_fraction=frac, stderr=stderr, n_pairs=n_pairs)

@@ -135,6 +135,24 @@ class JumpTrajectory:
             raise ValueError("sample times must lie in (0, windows_covered]")
         return self.labels[self.bounds[1:].searchsorted(us)]
 
+    def stretch_counts(self, us: np.ndarray) -> np.ndarray:
+        """How many of the sorted times ``us`` fall in each stretch.
+
+        Entry ``i`` counts the times in ``(bounds[i], bounds[i+1]]``, so a
+        time on a bound counts in the earlier stretch, as in :meth:`labels_at`.
+        ``np.repeat(labels, stretch_counts(us))`` is then ``labels_at(us)``.
+        One search per bound over the sorted times replaces one search per
+        time, which in random order mispredicts nearly every branch.
+        """
+        us = np.asarray(us, dtype=float)
+        if us.size:
+            # Written so that a NaN anywhere fails one of the two tests.
+            if not np.all(us[1:] >= us[:-1]):
+                raise ValueError("sample times must be sorted")
+            if not (us[0] > 0.0 and us[-1] <= self.windows_covered):
+                raise ValueError("sample times must lie in (0, windows_covered]")
+        return np.diff(us.searchsorted(self.bounds, side="right"))
+
 
 def microstate_at(partition: WindowPartition, cset: CommutingSet, u: float) -> MicrostateSnapshot:
     """Resolve the active eigenvector at time ``u`` within one window."""

@@ -96,9 +96,8 @@ def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, pr
 
 
 def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
-    scenario = config.scenario(windows=exp.windows)
-    corr = sub_tau_correlation(scenario, exp.delta, exp.pairs, exp.seed, exp.cset_id)
-    traj = scenario.build_trajectory(exp.cset_id)
+    traj = config.scenario(windows=exp.windows).build_trajectory(exp.cset_id)
+    corr = sub_tau_correlation(traj, exp.delta, exp.pairs, exp.seed)
     base_windows = int(traj.windows_covered - exp.delta) if exp.delta > 0 else exp.windows
     exact = same_outcome_measure(traj, exp.delta, base_windows)
     rows = [(exp.name, f"lag-{exp.delta!r}", corr.same_fraction, corr.stderr, exact)]

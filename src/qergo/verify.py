@@ -17,6 +17,7 @@ import numpy as np
 from .ergodic import offset_window_average, window_average_step
 from .hilbert import (
     CommutingSet,
+    Hamiltonian,
     born_probabilities,
     evolve,
     expectation,
@@ -189,6 +190,33 @@ def _check_trajectory_tiling():
     return worst, 0.0, detail
 
 
+def _check_sorted_reads():
+    worst, detail = 0.0, None
+    for seed in range(15):
+        d = 2 + seed % 4
+        cs = random_cset(np.random.default_rng(seed + 600), d)
+        if seed % 5 == 4:  # diagonal in the set's basis: conserved, windows repeat
+            w = np.random.default_rng(seed + 300).standard_normal(d)
+            h = Hamiltonian((cs.basis * w) @ cs.basis.conj().T)
+        else:
+            h = random_hamiltonian(np.random.default_rng(seed + 300), d)
+        traj = trajectory(
+            random_state(np.random.default_rng(seed), d), h, cs, _SCHEDULERS[seed % 3], windows=6
+        )
+        # Random times, every bound, and the double just above every interior bound.
+        b = traj.bounds[1:]
+        draws = 6.0 * (1.0 - np.random.default_rng(seed + 900).random(2000))
+        us = np.concatenate((draws, b, np.nextafter(b[:-1], 7.0)))
+        us.sort()
+        got = np.repeat(traj.labels, traj.stretch_counts(us))
+        if got.size != us.size:
+            return math.inf, 0.0, f"seed={seed}: stretch counts sum to {got.size}, not {us.size}"
+        mismatches = float(np.count_nonzero(got != traj.labels_at(us)))
+        if mismatches > worst:
+            worst, detail = mismatches, f"seed={seed}: {mismatches:.0f} reads disagree with labels_at"
+    return worst, 0.0, detail
+
+
 def _check_conserved_periodicity():
     worst, detail = 0.0, None
     psi = make_state([3.0, 4.0])
@@ -320,6 +348,7 @@ _CHECKS = [
     ("window-average-exactness", _check_window_average_exactness),
     ("trajectory-tiling", _check_trajectory_tiling),
     ("conserved-periodicity", _check_conserved_periodicity),
+    ("sorted-reads", _check_sorted_reads),
     ("measurement-collapse", _check_measurement_collapse),
     ("measurement-repartition", _check_measurement_repartition),
     ("qgrid-probability-sum", _check_qgrid_probability_sum),

@@ -96,6 +96,22 @@ experiment {
 """
 
 
+def test_each_experiment_builds_its_trajectory_once(tmp_path, monkeypatch):
+    import qergo.microstate as microstate
+
+    built = []
+    original = microstate.trajectory
+
+    def counting(*args, **kwargs):
+        built.append(args[4])  # windows
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(microstate, "trajectory", counting)
+    run_scenario(CONFIG_DIR / "subtau.cfg", out_dir=tmp_path)
+    # one sub-tau block over 8 windows, one offset-average block over 4
+    assert built == [8, 4]
+
+
 def test_failure_leaves_marker_and_no_artifacts(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text(BROKEN_RUN)

@@ -294,3 +294,64 @@ def test_exact_averages_equal_scalar_reference(kind):
                 continue
             got = same_outcome_measure(traj, delta, base)
             assert got == scalar_same_outcome_measure(traj, delta, base), (trial, delta)
+
+
+# The random reads as they were looked up before stretch counting: one binary
+# search per read, in draw order.  The package now sorts the draws and counts
+# them per stretch; the differential test below demands equal results.
+def scattered_sample_born(traj, n_samples, seed, window=0):
+    us = window + 1.0 - np.random.default_rng(seed).random(n_samples)
+    labels = traj.labels[traj.bounds[1:].searchsorted(us)]
+    counts = np.bincount(labels, minlength=traj.cset.dimension)
+    return {k: int(c) for k, c in enumerate(counts)}
+
+
+def scattered_sub_tau(traj, delta, n_pairs, seed):
+    base_windows = int(math.floor(traj.windows_covered - delta))
+    us = base_windows * (1.0 - np.random.default_rng(seed).random(n_pairs))
+    same = traj.labels_at(us) == traj.labels_at(us + delta)
+    frac = float(np.mean(same))
+    return frac, math.sqrt(frac * (1.0 - frac) / n_pairs)
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+@pytest.mark.parametrize("conserved", [False, True])
+def test_random_reads_equal_scattered_reference(kind, conserved):
+    rng = np.random.default_rng(["contiguous", "two-outcome", "seeded-random"].index(kind) + 10 * conserved)
+    for trial in range(3):
+        d = int(rng.integers(2, 7))
+        windows = int(rng.integers(2, 9))
+        cs = random_cset(rng, d)
+        if conserved:
+            H = Hamiltonian((cs.basis * rng.standard_normal(d)) @ cs.basis.conj().T)
+        else:
+            H = random_hamiltonian(rng, d)
+        sc = Scenario(
+            state0=random_state(rng, d),
+            hamiltonian=H,
+            csets=(cs,),
+            schedulers={cs.id: SchedulerSpec(kind=kind, max_subintervals=4, seed=trial)},
+            windows=windows,
+        )
+        traj = sc.build_trajectory()
+        for n in (1, 2, 10**5):
+            seed = int(rng.integers(1 << 30))
+            for window in (0, windows - 1):
+                got = sample_born(traj, n, seed, window=window).counts
+                assert got == scattered_sample_born(traj, n, seed, window), (trial, n, window)
+            for delta in (0.0, 0.1, float(rng.random()), 1.0, windows - 1.0):
+                want = scattered_sub_tau(traj, delta, n, seed)
+                for source in (sc, traj):
+                    est = sub_tau_correlation(source, delta, n, seed)
+                    assert (est.same_fraction, est.stderr) == want, (trial, n, delta)
+                    assert est.n_pairs == n
+
+
+def test_sub_tau_reads_a_built_trajectory():
+    sc = stationary_half_scenario()
+    traj = sc.build_trajectory()
+    assert sub_tau_correlation(traj, 0.3, 1000, seed=4, cset_id="sz") == sub_tau_correlation(
+        sc, 0.3, 1000, seed=4, cset_id="sz"
+    )
+    with pytest.raises(ValueError, match="not 'sx'"):
+        sub_tau_correlation(traj, 0.3, 1000, seed=4, cset_id="sx")

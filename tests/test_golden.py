@@ -1,9 +1,10 @@
 """Golden test: the bundled configs write the artifacts recorded for them.
 
 The SHA-256 of every experiment artifact of ``configs/*.cfg`` is frozen
-here, and so is the SHA-256 of two seeded trajectory dumps and of the exact
-averages read from them.  ``manifest.txt`` is left out because it names the numpy version;
-the digests themselves are only checked on the numpy version they were
+here, and so is the SHA-256 of two seeded trajectory dumps, of the exact
+averages read from them, and of Monte Carlo reads of two more trajectories.
+``manifest.txt`` is left out because it names the numpy version; the
+digests themselves are only checked on the numpy version they were
 recorded with.
 """
 
@@ -13,9 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qergo.ergodic import offset_window_average, same_outcome_measure
+from qergo.ergodic import (
+    offset_window_average,
+    same_outcome_measure,
+    sample_born,
+    sub_tau_correlation,
+)
 from qergo.hilbert import CommutingSet, Hamiltonian, make_state
-from qergo.microstate import dump_trajectory, trajectory
+from qergo.microstate import Scenario, dump_trajectory, trajectory
 from qergo.partition import SchedulerSpec
 from qergo.runner import run_scenario
 from qergo.testing import random_cset, random_hamiltonian, random_state
@@ -138,3 +144,50 @@ def test_seeded_trajectories_match_recorded_digests():
         for name, text in _trajectory_case().items()
     }
     assert got == TRAJECTORY_DIGESTS
+
+
+def _random_reads_case() -> str:
+    """``repr`` of Born counts and sub-window correlations from 500k random reads.
+
+    Two d=16 seeded-random scenarios of 126 windows: ``drifting`` has a
+    generic Hamiltonian, ``conserved`` measures in the Hamiltonian's
+    eigenbasis, so its window-0 layout repeats.  Born counts are read in the
+    first and the last window, correlations at four lags.
+    """
+    rng = np.random.default_rng(4104)
+    d, windows, n = 16, 126, 500_000
+    h = random_hamiltonian(rng, d)
+    _, eigvecs = np.linalg.eigh(h.matrix)
+    energy = CommutingSet(
+        id="energy",
+        basis=eigvecs,
+        labels=tuple((k,) for k in range(d)),
+        eigenvalues=tuple((float(x),) for x in rng.standard_normal(d)),
+    )
+    lines = []
+    for name, cset in [("drifting", random_cset(rng, d)), ("conserved", energy)]:
+        scenario = Scenario(
+            state0=random_state(rng, d),
+            hamiltonian=h,
+            csets=(cset,),
+            schedulers={cset.id: SchedulerSpec(kind="seeded-random", max_subintervals=4, seed=5)},
+            windows=windows,
+        )
+        traj = scenario.build_trajectory()
+        for window in (0, windows - 1):
+            dist = sample_born(traj, n, seed=window + 1, window=window)
+            lines.append(f"{name} born window={window} {dist.counts!r}")
+        for delta in (0.1, 0.5, 1.0, 2.3):
+            corr = sub_tau_correlation(scenario, delta, n, seed=17)
+            lines.append(f"{name} sub-tau {corr!r}")
+    return "\n".join(lines) + "\n"
+
+
+RANDOM_READS_DIGEST = "addeac3169447a70213edde03e66217084a4fcefbcdf080f4378b315b5c51edd"
+
+
+def test_random_reads_match_recorded_digest():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
+    text = _random_reads_case()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RANDOM_READS_DIGEST

@@ -180,6 +180,59 @@ def test_trajectory_label_lookup():
         traj.labels_at(np.array([0.5, 3.5]))
 
 
+def test_stretch_counts_half_open_stretches():
+    traj = trajectory(
+        make_state([0.6, 0.8]), Hamiltonian(np.zeros((2, 2))), sigma_z_set(), SchedulerSpec(), 3
+    )
+    b = traj.bounds
+    assert b.size == 7
+    # a time on an interior bound counts in the earlier stretch; the last
+    # covered instant counts in the last stretch
+    np.testing.assert_array_equal(traj.stretch_counts(np.array([b[1]])), [1, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(traj.stretch_counts(np.array([b[2]])), [0, 1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(traj.stretch_counts(np.array([3.0])), [0, 0, 0, 0, 0, 1])
+    us = np.array([1e-300, 0.2, b[1], np.nextafter(b[1], 1.0), 1.0, 1.2, 1.5, 2.1, 2.9, 3.0, 3.0])
+    counts = traj.stretch_counts(us)
+    np.testing.assert_array_equal(counts, [3, 2, 1, 1, 1, 3])
+    assert counts.sum() == us.size
+    np.testing.assert_array_equal(np.repeat(traj.labels, counts), traj.labels_at(us))
+    np.testing.assert_array_equal(traj.stretch_counts(np.array([])), np.zeros(6, dtype=np.intp))
+
+
+def test_stretch_counts_rejects_unsorted_and_out_of_span_times():
+    traj = trajectory(
+        make_state([0.6, 0.8]), Hamiltonian(np.zeros((2, 2))), sigma_z_set(), SchedulerSpec(), 3
+    )
+    with pytest.raises(ValueError, match="sorted"):
+        traj.stretch_counts(np.array([0.5, 0.4]))
+    with pytest.raises(ValueError, match="sorted"):
+        traj.stretch_counts(np.array([0.5, np.nan, 0.7]))
+    for bad in ([0.0, 0.5], [-1.0, 0.5], [0.5, np.nextafter(3.0, 4.0)], [0.5, 3.5], [np.nan]):
+        with pytest.raises(ValueError, match="windows_covered"):
+            traj.stretch_counts(np.array(bad))
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+def test_stretch_counts_equal_per_read_search(kind):
+    rng = np.random.default_rng(77)
+    for trial in range(6):
+        d = 2 + trial % 4
+        cs = random_cset(rng, d)
+        if trial % 2:
+            h = random_hamiltonian(rng, d)
+        else:  # diagonal in the set's basis: conserved, windows repeat
+            h = Hamiltonian(cs.basis @ np.diag(rng.standard_normal(d)) @ cs.basis.conj().T)
+        spec = SchedulerSpec(kind=kind, max_subintervals=3, seed=trial)
+        traj = trajectory(random_state(rng, d), h, cs, spec, 1 + trial)
+        us = np.sort(traj.windows_covered * (1.0 - rng.random(5000)))
+        us = np.sort(np.concatenate((us, traj.bounds[1:])))
+        S = traj.labels.size
+        np.testing.assert_array_equal(
+            traj.stretch_counts(us),
+            np.bincount(traj.bounds[1:].searchsorted(us), minlength=S),
+        )
+
+
 def test_trajectory_guards():
     s = make_state([1.0, 0.0])
     H = Hamiltonian(np.zeros((2, 2)))
