@@ -1,5 +1,6 @@
 """Scenario-file parsing: grammar, diagnostics, strictness."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,14 @@ import pytest
 from qergo import ConfigError, parse_config_text
 from qergo.config import (
     BornSamplingExperiment,
+    OffsetAverageExperiment,
+    QGridExperiment,
     SequentialExperiment,
+    SubTauExperiment,
     TrajectoryExperiment,
     load_config,
 )
+from qergo.partition import SchedulerSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -280,3 +285,170 @@ def test_basis_columns_are_eigenvectors():
     cs = parse_config_text(text).csets[0]
     v = cs.basis_vector(1)
     assert np.allclose(v, np.array([1.0, -1.0]) / np.sqrt(2.0))
+
+
+# Every experiment kind, as (kind, class, required keys, optional keys, what
+# the parser fills in when the optional keys are left out).  Values are
+# config text; the block is parsed inside MINIMAL's system and csco.
+EXPERIMENT_KINDS = [
+    ("trajectory", TrajectoryExperiment, {"windows": "3"}, {"csco": "sz"}, {"cset_id": None}),
+    (
+        "born-sampling",
+        BornSamplingExperiment,
+        {"windows": "3", "samples": "50", "seed": "4"},
+        {"csco": "sz", "window": "1"},
+        {"cset_id": None, "window": 0},
+    ),
+    (
+        "offset-average",
+        OffsetAverageExperiment,
+        {"windows": "3", "alpha": "1.5"},
+        {"csco": "sz", "member": "0"},
+        {"cset_id": None, "member": 0},
+    ),
+    (
+        "sub-tau",
+        SubTauExperiment,
+        {"windows": "3", "delta": "0.25", "pairs": "10", "seed": "2"},
+        {"csco": "sz"},
+        {"cset_id": None},
+    ),
+    (
+        "sequential-measurement",
+        SequentialExperiment,
+        {"runs": "10", "seed": "1", "step": "sz, 0.5"},
+        {},
+        {},
+    ),
+    (
+        "qgrid",
+        QGridExperiment,
+        {"grid_file": "grid.txt", "planck_step": "0.1", "compton_wavelength": "1.0", "center_cell": "2"},
+        {"window_index": "1"},
+        {"window_index": 0, "scheduler": SchedulerSpec()},
+    ),
+]
+INT_KEYS = {"windows", "samples", "seed", "window", "member", "pairs", "runs", "center_cell",
+            "window_index", "max_subintervals"}
+FLOAT_KEYS = {"alpha", "delta", "planck_step", "compton_wavelength", "offset"}
+ALL_EXPERIMENT_KEYS = {k for _, _, req, opt, _ in EXPERIMENT_KINDS for k in (*req, *opt)}
+KIND_IDS = [row[0] for row in EXPERIMENT_KINDS]
+
+
+def _experiment_text(kind: str, entries: dict, extra: str = "") -> str:
+    """MINIMAL with its experiment replaced by one block of ``kind``."""
+    head = MINIMAL[: MINIMAL.index("experiment {")]
+    body = "".join(f"  {k} = {v}\n" for k, v in entries.items())
+    return f"{head}experiment {{\n  kind = {kind}\n{body}{extra}}}\n"
+
+
+def _line(text: str, stripped: str) -> int:
+    """1-based number of the first line of ``text`` that reads ``stripped``."""
+    return [ln.strip() for ln in text.splitlines()].index(stripped) + 1
+
+
+@pytest.mark.parametrize("kind,cls,required,optional,defaults", EXPERIMENT_KINDS, ids=KIND_IDS)
+def test_each_kind_parses_minimal_and_full_blocks(kind, cls, required, optional, defaults):
+    (exp,) = parse_config_text(_experiment_text(kind, required)).experiments
+    assert type(exp) is cls and exp.name == f"{kind}-0"
+    for attr, value in defaults.items():
+        assert getattr(exp, attr) == value, attr
+    (full,) = parse_config_text(_experiment_text(kind, {"id": "x", **required, **optional})).experiments
+    assert full.name == "x"
+    for key, text in {**required, **optional}.items():
+        if key in INT_KEYS:
+            assert getattr(full, key) == int(text), key
+        elif key in FLOAT_KEYS:
+            assert getattr(full, key) == float(text), key
+    if "csco" in optional:
+        assert full.cset_id == "sz"
+    if "step" in required:
+        assert full.steps == (("sz", 0.5),)
+    if "grid_file" in required:
+        assert full.grid_file == "grid.txt"
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [(row[0], key) for row in EXPERIMENT_KINDS for key in row[2]],
+)
+def test_each_kind_requires_its_keys(kind, key):
+    (required,) = [row[2] for row in EXPERIMENT_KINDS if row[0] == kind]
+    text = _experiment_text(kind, {k: v for k, v in required.items() if k != key})
+    block_line = _line(text, "experiment {")
+    if key == "step":
+        message = f"line {block_line}: {kind} needs at least one 'step'"
+    else:
+        message = f"line {block_line}: block 'experiment' is missing key '{key}'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("kind,cls,required,optional,defaults", EXPERIMENT_KINDS, ids=KIND_IDS)
+def test_each_kind_rejects_keys_it_does_not_take(kind, cls, required, optional, defaults):
+    foreign = sorted(ALL_EXPERIMENT_KEYS - set(required) - set(optional)) + ["bogus"]
+    for key in foreign:
+        text = _experiment_text(kind, {**required, key: "1"})
+        with pytest.raises(ConfigError, match=rf"^line {_line(text, f'{key} = 1')}: unknown key '{key}'"):
+            parse_config_text(text)
+    if kind != "qgrid":
+        text = _experiment_text(kind, required, extra="  scheduler {\n  }\n")
+        with pytest.raises(ConfigError, match=rf"^line {_line(text, 'scheduler {')}: unknown block"):
+            parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [(row[0], key) for row in EXPERIMENT_KINDS for key in (*row[2], *row[3])
+     if key in INT_KEYS | FLOAT_KEYS],
+)
+def test_each_kind_rejects_non_numeric_values(kind, key):
+    (row,) = [row for row in EXPERIMENT_KINDS if row[0] == kind]
+    text = _experiment_text(kind, {**row[2], **row[3], key: "x1"})
+    expects = "an integer" if key in INT_KEYS else "a number"
+    message = f"line {_line(text, f'{key} = x1')}: '{key}' expects {expects}, got 'x1'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
+def _scheduler_text(where: str, body: str) -> str:
+    """A config whose csco, or whose single qgrid experiment, has a scheduler block."""
+    block = f"scheduler {{\n{body}}}\n"
+    if where == "csco":
+        return MINIMAL.replace("  labels = (0), (1)\n", "  labels = (0), (1)\n" + block, 1)
+    (row,) = [row for row in EXPERIMENT_KINDS if row[0] == "qgrid"]
+    return _experiment_text("qgrid", row[2], extra=block)
+
+
+def _parsed_scheduler(where: str, body: str) -> SchedulerSpec:
+    cfg = parse_config_text(_scheduler_text(where, body))
+    return cfg.schedulers["sz"] if where == "csco" else cfg.experiments[0].scheduler
+
+
+@pytest.mark.parametrize("where", ["csco", "qgrid"])
+def test_scheduler_block_keys(where):
+    assert _parsed_scheduler(where, "") == SchedulerSpec()
+    full = "kind = seeded-random\nmax_subintervals = 3\nseed = 9\noffset = 0.5\n"
+    assert _parsed_scheduler(where, full) == SchedulerSpec("seeded-random", 3, 9, 0.5)
+
+    text = _scheduler_text(where, "seed = 1\nbogus = 1\n")
+    with pytest.raises(ConfigError, match=rf"^line {_line(text, 'bogus = 1')}: unknown key 'bogus'"):
+        parse_config_text(text)
+    for key in ("max_subintervals", "seed", "offset"):
+        text = _scheduler_text(where, f"{key} = x1\n")
+        expects = "an integer" if key in INT_KEYS else "a number"
+        message = f"line {_line(text, f'{key} = x1')}: '{key}' expects {expects}, got 'x1'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(text)
+
+    text = _scheduler_text(where, "seed = 1\nkind = banana\n")
+    message = (
+        f"line {_line(text, 'kind = banana')}: unknown scheduler kind 'banana'; "
+        "choose from contiguous, two-outcome, seeded-random"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
+
+    text = _scheduler_text(where, "offset = 2\n")
+    with pytest.raises(ConfigError, match=rf"^line {_line(text, 'scheduler {')}: offset must lie in \[0, 1\]"):
+        parse_config_text(text)
