@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -222,62 +223,82 @@ def _reject_unknown(block: _Block, keys: set[str], blocks: set[str]):
             raise ConfigError(f"unknown block {it.name!r} in block {block.name!r}", it.line)
 
 
+# A dataclass field is read from the config key of the same name, except these.
+_CONFIG_KEYS = {"name": "id", "cset_id": "csco", "steps": "step"}
+# Keyed by annotation text: the dataclasses read here are declared in modules
+# with ``from __future__ import annotations``, so ``Field.type`` is a string.
+_VALUE_PARSERS = {"int": _parse_int, "float": _parse_float, "str": lambda entry: entry.value}
+
+
+def _parse_fields(block: _Block, cls, **given):
+    """Build ``cls`` from ``block``, reading every field not ``given`` as a key.
+
+    The field's type picks the parser; a field with a default may be left
+    out.  Keys (and ``SchedulerSpec`` sub-blocks) that name no field of
+    ``cls`` are rejected, except ``kind`` when ``cls`` has one.
+    """
+    cls_fields = fields(cls)
+    blocks = {f.name for f in cls_fields if f.type == "SchedulerSpec"}
+    keys = {_CONFIG_KEYS.get(f.name, f.name) for f in cls_fields} - blocks
+    if hasattr(cls, "kind"):
+        keys.add("kind")
+    _reject_unknown(block, keys, blocks)
+    kwargs = dict(given)
+    for f in cls_fields:
+        if f.name not in given:
+            entry = block.one(f.name, required=f.default is MISSING)
+            if entry is not None:
+                kwargs[f.name] = _VALUE_PARSERS[f.type](entry)
+    return cls(**kwargs)
+
+
 def _parse_scheduler(block: _Block | None) -> SchedulerSpec:
     if block is None:
         return SchedulerSpec()
-    _reject_unknown(block, {"kind", "max_subintervals", "seed", "offset"}, set())
-    kwargs = {}
     e = block.one("kind", required=False)
-    if e is not None:
-        if e.value not in SCHEDULER_KINDS:
-            raise ConfigError(
-                f"unknown scheduler kind {e.value!r}; choose from {', '.join(SCHEDULER_KINDS)}",
-                e.line,
-            )
-        kwargs["kind"] = e.value
-    e = block.one("max_subintervals", required=False)
-    if e is not None:
-        kwargs["max_subintervals"] = _parse_int(e)
-    e = block.one("seed", required=False)
-    if e is not None:
-        kwargs["seed"] = _parse_int(e)
-    e = block.one("offset", required=False)
-    if e is not None:
-        kwargs["offset"] = _parse_float(e)
+    if e is not None and e.value not in SCHEDULER_KINDS:
+        raise ConfigError(
+            f"unknown scheduler kind {e.value!r}; choose from {', '.join(SCHEDULER_KINDS)}",
+            e.line,
+        )
     try:
-        return SchedulerSpec(**kwargs)
+        return _parse_fields(block, SchedulerSpec)
     except ValueError as exc:
         raise ConfigError(str(exc), block.line) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrajectoryExperiment:
+    kind: ClassVar[str] = "trajectory"
     name: str
     cset_id: str | None
     windows: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BornSamplingExperiment:
+    kind: ClassVar[str] = "born-sampling"
     name: str
     cset_id: str | None
     windows: int
-    window: int
+    window: int = 0
     samples: int
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OffsetAverageExperiment:
+    kind: ClassVar[str] = "offset-average"
     name: str
     cset_id: str | None
     windows: int
     alpha: float
-    member: int
+    member: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SubTauExperiment:
+    kind: ClassVar[str] = "sub-tau"
     name: str
     cset_id: str | None
     windows: int
@@ -286,22 +307,24 @@ class SubTauExperiment:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SequentialExperiment:
+    kind: ClassVar[str] = "sequential-measurement"
     name: str
     steps: tuple[tuple[str, float], ...]
     runs: int
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QGridExperiment:
+    kind: ClassVar[str] = "qgrid"
     name: str
     grid_file: str
     planck_step: float
     compton_wavelength: float
     center_cell: int
-    window_index: int
+    window_index: int = 0
     scheduler: SchedulerSpec
 
 
@@ -313,6 +336,8 @@ Experiment = (
     | SequentialExperiment
     | QGridExperiment
 )
+
+_EXPERIMENT_KINDS = {cls.kind: cls for cls in get_args(Experiment)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,14 +363,23 @@ class ScenarioConfig:
             windows=windows,
         )
 
-    def cset_id_or_default(self, cset_id: str | None, line_hint: str = "") -> str:
-        if cset_id is not None:
-            return cset_id
-        if len(self.csets) == 1:
-            return self.csets[0].id
-        raise ConfigError(
-            f"several csco blocks are defined; experiment {line_hint} must name one via 'csco ='"
-        )
+
+def _parse_steps(block: _Block, cset_ids: set[str]) -> tuple[tuple[str, float], ...]:
+    steps = []
+    for e in block.entries("step"):
+        parts = [p.strip() for p in e.value.split(",")]
+        if len(parts) != 2:
+            raise ConfigError(f"'step' expects 'csco_id, time', got {e.value!r}", e.line)
+        cid, t = parts
+        if cid not in cset_ids:
+            raise ConfigError(f"unknown csco id {cid!r} in step", e.line)
+        try:
+            steps.append((cid, float(t)))
+        except ValueError:
+            raise ConfigError(f"bad step time {t!r}", e.line) from None
+    if not steps:
+        raise ConfigError(f"{SequentialExperiment.kind} needs at least one 'step'", block.line)
+    return tuple(steps)
 
 
 def _parse_experiment(block: _Block, ordinal: int, cset_ids: set[str]) -> Experiment:
@@ -355,97 +389,24 @@ def _parse_experiment(block: _Block, ordinal: int, cset_ids: set[str]) -> Experi
     name = name_entry.value if name_entry else f"{kind}-{ordinal}"
     if not re.fullmatch(r"[\w][\w.-]*", name):
         raise ConfigError(f"experiment id {name!r} must be a simple filename stem", block.line)
+    cls = _EXPERIMENT_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(
+            f"unknown experiment kind {kind!r} ({', '.join(_EXPERIMENT_KINDS)})", kind_entry.line
+        )
 
-    def cset_ref() -> str | None:
+    given = {"name": name}
+    field_names = {f.name for f in fields(cls)}
+    if "cset_id" in field_names:
         e = block.one("csco", required=False)
-        if e is None:
-            return None
-        if e.value not in cset_ids:
+        if e is not None and e.value not in cset_ids:
             raise ConfigError(f"unknown csco id {e.value!r}", e.line)
-        return e.value
-
-    if kind == "trajectory":
-        _reject_unknown(block, {"kind", "id", "csco", "windows"}, set())
-        return TrajectoryExperiment(
-            name=name, cset_id=cset_ref(), windows=_parse_int(block.one("windows"))
-        )
-    if kind == "born-sampling":
-        _reject_unknown(block, {"kind", "id", "csco", "windows", "window", "samples", "seed"}, set())
-        w_entry = block.one("window", required=False)
-        return BornSamplingExperiment(
-            name=name,
-            cset_id=cset_ref(),
-            windows=_parse_int(block.one("windows")),
-            window=_parse_int(w_entry) if w_entry else 0,
-            samples=_parse_int(block.one("samples")),
-            seed=_parse_int(block.one("seed")),
-        )
-    if kind == "offset-average":
-        _reject_unknown(block, {"kind", "id", "csco", "windows", "alpha", "member"}, set())
-        m_entry = block.one("member", required=False)
-        return OffsetAverageExperiment(
-            name=name,
-            cset_id=cset_ref(),
-            windows=_parse_int(block.one("windows")),
-            alpha=_parse_float(block.one("alpha")),
-            member=_parse_int(m_entry) if m_entry else 0,
-        )
-    if kind == "sub-tau":
-        _reject_unknown(block, {"kind", "id", "csco", "windows", "delta", "pairs", "seed"}, set())
-        return SubTauExperiment(
-            name=name,
-            cset_id=cset_ref(),
-            windows=_parse_int(block.one("windows")),
-            delta=_parse_float(block.one("delta")),
-            pairs=_parse_int(block.one("pairs")),
-            seed=_parse_int(block.one("seed")),
-        )
-    if kind == "sequential-measurement":
-        _reject_unknown(block, {"kind", "id", "runs", "seed", "step"}, set())
-        steps = []
-        for e in block.entries("step"):
-            parts = [p.strip() for p in e.value.split(",")]
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"'step' expects 'csco_id, time', got {e.value!r}", e.line
-                )
-            cid, t = parts
-            if cid not in cset_ids:
-                raise ConfigError(f"unknown csco id {cid!r} in step", e.line)
-            try:
-                steps.append((cid, float(t)))
-            except ValueError:
-                raise ConfigError(f"bad step time {t!r}", e.line) from None
-        if not steps:
-            raise ConfigError("sequential-measurement needs at least one 'step'", block.line)
-        return SequentialExperiment(
-            name=name,
-            steps=tuple(steps),
-            runs=_parse_int(block.one("runs")),
-            seed=_parse_int(block.one("seed")),
-        )
-    if kind == "qgrid":
-        _reject_unknown(
-            block,
-            {"kind", "id", "grid_file", "planck_step", "compton_wavelength",
-             "center_cell", "window_index"},
-            {"scheduler"},
-        )
-        w_entry = block.one("window_index", required=False)
-        return QGridExperiment(
-            name=name,
-            grid_file=block.one("grid_file").value,
-            planck_step=_parse_float(block.one("planck_step")),
-            compton_wavelength=_parse_float(block.one("compton_wavelength")),
-            center_cell=_parse_int(block.one("center_cell")),
-            window_index=_parse_int(w_entry) if w_entry else 0,
-            scheduler=_parse_scheduler(block.one_block("scheduler", required=False)),
-        )
-    raise ConfigError(
-        f"unknown experiment kind {kind!r} (trajectory, born-sampling, offset-average, "
-        "sub-tau, sequential-measurement, qgrid)",
-        kind_entry.line,
-    )
+        given["cset_id"] = None if e is None else e.value
+    if "steps" in field_names:
+        given["steps"] = _parse_steps(block, cset_ids)
+    if "scheduler" in field_names:
+        given["scheduler"] = _parse_scheduler(block.one_block("scheduler", required=False))
+    return _parse_fields(block, cls, **given)
 
 
 def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
@@ -459,13 +420,8 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     scales = None
     scales_block = root.one_block("scales", required=False)
     if scales_block is not None:
-        _reject_unknown(scales_block, {"tau", "hbar"}, set())
-        h_entry = scales_block.one("hbar", required=False)
         try:
-            scales = PhysicalScales(
-                tau=_parse_float(scales_block.one("tau")),
-                hbar=_parse_float(h_entry) if h_entry else 1.0,
-            )
+            scales = _parse_fields(scales_block, PhysicalScales)
         except ValueError as exc:
             raise ConfigError(str(exc), scales_block.line) from None
 

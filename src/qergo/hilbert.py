@@ -213,8 +213,10 @@ class Hamiltonian:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"hamiltonian must be a square matrix, got shape {m.shape}")
+        # Rounding in H's entries grows with their size, so the tolerance
+        # does too; for max |H| <= 1 it is the absolute HERMITICITY_TOL.
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > HERMITICITY_TOL:
+        if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError(f"hamiltonian is not Hermitian: max |H - H*| = {dev:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 

@@ -1,8 +1,9 @@
 """Execute scenario configs and write deterministic artifact files.
 
 Every experiment is computed in memory first; files only touch disk once
-the whole scenario has succeeded, so a crash can never leave a partial
-artifact set behind without the ``FAILED`` marker.  Nothing written here
+the whole scenario has succeeded.  Any failure, in the computation or in
+the writes, leaves a ``FAILED`` marker naming it; files written before a
+failed write can still sit beside the marker.  Nothing written here
 contains a timestamp — two runs of the same config are byte-identical.
 """
 
@@ -51,15 +52,6 @@ from .qgrid import (
 __all__ = ["run_scenario", "run_experiment", "FAILURE_MARKER"]
 
 FAILURE_MARKER = "FAILED"
-
-_KIND_NAMES = {
-    TrajectoryExperiment: "trajectory",
-    BornSamplingExperiment: "born-sampling",
-    OffsetAverageExperiment: "offset-average",
-    SubTauExperiment: "sub-tau",
-    SequentialExperiment: "sequential-measurement",
-    QGridExperiment: "qgrid",
-}
 
 # (filename, text) pairs — computed fully before anything is written.
 Artifacts = list[tuple[str, str]]
@@ -113,10 +105,7 @@ def _run_sequential(config: ScenarioConfig, exp: SequentialExperiment, prefix: s
         all_runs.append(records)
         key = tuple(rec.outcome_label for rec in records)
         counts[key] = counts.get(key, 0) + 1
-        renorms += sum(
-            int(rec.pre_state.renormalized) + int(rec.post_state.renormalized)
-            for rec in records
-        )
+        renorms += sum(int(rec.pre_state.renormalized) for rec in records)
     dist = SequenceDistribution(
         steps=tuple(cid for cid, _ in exp.steps), counts=counts, total=exp.runs
     )
@@ -139,26 +128,23 @@ def _run_qgrid(config: ScenarioConfig, exp: QGridExperiment, prefix: str):
     return files, 0
 
 
+_RUNNERS = {
+    TrajectoryExperiment: _run_trajectory,
+    BornSamplingExperiment: _run_born_sampling,
+    OffsetAverageExperiment: _run_offset_average,
+    SubTauExperiment: _run_sub_tau,
+    SequentialExperiment: _run_sequential,
+    QGridExperiment: _run_qgrid,
+}
+
+
 def run_experiment(config: ScenarioConfig, exp: Experiment, ordinal: int):
     """Compute one experiment's artifacts in memory.
 
     Returns ``(artifacts, renorm_events)`` where artifacts is a list of
     (filename, text) pairs.  Nothing is written to disk here.
     """
-    prefix = f"{ordinal:02d}-{exp.name}"
-    if isinstance(exp, TrajectoryExperiment):
-        return _run_trajectory(config, exp, prefix)
-    if isinstance(exp, BornSamplingExperiment):
-        return _run_born_sampling(config, exp, prefix)
-    if isinstance(exp, OffsetAverageExperiment):
-        return _run_offset_average(config, exp, prefix)
-    if isinstance(exp, SubTauExperiment):
-        return _run_sub_tau(config, exp, prefix)
-    if isinstance(exp, SequentialExperiment):
-        return _run_sequential(config, exp, prefix)
-    if isinstance(exp, QGridExperiment):
-        return _run_qgrid(config, exp, prefix)
-    raise TypeError(f"no runner for experiment type {type(exp).__name__}")
+    return _RUNNERS[type(exp)](config, exp, f"{ordinal:02d}-{exp.name}")
 
 
 def _experiment_seed(exp: Experiment) -> str:
@@ -182,9 +168,8 @@ def _manifest(
     ]
     for exp, files in zip(config.experiments, per_experiment_files):
         names = ";".join(name for name, _ in files)
-        kind = _KIND_NAMES[type(exp)]
         lines.append(
-            f"experiment = {exp.name} kind={kind} seed={_experiment_seed(exp)} files={names}"
+            f"experiment = {exp.name} kind={exp.kind} seed={_experiment_seed(exp)} files={names}"
         )
     lines.append("status = ok")
     return "\n".join(lines) + "\n"
@@ -205,10 +190,11 @@ def run_scenario(
 ) -> list[Path]:
     """Run every experiment block of a config and write its artifacts.
 
-    All experiments are computed before any file is written; on failure a
-    ``FAILED`` marker naming the violated invariant is left in the output
-    directory instead of partial results.  Returns the written paths, the
-    manifest last.
+    All experiments are computed before any file is written.  On any
+    failure, computing or writing, a ``FAILED`` marker naming the error is
+    left in the output directory and the error is raised again; a failed
+    write can leave the files written before it beside the marker.  Returns
+    the written paths, the manifest last.
     """
     config_path = Path(config_path)
     config = load_config(config_path)
@@ -228,25 +214,22 @@ def run_scenario(
                         f"strict-float: {renorms} renormalization event(s) while "
                         f"running experiment {exp.name!r}"
                     )
+        per_experiment_files = [files for files, _ in results]
+        out.mkdir(parents=True, exist_ok=True)
+        (out / FAILURE_MARKER).unlink(missing_ok=True)
+        written: list[Path] = []
+        for files in per_experiment_files:
+            for name, text in files:
+                path = out / name
+                path.write_text(text, encoding="utf-8")
+                written.append(path)
+        manifest_path = out / "manifest.txt"
+        manifest_path.write_text(
+            _manifest(config, config_path, per_experiment_files),
+            encoding="utf-8",
+        )
+        written.append(manifest_path)
     except Exception as exc:
         _write_failure_marker(out, f"{type(exc).__name__}: {exc}")
         raise
-
-    per_experiment_files = [files for files, _ in results]
-    out.mkdir(parents=True, exist_ok=True)
-    stale_marker = out / FAILURE_MARKER
-    if stale_marker.exists():
-        stale_marker.unlink()
-    written: list[Path] = []
-    for files in per_experiment_files:
-        for name, text in files:
-            path = out / name
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-    manifest_path = out / "manifest.txt"
-    manifest_path.write_text(
-        _manifest(config, config_path, per_experiment_files),
-        encoding="utf-8",
-    )
-    written.append(manifest_path)
     return written

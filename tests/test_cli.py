@@ -131,6 +131,18 @@ def test_success_clears_stale_marker(tmp_path):
     assert not (out / FAILURE_MARKER).exists()
 
 
+def test_write_failure_leaves_marker(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / FAILURE_MARKER).write_text("old failure\n")
+    (out / "01-rabi-sampling.csv").mkdir()  # blocks the second artifact
+    with pytest.raises(OSError):
+        run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=out)
+    marker = (out / FAILURE_MARKER).read_text()
+    assert "01-rabi-sampling.csv" in marker and "old failure" not in marker
+    assert not (out / "manifest.txt").exists()
+
+
 def test_strict_float_passes_on_clean_scenario(tmp_path):
     written = run_scenario(
         CONFIG_DIR / "minimal.cfg", out_dir=tmp_path / "o", strict_float=True

@@ -452,3 +452,30 @@ def test_scheduler_block_keys(where):
     text = _scheduler_text(where, "offset = 2\n")
     with pytest.raises(ConfigError, match=rf"^line {_line(text, 'scheduler {')}: offset must lie in \[0, 1\]"):
         parse_config_text(text)
+
+
+def test_scales_block_keys():
+    def with_scales(body: str) -> str:
+        return f"scales {{\n{body}}}\n" + MINIMAL
+
+    scales = parse_config_text(with_scales("tau = 2.5\nhbar = 3\n")).scales
+    assert (scales.tau, scales.hbar) == (2.5, 3.0)
+    assert parse_config_text(with_scales("tau = 2.5\n")).scales.hbar == 1.0
+    assert parse_config_text(MINIMAL).scales is None
+    with pytest.raises(ConfigError, match=re.escape("line 1: block 'scales' is missing key 'tau'")):
+        parse_config_text(with_scales("hbar = 3\n"))
+    for key in ("kind", "bogus"):
+        with pytest.raises(ConfigError, match=f"^line 3: unknown key '{key}'"):
+            parse_config_text(with_scales(f"tau = 1\n{key} = 1\n"))
+    with pytest.raises(ConfigError, match=re.escape("line 2: 'tau' expects a number, got 'x1'")):
+        parse_config_text(with_scales("tau = x1\n"))
+    with pytest.raises(ConfigError, match=r"^line 1: tau must be positive"):
+        parse_config_text(with_scales("tau = -1\n"))
+
+
+def test_readme_config_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"^```text\n(.*?)^```", readme, flags=re.S | re.M)
+    assert examples
+    for text in examples:
+        assert parse_config_text(text).experiments

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qergo.hilbert import (
+    HERMITICITY_TOL,
     CommutingSet,
     Hamiltonian,
     PhysicalScales,
@@ -208,3 +209,20 @@ def test_cset_label_lookup_and_multi_index():
 def test_hamiltonian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_hamiltonian_hermiticity_tolerance_scales_with_entries(scale):
+    u = haar_unitary(np.random.default_rng(0), 8)
+    m = (u * (scale * (1.0 + np.random.default_rng(1).random(8)))) @ u.conj().T
+    assert np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL  # rounding alone
+    assert Hamiltonian(m).dimension == 8
+    m[0, 1] += 1e-8 * scale
+    with pytest.raises(ValueError, match="Hermitian"):
+        Hamiltonian(m)
+
+
+def test_hamiltonian_hermiticity_tolerance_is_absolute_up_to_unit_entries():
+    Hamiltonian(np.array([[0.0, 0.5], [0.5 + 0.9e-10, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        Hamiltonian(np.array([[0.0, 0.5], [0.5 + 2e-10, 0.0]]))
