@@ -401,6 +401,10 @@ def _parse_experiment(block: _Block, ordinal: int, cset_ids: set[str]) -> Experi
         e = block.one("csco", required=False)
         if e is not None and e.value not in cset_ids:
             raise ConfigError(f"unknown csco id {e.value!r}", e.line)
+        if e is None and len(cset_ids) > 1:
+            raise ConfigError(
+                f"{kind} needs 'csco': the config defines several csco blocks", block.line
+            )
         given["cset_id"] = None if e is None else e.value
     if "steps" in field_names:
         given["steps"] = _parse_steps(block, cset_ids)

@@ -18,19 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import (
-    CommutingSet,
-    Hamiltonian,
-    QuantumState,
-    born_probabilities,
-    evolve,
-    is_conserved,
-)
-from .microstate import ObservedSets, Scenario
+from .hilbert import CommutingSet, Hamiltonian, QuantumState, born_probabilities, evolve
+from .microstate import Scenario
 from .partition import (
     SchedulerSpec,
     WindowPartition,
@@ -69,23 +62,22 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemUnderObservation(ObservedSets):
-    """Immutable snapshot of a monitored system.
+class SystemUnderObservation:
+    """Immutable snapshot of a monitored system of ``scenario``.
 
     Every live partition of the current (possibly partial) window is a pure
     function of the span origin: ``origin_state`` frozen at time ``origin``
     (the window start, or the last collapse time) in window
-    ``window_index``.  Sets whose members all commute with the Hamiltonian
-    lay out whole windows as window-0 layouts of ``base_state`` (the last
-    collapsed state, or the initial one) shifted in place (exact
-    periodicity).  :meth:`partition` builds a set's partition on its first
-    read and keeps it while the origin stays put.
+    ``window_index``.  The scenario's conserved sets lay out whole windows
+    as window-0 layouts of ``base_state`` (the last collapsed state, or the
+    initial one) shifted in place (exact periodicity).  :meth:`partition`
+    builds a set's partition on its first read and keeps it while the
+    origin stays put.  ``renorm_events`` counts the drift corrections of
+    every evolution step so far.
     """
 
+    scenario: Scenario
     state: QuantumState
-    hamiltonian: Hamiltonian
-    csets: tuple[CommutingSet, ...]
-    schedulers: Mapping[str, SchedulerSpec]
     current_time: float
     origin_state: QuantumState
     origin: float
@@ -105,29 +97,15 @@ class SystemUnderObservation(ObservedSets):
         schedulers: Mapping[str, SchedulerSpec] | None = None,
     ) -> "SystemUnderObservation":
         """Set up observation at u = 0, at the start of window 0."""
-        ids = [c.id for c in csets]
-        if len(set(ids)) != len(ids):
-            raise ValueError("commuting set ids must be distinct")
-        # Partitions are built later, on read: check their inputs now.
-        if {c.dimension for c in csets} | {hamiltonian.dimension} != {state.dimension}:
-            raise ValueError("state, hamiltonian and commuting set dimensions must agree")
-        return cls(
-            state=state,
-            hamiltonian=hamiltonian,
-            csets=tuple(csets),
-            schedulers=dict(schedulers or {}),
-            current_time=0.0,
-            origin_state=state,
-            origin=0.0,
-            window_index=0,
-            base_state=state,
-        )
+        return cls.from_scenario(Scenario(state, hamiltonian, tuple(csets), dict(schedulers or {})))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "SystemUnderObservation":
-        return cls.start(
-            scenario.state0, scenario.hamiltonian, scenario.csets, scenario.schedulers
-        )
+        s = scenario.state0
+        return cls(scenario, s, 0.0, origin_state=s, origin=0.0, window_index=0, base_state=s)
+
+    def cset(self, cset_id: str) -> CommutingSet:
+        return self.scenario.cset(cset_id)
 
     @property
     def window_end(self) -> float:
@@ -137,13 +115,13 @@ class SystemUnderObservation(ObservedSets):
         """The live partition of one set, built from the span origin on first read."""
         part = self._built.get(cset_id)
         if part is None:
-            c = self.cset(cset_id)
-            spec = self.scheduler_for(cset_id)
+            c = self.scenario.cset(cset_id)
+            spec = self.scenario.scheduler_for(cset_id)
             n = self.window_index
             if self.origin != n:  # after a mid-window collapse: the remainder only
                 p = born_probabilities(self.origin_state, c)
                 part = build_partition_span(p, self.origin, self.window_end, spec, n)
-            elif is_conserved(self.hamiltonian, c):
+            elif cset_id in self.scenario.conserved:
                 p = born_probabilities(self.base_state, c)
                 part = periodic_extend(build_partition(p, 0, spec), n)
             else:
@@ -153,7 +131,7 @@ class SystemUnderObservation(ObservedSets):
 
     @property
     def partitions(self) -> Mapping[str, WindowPartition]:
-        return {c.id: self.partition(c.id) for c in self.csets}
+        return {c.id: self.partition(c.id) for c in self.scenario.csets}
 
 
 def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservation:
@@ -171,18 +149,18 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
         )
     if u_target == sys.current_time:
         return sys
-    state = sys.state
+    state, h = sys.state, sys.scenario.hamiltonian
     u = sys.current_time
     renorms = sys.renorm_events
     n, origin_state, origin = sys.window_index, sys.origin_state, sys.origin
     while True:
         end = float(n) + 1.0
         if u_target <= end:
-            state = evolve(state, sys.hamiltonian, u_target - u)
+            state = evolve(state, h, u_target - u)
             renorms += int(state.renormalized)
             u = u_target
             break
-        state = evolve(state, sys.hamiltonian, end - u)
+        state = evolve(state, h, end - u)
         renorms += int(state.renormalized)
         u = end
         n, origin_state, origin = int(end), state, end
@@ -269,6 +247,19 @@ class SequenceDistribution:
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
 
+    @classmethod
+    def from_runs(
+        cls,
+        steps: Iterable[tuple[str, float]],
+        records_per_run: Iterable[Sequence[MeasurementRecord]],
+    ) -> "SequenceDistribution":
+        """Count each run's outcome labels; ``steps`` are the (set id, time) pairs."""
+        counts: dict[tuple[tuple[int, ...], ...], int] = {}
+        for records in records_per_run:
+            key = tuple(rec.outcome_label for rec in records)
+            counts[key] = counts.get(key, 0) + 1
+        return cls(steps=tuple(cid for cid, _ in steps), counts=counts, total=sum(counts.values()))
+
     @property
     def frequencies(self) -> dict[tuple[tuple[int, ...], ...], float]:
         return {k: c / self.total for k, c in self.counts.items()}
@@ -299,7 +290,7 @@ def sequence_records(
     n_runs: int,
     seed: int,
 ):
-    """Run a measurement sequence many times, yielding each run's records.
+    """Run a measurement sequence many times, yielding each run's final system.
 
     Each sequence entry is (commuting-set id, nominal time); nominal times
     must be strictly increasing.  Per run, each actual measurement time is
@@ -309,10 +300,12 @@ def sequence_records(
     make each outcome reproduce the current state's weights, so the draws
     must stay uniform conditioned on everything earlier; sorting
     same-window draws instead would bias the first read toward the start
-    of the window.  The protocol runs from a fresh copy of the initial
-    system each run.  Yields one ``list[MeasurementRecord]`` per run, in
-    run order.  Input validation happens at call time, before the first
-    run executes.
+    of the window.  Every run starts from the same initial system.  Yields
+    one :class:`SystemUnderObservation` per run, in run order: its
+    ``history`` holds the run's records, one per step, and its
+    ``renorm_events`` counts the drift corrections of every evolution step
+    of the run, including the steps to window boundaries.  Input validation
+    happens at call time, before the first run executes.
     """
     if not sequence:
         raise ValueError("sequence must contain at least one measurement")
@@ -328,15 +321,14 @@ def sequence_records(
     # Whether a later step still reads from the same window: those draws
     # must leave room, so an exact-boundary draw is rejected and retried.
     shares_later = [w in windows[i + 1 :] for i, w in enumerate(windows)]
-    sys0 = SystemUnderObservation.from_scenario(scenario)
     for cid in ids:
-        sys0.cset(cid)  # validate ids up front
+        scenario.cset(cid)  # validate ids up front
+    sys0 = SystemUnderObservation.from_scenario(scenario)
     rng = np.random.default_rng(seed)
 
     def runs():
         for _ in range(n_runs):
             sys = sys0
-            records = []
             prev = 0.0
             for i, (cid, w) in enumerate(zip(ids, windows)):
                 lo_eff = max(float(w), prev)
@@ -345,10 +337,9 @@ def sequence_records(
                     u = lo_eff + (hi - lo_eff) * (1.0 - rng.random())
                     if not (shares_later[i] and u == hi):
                         break
-                rec, sys = measure(sys, cid, u)
-                records.append(rec)
+                _, sys = measure(sys, cid, u)
                 prev = u
-            yield records
+            yield sys
 
     return runs()
 
@@ -365,16 +356,10 @@ def sequential_experiment(
     from each run is counted, nothing else is retained.
     """
     runs = sequence_records(scenario, sequence, n_runs, seed)
-    counts: dict[tuple[tuple[int, ...], ...], int] = {}
-    for records in runs:
-        key = tuple(rec.outcome_label for rec in records)
-        counts[key] = counts.get(key, 0) + 1
-    return SequenceDistribution(
-        steps=tuple(cid for cid, _ in sequence), counts=counts, total=n_runs
-    )
+    return SequenceDistribution.from_runs(sequence, (sys.history for sys in runs))
 
 
-def format_measurement_log(records_per_run: list[list[MeasurementRecord]]) -> str:
+def format_measurement_log(records_per_run: Sequence[Sequence[MeasurementRecord]]) -> str:
     """Render measurement records as CSV, one row per measurement.
 
     Columns: run_id, step, u, cset id, outcome label (colon-joined),

@@ -12,6 +12,7 @@ state at every integer crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -202,30 +203,13 @@ def apply_value_operator(
     return cset.eigenvalues[k][member] * cset.basis_vector(k)
 
 
-class ObservedSets:
-    """Commuting-set lookup for classes holding ``csets`` and ``schedulers``.
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A closed-system setup: initial state, generator, observable sets.
 
     ``schedulers`` maps commuting-set ids to layout strategies; sets without
     an entry get the default contiguous layout.
     """
-
-    def cset(self, cset_id: str | None = None) -> CommutingSet:
-        if cset_id is None:
-            if len(self.csets) != 1:
-                raise ValueError("several commuting sets are defined; name one")
-            return self.csets[0]
-        for c in self.csets:
-            if c.id == cset_id:
-                return c
-        raise ValueError(f"no commuting set with id {cset_id!r}")
-
-    def scheduler_for(self, cset_id: str) -> SchedulerSpec:
-        return self.schedulers.get(cset_id, SchedulerSpec())
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario(ObservedSets):
-    """A closed-system setup: initial state, generator, observable sets."""
 
     state0: QuantumState
     hamiltonian: Hamiltonian
@@ -239,13 +223,29 @@ class Scenario(ObservedSets):
         ids = [c.id for c in self.csets]
         if len(set(ids)) != len(ids):
             raise ValueError("commuting set ids must be distinct")
-        for c in self.csets:
-            if c.dimension != self.state0.dimension:
-                raise ValueError(f"commuting set {c.id!r} dimension differs from the state")
-        if self.hamiltonian.dimension != self.state0.dimension:
-            raise ValueError("hamiltonian dimension differs from the state")
+        dims = {c.dimension for c in self.csets} | {self.hamiltonian.dimension}
+        if dims != {self.state0.dimension}:
+            raise ValueError("state, hamiltonian and commuting set dimensions must agree")
         if self.windows < 1:
             raise ValueError("windows must be at least 1")
+
+    @cached_property
+    def conserved(self) -> frozenset[str]:
+        """Ids of the sets whose members all commute with the Hamiltonian."""
+        return frozenset(c.id for c in self.csets if is_conserved(self.hamiltonian, c))
+
+    def cset(self, cset_id: str | None = None) -> CommutingSet:
+        if cset_id is None:
+            if len(self.csets) != 1:
+                raise ValueError("several commuting sets are defined; name one")
+            return self.csets[0]
+        for c in self.csets:
+            if c.id == cset_id:
+                return c
+        raise ValueError(f"no commuting set with id {cset_id!r}")
+
+    def scheduler_for(self, cset_id: str) -> SchedulerSpec:
+        return self.schedulers.get(cset_id, SchedulerSpec())
 
     def build_trajectory(self, cset_id: str | None = None, windows: int | None = None) -> JumpTrajectory:
         c = self.cset(cset_id)

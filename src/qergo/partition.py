@@ -35,13 +35,11 @@ from .errors import InvariantViolation
 
 SCHEDULER_KINDS = ("contiguous", "two-outcome", "seeded-random")
 MEASURE_TOL = 1e-9
-COVERAGE_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
 
 __all__ = [
     "SCHEDULER_KINDS",
     "MEASURE_TOL",
-    "COVERAGE_TOL",
     "PROB_SUM_TOL",
     "SubInterval",
     "SchedulerSpec",
@@ -75,9 +73,6 @@ class SubInterval:
     def contains(self, u: float) -> bool:
         """Membership test honouring the half-open convention."""
         return self.lo < u <= self.hi
-
-    def shifted(self, delta: float) -> "SubInterval":
-        return SubInterval(self.lo + delta, self.hi + delta)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,10 @@ import numpy as np
 
 from .partition import SchedulerSpec, WindowPartition, build_partition
 
-QUADRATURE_TOL = 1e-8
 MIN_WINDOW_MASS = 1e-300
 MIN_NODES_PER_CELL = 16
 
 __all__ = [
-    "QUADRATURE_TOL",
     "GridWavefunction",
     "window_renormalize",
     "planck_cell_probability",

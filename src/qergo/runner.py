@@ -97,20 +97,13 @@ def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
 
 
 def _run_sequential(config: ScenarioConfig, exp: SequentialExperiment, prefix: str):
-    scenario = config.scenario(windows=1)
-    all_runs = []
-    counts: dict = {}
-    renorms = 0
-    for records in sequence_records(scenario, list(exp.steps), exp.runs, exp.seed):
-        all_runs.append(records)
-        key = tuple(rec.outcome_label for rec in records)
-        counts[key] = counts.get(key, 0) + 1
-        renorms += sum(int(rec.pre_state.renormalized) for rec in records)
-    dist = SequenceDistribution(
-        steps=tuple(cid for cid, _ in exp.steps), counts=counts, total=exp.runs
-    )
+    histories, renorms = [], 0
+    for sys in sequence_records(config.scenario(), list(exp.steps), exp.runs, exp.seed):
+        histories.append(sys.history)
+        renorms += sys.renorm_events
+    dist = SequenceDistribution.from_runs(exp.steps, histories)
     files = [
-        (f"{prefix}-log.csv", format_measurement_log(all_runs)),
+        (f"{prefix}-log.csv", format_measurement_log(histories)),
         (f"{prefix}-summary.csv", format_sequence_distribution(dist)),
     ]
     return files, renorms

@@ -7,8 +7,9 @@ import pytest
 
 from qergo import load_config
 from qergo.cli import main
+from qergo.errors import InvariantViolation
 from qergo.partition import dump_partition
-from qergo.runner import FAILURE_MARKER, run_scenario
+from qergo.runner import FAILURE_MARKER, run_experiment, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -150,6 +151,63 @@ def test_strict_float_passes_on_clean_scenario(tmp_path):
     assert written
 
 
+
+def _two_step_sequence(tmp_path) -> Path:
+    """order-dependence.cfg's system and sets, measuring sz at 0.25 and 1.5.
+
+    Each run evolves three steps: 0 -> u1, u1 -> 1 (ending on the window
+    boundary) and 1 -> u2.
+    """
+    text = (CONFIG_DIR / "order-dependence.cfg").read_text()
+    text = text[: text.index("experiment {")] + (
+        "experiment {\n  kind = sequential-measurement\n  id = cross\n  runs = 5\n"
+        "  seed = 3\n  step = sz, 0.25\n  step = sz, 1.5\n}\n"
+    )
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(text)
+    return cfg
+
+
+def _flag_renormalized(monkeypatch, flag) -> list[float]:
+    """Patch the measurement protocol's evolve to mark steps as renormalized.
+
+    ``flag(i)`` decides for the i-th call (from 0); returns the list of step
+    lengths, one per call.
+    """
+    import qergo.measurement as measurement
+
+    from qergo.hilbert import QuantumState
+
+    steps = []
+    original = measurement.evolve
+
+    def flagged(state, hamiltonian, du):
+        out = original(state, hamiltonian, du)
+        steps.append(du)
+        return QuantumState(out.amplitudes, renormalized=flag(len(steps) - 1))
+
+    monkeypatch.setattr(measurement, "evolve", flagged)
+    return steps
+
+
+def test_sequential_drift_count_covers_every_evolution_step(tmp_path, monkeypatch):
+    config = load_config(_two_step_sequence(tmp_path))
+    steps = _flag_renormalized(monkeypatch, lambda i: True)
+    _, renorms = run_experiment(config, config.experiments[0], 0)
+    assert len(steps) == 3 * 5
+    assert renorms == len(steps)
+
+
+def test_strict_float_sees_drift_on_the_step_to_a_window_boundary(tmp_path, monkeypatch):
+    cfg = _two_step_sequence(tmp_path)
+    steps = _flag_renormalized(monkeypatch, lambda i: i % 3 == 1)
+    with pytest.raises(InvariantViolation, match="strict-float: 5 renormalization"):
+        run_scenario(cfg, out_dir=tmp_path / "o", strict_float=True)
+    # The flagged steps are exactly those that end on the boundary u = 1.
+    assert len(steps) == 15
+    assert all(abs(sum(steps[i - 1 : i + 1]) - 1.0) < 1e-12 for i in range(1, 15, 3))
+
+
 # --- CLI surface ---
 
 
@@ -173,6 +231,17 @@ def test_cli_invariant_error_exit_3(tmp_path, capsys):
     rc = main(["run", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == 3
     assert (tmp_path / "o" / FAILURE_MARKER).exists()
+
+
+def test_cli_experiment_without_csco_among_several_exit_2(tmp_path, capsys):
+    text = (CONFIG_DIR / "order-dependence.cfg").read_text()
+    text = text[: text.index("experiment {")] + "experiment {\n  kind = trajectory\n  windows = 2\n}\n"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    rc = main(["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    line = text.splitlines().index("experiment {") + 1
+    assert f"line {line}: " in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_4(tmp_path, capsys):

@@ -369,6 +369,25 @@ def test_each_kind_parses_minimal_and_full_blocks(kind, cls, required, optional,
 
 
 @pytest.mark.parametrize(
+    "kind,required", [(row[0], row[2]) for row in EXPERIMENT_KINDS if "csco" in row[3]]
+)
+def test_each_kind_must_name_its_csco_when_several_are_defined(kind, required):
+    (exp,) = parse_config_text(_experiment_text(kind, required)).experiments
+    assert exp.cset_id is None  # a single csco may be left out
+    sx = MINIMAL[MINIMAL.index("csco {") : MINIMAL.index("experiment {")].replace("id = sz", "id = sx")
+
+    def with_sx(entries):
+        return _experiment_text(kind, entries).replace("experiment {", sx + "experiment {", 1)
+
+    text = with_sx(required)
+    message = f"line {_line(text, 'experiment {')}: {kind} needs 'csco'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+    (exp,) = parse_config_text(with_sx({**required, "csco": "sx"})).experiments
+    assert exp.cset_id == "sx"
+
+
+@pytest.mark.parametrize(
     "kind,key",
     [(row[0], key) for row in EXPERIMENT_KINDS for key in row[2]],
 )

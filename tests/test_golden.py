@@ -2,7 +2,8 @@
 
 The SHA-256 of every experiment artifact of ``configs/*.cfg`` is frozen
 here, and so is the SHA-256 of two seeded trajectory dumps, of the exact
-averages read from them, and of Monte Carlo reads of two more trajectories.
+averages read from them, of Monte Carlo reads of two more trajectories, and
+of a sequential run whose steps cross windows.
 ``manifest.txt`` is left out because it names the numpy version; the
 digests themselves are only checked on the numpy version they were
 recorded with.
@@ -191,3 +192,99 @@ def test_random_reads_match_recorded_digest():
         pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
     text = _random_reads_case()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RANDOM_READS_DIGEST
+
+
+# A sequential run whose steps cross windows 0 to 2: d=4 with a coupling
+# between the first two levels, a seeded-random set (a Hadamard basis), a
+# two-outcome set (the computational basis, not conserved) and H's
+# eigenbasis (conserved).  Steps 2 and 3 share window 1; step 4 reads the
+# conserved set in window 2, after a collapse and a crossing.
+SEQUENTIAL_CFG = """\
+system {
+  dimension = 4
+  state = 0.5, 0.5i, 0.5, -0.5
+  hamiltonian {
+    row = 0.3, 0.5, 0, 0
+    row = 0.5, 0.3, 0, 0
+    row = 0, 0, 1.1, 0
+    row = 0, 0, 0, -0.7
+  }
+}
+
+csco {
+  id = hb
+  basis {
+    row = 0.5, 0.5, 0.5, 0.5
+    row = 0.5, -0.5, 0.5, -0.5
+    row = 0.5, 0.5, -0.5, -0.5
+    row = 0.5, -0.5, -0.5, 0.5
+  }
+  labels = (0), (1), (2), (3)
+  eigenvalues = (1.5), (-0.5), (0.25), (2)
+  scheduler {
+    kind = seeded-random
+    max_subintervals = 3
+    seed = 7
+  }
+}
+
+csco {
+  id = sz
+  basis {
+    row = 1, 0, 0, 0
+    row = 0, 1, 0, 0
+    row = 0, 0, 1, 0
+    row = 0, 0, 0, 1
+  }
+  labels = (0,0), (0,1), (1,0), (1,1)
+  eigenvalues = (1,1), (1,-1), (-1,1), (-1,-1)
+  scheduler {
+    kind = two-outcome
+    offset = 0.3
+  }
+}
+
+csco {
+  id = en
+  basis {
+    row = 0.7071067811865476, 0.7071067811865476, 0, 0
+    row = 0.7071067811865476, -0.7071067811865476, 0, 0
+    row = 0, 0, 1, 0
+    row = 0, 0, 0, 1
+  }
+  labels = (0), (1), (2), (3)
+  eigenvalues = (0.8), (-0.2), (1.1), (-0.7)
+}
+
+experiment {
+  kind = sequential-measurement
+  id = crossing
+  runs = 400
+  seed = 5
+  step = sz, 0.4
+  step = hb, 1.2
+  step = sz, 1.8
+  step = en, 2.5
+}
+"""
+
+SEQUENTIAL_DIGESTS = {
+    "00-crossing-log.csv":
+        "17438b2edd6ec0ac70cae59130d88714666fdfe576c9f7853c145c9139145ad4",
+    "00-crossing-summary.csv":
+        "a861a1593f4589f1b5ceb3e4639c2ca140f6682d052d190071ff1753a1580579",
+}
+
+
+def test_sequential_run_across_windows_matches_recorded_digests(tmp_path):
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
+    cfg = tmp_path / "crossing.cfg"
+    cfg.write_text(SEQUENTIAL_CFG, encoding="utf-8")
+    written = run_scenario(cfg, tmp_path / "out")
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in written
+        if p.name != "manifest.txt"
+    }
+    assert got == SEQUENTIAL_DIGESTS
