@@ -8,6 +8,7 @@ import pytest
 from qergo import load_config
 from qergo.cli import main
 from qergo.errors import InvariantViolation
+from qergo.hilbert import QuantumState
 from qergo.partition import dump_partition
 from qergo.runner import FAILURE_MARKER, run_experiment, run_scenario
 
@@ -175,8 +176,6 @@ def _flag_renormalized(monkeypatch, flag) -> list[float]:
     lengths, one per call.
     """
     import qergo.measurement as measurement
-
-    from qergo.hilbert import QuantumState
 
     steps = []
     original = measurement.evolve
