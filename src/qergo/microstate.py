@@ -17,20 +17,22 @@ from functools import cached_property
 import numpy as np
 
 from .hilbert import (
+    CONSERVED_TOL,
+    NORM_TOL,
     CommutingSet,
     Hamiltonian,
     QuantumState,
-    born_probabilities,
-    evolve,
     is_conserved,
 )
 from .partition import (
+    MEASURE_TOL,
     SchedulerSpec,
     SubInterval,
     WindowPartition,
+    _seal,
+    _tiling,
+    _validated_probabilities,
     active_label,
-    build_partition,
-    periodic_extend,
 )
 
 __all__ = [
@@ -109,16 +111,14 @@ class JumpTrajectory:
     def windows_covered(self) -> int:
         return len(self.partitions)
 
-    def _stretch_windows(self) -> list[int]:
-        return np.repeat(np.arange(self.windows_covered), np.diff(self.offsets)).tolist()
-
     @property
     def events(self) -> tuple[TrajectoryEvent, ...]:
         """One :class:`TrajectoryEvent` per stretch, built anew on each access."""
         b, c = self.bounds.tolist(), self.cset
+        windows = np.repeat(np.arange(self.windows_covered), np.diff(self.offsets)).tolist()
         return tuple(
             TrajectoryEvent(n, SubInterval(lo, hi), k, c.labels[k], c.eigenvalues[k])
-            for n, lo, hi, k in zip(self._stretch_windows(), b, b[1:], self.labels.tolist())
+            for n, lo, hi, k in zip(windows, b, b[1:], self.labels.tolist())
         )
 
     def label_at(self, u: float) -> int:
@@ -268,58 +268,58 @@ def trajectory(
 ) -> JumpTrajectory:
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
-    Per window: freeze the eigenbasis weights of the current state, build
-    the window layout, then evolve the state to the next integer boundary;
-    the layouts end up back to back in the trajectory's arrays.  When every
-    member observable commutes with the Hamiltonian the weights are
-    constants of motion and the window-0 layout is reused verbatim, shifted
-    by the window index — the layout freedom is resolved in favour of exact
-    periodicity.
+    One loop over raw arrays: per window, freeze the eigenbasis weights of
+    the current state, tile the window, then step the state with the
+    propagator ``exp(-iH)``, built once and renormalized as in :func:`evolve`.
+    The tilings are concatenated once; each window's partition is a view
+    into the result.  When the set is conserved, the window-0 tiling is
+    reused shifted by the window index (exact periodicity), but only while
+    the weights, which drift by at most ``2 d eps`` per window (``eps`` the
+    off-diagonal norm of H in the set's basis), stay within ``MEASURE_TOL``.
     """
     if windows < 1:
         raise ValueError("windows must be at least 1")
     if windows > max_windows:
         raise ValueError(f"windows = {windows} exceeds max_windows = {max_windows}")
-    conserved = is_conserved(hamiltonian, cset)
-    states = [state0]
-    partitions: list[WindowPartition] = []
-    renorms = 0
-    psi = state0
+    d = state0.dimension
+    if not d == hamiltonian.dimension == cset.dimension:
+        raise ValueError(f"dimension mismatch: state {d}, hamiltonian "
+                         f"{hamiltonian.dimension}, basis {cset.dimension}")
+    drift_tol = MEASURE_TOL / (2 * d * max(windows - 1, 1))
+    periodic = is_conserved(hamiltonian, cset, min(CONSERVED_TOL, drift_tol))
+    u, bh = hamiltonian.propagator(1.0), cset.basis.conj().T
+    psi, states, renorms = state0.amplitudes, [state0], 0
+    probs, tilings = [], []
     for n in range(windows):
-        if conserved and partitions:
-            part = periodic_extend(partitions[0], n)
+        if periodic and n:
+            probs.append(probs[0])
+            tilings.append(_seal(tilings[0][0] + n, tilings[0][1]))
         else:
-            part = build_partition(born_probabilities(psi, cset), n, scheduler)
-        partitions.append(part)
+            p = _validated_probabilities(np.abs(bh @ psi) ** 2)
+            p.setflags(write=False)  # so each partition keeps it without a copy
+            probs.append(p)
+            tilings.append(_tiling(p, float(n), n + 1.0, scheduler, n))
         if n + 1 < windows:
-            psi = evolve(psi, hamiltonian, 1.0)
-            renorms += int(psi.renormalized)
-            states.append(psi)
+            psi = u @ psi
+            nrm = float(np.linalg.norm(psi))
+            drifted = abs(nrm - 1.0) > NORM_TOL
+            if drifted:
+                psi = psi / nrm
+            renorms += drifted
+            states.append(QuantumState(psi, renormalized=drifted))
     # One pair of arrays for the whole trajectory; windows share their
-    # boundary float, so each partition becomes a view into them.
-    offsets = np.cumsum([0] + [part.labels.size for part in partitions])
-    bounds = np.concatenate([p.bounds[:-1] for p in partitions] + [partitions[-1].bounds[-1:]])
-    labels = np.concatenate([part.labels for part in partitions])
+    # boundary float, so each partition is a view into them.
+    offsets = np.cumsum([0] + [lab.size for _, lab in tilings])
+    bounds = np.concatenate([b[:-1] for b, _ in tilings] + [tilings[-1][0][-1:]])
+    labels = np.concatenate([lab for _, lab in tilings])
     for a in (offsets, bounds, labels):
         a.setflags(write=False)
     o = offsets.tolist()
     views = tuple(
-        WindowPartition(
-            part.window_index, part.lo, part.hi, part.probabilities,
-            bounds[o[n]:o[n + 1] + 1], labels[o[n]:o[n + 1]],
-        )
-        for n, part in enumerate(partitions)
+        WindowPartition(n, float(n), n + 1.0, p, bounds[o[n]:o[n + 1] + 1], labels[o[n]:o[n + 1]])
+        for n, p in enumerate(probs)
     )
-    return JumpTrajectory(
-        cset=cset,
-        scheduler=scheduler,
-        bounds=bounds,
-        labels=labels,
-        offsets=offsets,
-        partitions=views,
-        states=tuple(states),
-        renorm_events=renorms,
-    )
+    return JumpTrajectory(cset, scheduler, bounds, labels, offsets, views, tuple(states), renorms)
 
 
 def dump_trajectory(traj: JumpTrajectory) -> str:
@@ -327,13 +327,18 @@ def dump_trajectory(traj: JumpTrajectory) -> str:
 
     Columns: window, label (colon-joined multi-index), lo, hi, eigenvalues
     (colon-joined, repr floats).  Rows are in time order; floats use repr
-    so a dump/parse round trip is bit-exact.
+    so a dump/parse round trip is bit-exact.  Each window is formatted as
+    one string, its bounds repr'd once and the label and eigenvalue text
+    taken per label; the window strings are joined at the end.
     """
-    c, b = traj.cset, traj.bounds.tolist()
-    names = [":".join(str(i) for i in lab) for lab in c.labels]
-    eigs = [":".join(repr(x) for x in ev) for ev in c.eigenvalues]
-    rows = (
-        f"{n},{names[k]},{lo!r},{hi!r},{eigs[k]}"
-        for n, lo, hi, k in zip(traj._stretch_windows(), b, b[1:], traj.labels.tolist())
-    )
-    return "\n".join(["window,label,lo,hi,eigenvalues", *rows]) + "\n"
+    names = [":".join(str(i) for i in lab) for lab in traj.cset.labels]
+    eigs = [":".join(repr(x) for x in ev) for ev in traj.cset.eigenvalues]
+    b, labels, o = traj.bounds, traj.labels.tolist(), traj.offsets.tolist()
+    chunks = ["window,label,lo,hi,eigenvalues\n"]
+    for n in range(traj.windows_covered):
+        i, j = o[n], o[n + 1]
+        r = [repr(x) for x in b[i:j + 1].tolist()]
+        chunks.append("".join(
+            f"{n},{names[k]},{lo},{hi},{eigs[k]}\n" for k, lo, hi in zip(labels[i:j], r, r[1:])
+        ))
+    return "".join(chunks)

@@ -188,23 +188,23 @@ def _two_outcome_layout(p: np.ndarray, offset: float) -> tuple[np.ndarray, np.nd
 def _seeded_random_layout(
     p: np.ndarray, window_index: int, spec: SchedulerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Keyed per window so partitions can be rebuilt out of order.
+    # Keyed per window so partitions can be rebuilt out of order.  Python
+    # floats throughout: `cut - prev` is the double np.diff would give.
     rng = np.random.default_rng([spec.seed, window_index])
+    integers, uniform, top = rng.integers, rng.uniform, spec.max_subintervals + 1
     widths: list[float] = []
     labels: list[int] = []
-    for k in range(p.size):
-        mass = float(p[k])
+    for k, mass in enumerate(p.tolist()):
         if mass <= 0.0:
             continue
-        n = int(rng.integers(1, spec.max_subintervals + 1))
-        if n == 1:
-            parts = [mass]
-        else:
-            cuts = np.sort(rng.uniform(0.0, mass, size=n - 1))
-            parts = np.diff(np.concatenate(([0.0], cuts, [mass])))
-            parts = parts[parts > 0.0].tolist()
-        widths.extend(parts)
-        labels.extend([k] * len(parts))
+        n = int(integers(1, top))
+        cuts = sorted(uniform(0.0, mass, n - 1).tolist()) if n > 1 else []
+        prev = 0.0
+        for cut in cuts + [mass]:
+            if (w := cut - prev) > 0.0:
+                widths.append(w)
+                labels.append(k)
+            prev = cut
     order = rng.permutation(len(widths))
     return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
@@ -252,6 +252,21 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     return p
 
 
+def _tiling(
+    p: np.ndarray, lo: float, hi: float, scheduler: SchedulerSpec, window_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sealed ``(bounds, labels)`` of the span ``(lo, hi]`` for validated ``p``."""
+    widths, labels = _layout(p, window_index, scheduler)
+    # Lay out in relative coordinates, then map onto (lo, hi].  The final
+    # boundary is forced to hi exactly so adjacent windows share floats.
+    bounds = np.zeros(widths.size + 1)
+    np.cumsum(widths, out=bounds[1:])
+    bounds *= hi - lo
+    bounds += lo
+    bounds[-1] = hi
+    return _seal(bounds, labels)
+
+
 def build_partition_span(
     probabilities, lo: float, hi: float, scheduler: SchedulerSpec, window_index: int
 ) -> WindowPartition:
@@ -266,15 +281,7 @@ def build_partition_span(
     if not hi > lo:
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
     p = _validated_probabilities(probabilities)
-    widths, labels = _layout(p, window_index, scheduler)
-    # Lay out in relative coordinates, then map onto (lo, hi].  The final
-    # boundary is forced to hi exactly so adjacent windows share floats.
-    bounds = np.zeros(widths.size + 1)
-    np.cumsum(widths, out=bounds[1:])
-    bounds *= hi - lo
-    bounds += lo
-    bounds[-1] = hi
-    return WindowPartition(window_index, lo, hi, p, *_seal(bounds, labels))
+    return WindowPartition(window_index, lo, hi, p, *_tiling(p, lo, hi, scheduler, window_index))
 
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:

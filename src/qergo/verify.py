@@ -190,6 +190,35 @@ def _check_trajectory_tiling():
     return worst, 0.0, detail
 
 
+def _check_long_horizon():
+    """Each window's measures against the Born weights of its own window-start state.
+
+    Generic couplings, and couplings so weak that the set passes
+    ``is_conserved`` while its weights still drift by far more than 1e-9
+    over 2000 windows.
+    """
+    worst, detail = 0.0, None
+    sx = Hamiltonian(np.array([[0.0, 9e-11], [9e-11, 0.0]]))
+    cases = [("sigma_y state, H = 9e-11 sigma_x", make_state([1.0, 1.0j]), sx, sigma_z_set())]
+    for seed in range(3):
+        d = 2 + seed
+        cs = random_cset(np.random.default_rng(seed + 700), d)
+        h = random_hamiltonian(np.random.default_rng(seed + 800), d)
+        weak = Hamiltonian(4e-11 * h.matrix)
+        psi = random_state(np.random.default_rng(seed + 900), d)
+        cases += [(f"d={d}, seed={seed}, generic H", psi, h, cs)]
+        cases += [(f"d={d}, seed={seed}, H scaled by 4e-11", psi, weak, cs)]
+    for i, (name, psi, h, cs) in enumerate(cases):
+        traj = trajectory(psi, h, cs, _SCHEDULERS[i % 3], windows=2000)
+        for n, part in enumerate(traj.partitions):
+            pn = born_probabilities(traj.states[n], cs)
+            for k in range(cs.dimension):
+                dev = abs(interval_measure(part, k) - float(pn[k]))
+                if dev > worst:
+                    worst, detail = dev, f"{name}, window={n}, label={k}"
+    return worst, 1e-9, detail
+
+
 def _check_sorted_reads():
     worst, detail = 0.0, None
     for seed in range(15):
@@ -349,6 +378,7 @@ _CHECKS = [
     ("trajectory-tiling", _check_trajectory_tiling),
     ("conserved-periodicity", _check_conserved_periodicity),
     ("sorted-reads", _check_sorted_reads),
+    ("long-horizon", _check_long_horizon),
     ("measurement-collapse", _check_measurement_collapse),
     ("measurement-repartition", _check_measurement_repartition),
     ("qgrid-probability-sum", _check_qgrid_probability_sum),

@@ -2,8 +2,9 @@
 
 The SHA-256 of every experiment artifact of ``configs/*.cfg`` is frozen
 here, and so is the SHA-256 of two seeded trajectory dumps, of the exact
-averages read from them, of Monte Carlo reads of two more trajectories, and
-of a sequential run whose steps cross windows.
+averages read from them, of two long contiguous and two-outcome trajectory
+dumps, of Monte Carlo reads of two more trajectories, and of a sequential
+run whose steps cross windows.
 ``manifest.txt`` is left out because it names the numpy version; the
 digests themselves are only checked on the numpy version they were
 recorded with.
@@ -145,6 +146,41 @@ def test_seeded_trajectories_match_recorded_digests():
         for name, text in _trajectory_case().items()
     }
     assert got == TRAJECTORY_DIGESTS
+
+
+def _long_dumps_case() -> dict[str, str]:
+    """Dumps of two driven trajectories of 3000 windows with nonzero H.
+
+    ``contiguous`` is d=3 with the contiguous layout, ``two-outcome`` is d=2
+    with the two-outcome layout at offset 0.3.
+    """
+    rng = np.random.default_rng(3001)
+    out = {}
+    for name, d, spec in [
+        ("contiguous", 3, SchedulerSpec()),
+        ("two-outcome", 2, SchedulerSpec(kind="two-outcome", offset=0.3)),
+    ]:
+        traj = trajectory(
+            random_state(rng, d), random_hamiltonian(rng, d), random_cset(rng, d), spec, 3000
+        )
+        out[name] = dump_trajectory(traj)
+    return out
+
+
+LONG_DUMP_DIGESTS = {
+    "contiguous": "73dd0848635271daecc1fb8651827245c0f474c6a752893e0d901fb4067a329d",
+    "two-outcome": "22c0ec0384c31bde451b8600b4982ca3a5adfbbc95666d88d44bd8970ef753f8",
+}
+
+
+def test_long_driven_trajectory_dumps_match_recorded_digests():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
+    got = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in _long_dumps_case().items()
+    }
+    assert got == LONG_DUMP_DIGESTS
 
 
 def _random_reads_case() -> str:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qergo.hilbert import CommutingSet, Hamiltonian, born_probabilities, evolve, make_state
+from qergo.hilbert import (
+    CommutingSet,
+    Hamiltonian,
+    born_probabilities,
+    evolve,
+    is_conserved,
+    make_state,
+)
 from qergo.microstate import (
     Scenario,
     apply_value_operator,
@@ -10,7 +17,15 @@ from qergo.microstate import (
     trajectory,
     value_function,
 )
-from qergo.partition import SchedulerSpec, build_partition, interval_measure, step_function
+from qergo.partition import (
+    SchedulerSpec,
+    _seeded_random_layout,
+    build_partition,
+    check_partition,
+    interval_measure,
+    periodic_extend,
+    step_function,
+)
 from qergo.testing import (
     random_cset,
     random_hamiltonian,
@@ -293,3 +308,157 @@ def test_partitions_are_views_into_the_trajectory_arrays():
     # events are rebuilt from the arrays on every access
     assert traj.events is not traj.events
     assert [ev.label_index for ev in traj.events] == traj.labels.tolist()
+
+
+# The per-window loop the trajectory kernel replaced, kept as its reference:
+# build each window's partition from the Born weights of the evolved state,
+# or shift window 0 when the set is conserved.
+def _loop_trajectory(state0, hamiltonian, cset, scheduler, windows):
+    conserved = is_conserved(hamiltonian, cset)
+    states, partitions, renorms, psi = [state0], [], 0, state0
+    for n in range(windows):
+        if conserved and partitions:
+            part = periodic_extend(partitions[0], n)
+        else:
+            part = build_partition(born_probabilities(psi, cset), n, scheduler)
+        partitions.append(part)
+        if n + 1 < windows:
+            psi = evolve(psi, hamiltonian, 1.0)
+            renorms += int(psi.renormalized)
+            states.append(psi)
+    return partitions, states, renorms
+
+
+def _assert_matches_loop(traj, state0, hamiltonian, cset, scheduler, windows):
+    partitions, states, renorms = _loop_trajectory(state0, hamiltonian, cset, scheduler, windows)
+    bounds = np.concatenate([p.bounds[:-1] for p in partitions] + [partitions[-1].bounds[-1:]])
+    assert np.array_equal(traj.bounds, bounds)
+    assert np.array_equal(traj.labels, np.concatenate([p.labels for p in partitions]))
+    assert traj.offsets.tolist() == np.cumsum([0] + [p.labels.size for p in partitions]).tolist()
+    assert len(traj.partitions) == len(traj.states) == windows
+    for got, want in zip(traj.partitions, partitions):
+        assert (got.window_index, got.lo, got.hi) == (want.window_index, want.lo, want.hi)
+        assert np.array_equal(got.probabilities, want.probabilities)
+        assert np.array_equal(got.bounds, want.bounds)
+        assert np.array_equal(got.labels, want.labels)
+    for got, want in zip(traj.states, states):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.renormalized == want.renormalized
+    assert traj.renorm_events == renorms
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+@pytest.mark.parametrize("d", [2, 3, 16])
+@pytest.mark.parametrize("conserved", [False, True], ids=["driven", "conserved"])
+def test_trajectory_kernel_equals_per_window_loop(kind, d, conserved):
+    rng = np.random.default_rng(1000 * d + 10 * conserved + len(kind))
+    cs = random_cset(rng, d)
+    if conserved:  # diagonal in the set's basis, up to rounding
+        h = Hamiltonian((cs.basis * rng.standard_normal(d)) @ cs.basis.conj().T)
+    else:
+        h = random_hamiltonian(rng, d)
+    spec = SchedulerSpec(kind=kind, max_subintervals=4, seed=int(rng.integers(100)), offset=0.3)
+    s = random_state(rng, d)
+    windows = 150 if d < 16 else 60
+    traj = trajectory(s, h, cs, spec, windows)
+    _assert_matches_loop(traj, s, h, cs, spec, windows)
+    # a conserved set takes the periodic branch, which shares window 0's weights
+    assert (traj.partitions[-1].probabilities is traj.partitions[0].probabilities) == conserved
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+def test_trajectory_kernel_equals_loop_when_every_step_renormalizes(kind, monkeypatch):
+    # Natural runs never drift past NORM_TOL, so scale the propagator to make
+    # every step take the renormalization branch, in the kernel and the loop.
+    exact = Hamiltonian.propagator
+    monkeypatch.setattr(Hamiltonian, "propagator", lambda self, du: exact(self, du) * (1 + 1e-7))
+    rng = np.random.default_rng(41)
+    d, windows = 3, 40
+    args = (random_state(rng, d), random_hamiltonian(rng, d), random_cset(rng, d))
+    spec = SchedulerSpec(kind=kind, max_subintervals=3, seed=9)
+    traj = trajectory(*args, spec, windows)
+    assert traj.renorm_events == windows - 1
+    _assert_matches_loop(traj, *args, spec, windows)
+
+
+# The seeded-random layout before it moved to Python floats, kept as the
+# reference: the same stream must give the same widths and labels.
+def _array_seeded_random_layout(p, window_index, spec):
+    rng = np.random.default_rng([spec.seed, window_index])
+    widths, labels = [], []
+    for k in range(p.size):
+        mass = float(p[k])
+        if mass <= 0.0:
+            continue
+        n = int(rng.integers(1, spec.max_subintervals + 1))
+        if n == 1:
+            parts = [mass]
+        else:
+            cuts = np.sort(rng.uniform(0.0, mass, size=n - 1))
+            parts = np.diff(np.concatenate(([0.0], cuts, [mass])))
+            parts = parts[parts > 0.0].tolist()
+        widths.extend(parts)
+        labels.extend([k] * len(parts))
+    order = rng.permutation(len(widths))
+    return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
+
+
+def test_seeded_random_layout_equals_array_reference():
+    rng = np.random.default_rng(404)
+    pairs = 0
+    for seed in range(100):
+        d = 1 + seed % 8
+        p = random_probabilities(rng, d)
+        p[rng.random(d) < 0.3] = 0.0  # zero-mass labels draw nothing
+        if seed % 10 == 3:  # a subnormal mass: its cuts coincide, widths of 0 are dropped
+            p[0] = 5e-324
+        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + seed % 5, seed=seed)
+        for window in range(100):
+            got = _seeded_random_layout(p, window, spec)
+            want = _array_seeded_random_layout(p, window, spec)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            pairs += 1
+    assert pairs >= 10_000
+
+
+def test_nearly_conserved_trajectory_keeps_born_measures_over_a_long_horizon():
+    # Off-diagonal coupling 9e-11 passes is_conserved, but over 10k windows
+    # the weights drift by 9e-7; shifting window 0 would freeze them at 0.5.
+    h = Hamiltonian(np.array([[0.0, 9e-11], [9e-11, 0.0]]))
+    sz, s = sigma_z_set(), make_state([1.0, 1j])
+    traj = trajectory(s, h, sz, SchedulerSpec(), 10_000)
+    for n in (0, 2_000, 9_999):
+        p = born_probabilities(traj.states[n], sz)
+        for k in range(2):
+            assert abs(interval_measure(traj.partitions[n], k) - p[k]) <= 1e-9
+    # Over a horizon too short for the drift to show, window 0 still repeats.
+    short = trajectory(s, h, sz, SchedulerSpec(), 3)
+    for n, part in enumerate(short.partitions):
+        assert np.array_equal(part.bounds, short.partitions[0].bounds + n)
+        assert part.probabilities is short.partitions[0].probabilities
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+def test_every_partition_of_a_long_trajectory_passes_the_audit(kind):
+    rng = np.random.default_rng(52)
+    d = 4
+    traj = trajectory(
+        random_state(rng, d),
+        random_hamiltonian(rng, d),
+        random_cset(rng, d),
+        SchedulerSpec(kind=kind, max_subintervals=3, seed=4, offset=0.6),
+        2000,
+    )
+    assert max(check_partition(part) for part in traj.partitions) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_trajectory_rejects_mismatched_dimensions(dims):
+    rng = np.random.default_rng(sum(dims))
+    ds, dh, dc = dims
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        trajectory(
+            random_state(rng, ds), random_hamiltonian(rng, dh), random_cset(rng, dc),
+            SchedulerSpec(), 3,
+        )
