@@ -255,7 +255,17 @@ def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumS
         )
     if du == 0.0:
         return state
-    psi = hamiltonian.propagator(du) @ state.amplitudes
+    return step(hamiltonian.propagator(du), state)
+
+
+def step(propagator: np.ndarray, state: QuantumState) -> QuantumState:
+    """Apply a prebuilt propagator to ``state``, renormalizing as :func:`evolve` does.
+
+    For callers that take many equal steps and build the propagator once.
+    Left out of ``__all__`` so that perfbench's tracer, which wraps the
+    functions listed there, counts a step's time in its caller's span.
+    """
+    psi = propagator @ state.amplitudes
     nrm = float(np.linalg.norm(psi))
     drifted = abs(nrm - 1.0) > NORM_TOL
     if drifted:

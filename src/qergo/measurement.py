@@ -70,7 +70,8 @@ class SystemUnderObservation:
     (the window start, or the last collapse time) in window
     ``window_index``.  The scenario's conserved sets lay out whole windows
     as window-0 layouts of ``base_state`` (the last collapsed state, or the
-    initial one) shifted in place (exact periodicity).  :meth:`partition`
+    initial one) shifted in place (exact periodicity), in every window
+    where :meth:`Scenario.periodic` allows it.  :meth:`partition`
     builds a set's partition on its first read and keeps it while the
     origin stays put.  ``renorm_events`` counts the drift corrections of
     every evolution step so far.
@@ -121,7 +122,7 @@ class SystemUnderObservation:
             if self.origin != n:  # after a mid-window collapse: the remainder only
                 p = born_probabilities(self.origin_state, c)
                 part = build_partition_span(p, self.origin, self.window_end, spec, n)
-            elif cset_id in self.scenario.conserved:
+            elif self.scenario.periodic(cset_id, n):
                 p = born_probabilities(self.base_state, c)
                 part = periodic_extend(build_partition(p, 0, spec), n)
             else:

@@ -18,21 +18,21 @@ import numpy as np
 
 from .hilbert import (
     CONSERVED_TOL,
-    NORM_TOL,
     CommutingSet,
     Hamiltonian,
     QuantumState,
-    is_conserved,
+    born_probabilities,
+    off_diagonal_norm,
+    step,
 )
 from .partition import (
     MEASURE_TOL,
     SchedulerSpec,
     SubInterval,
     WindowPartition,
-    _seal,
-    _tiling,
-    _validated_probabilities,
     active_label,
+    build_partition,
+    periodic_extend,
 )
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "microstate_at",
     "value_function",
     "apply_value_operator",
+    "shift_is_sound",
     "trajectory",
     "dump_trajectory",
 ]
@@ -230,9 +231,12 @@ class Scenario:
             raise ValueError("windows must be at least 1")
 
     @cached_property
-    def conserved(self) -> frozenset[str]:
-        """Ids of the sets whose members all commute with the Hamiltonian."""
-        return frozenset(c.id for c in self.csets if is_conserved(self.hamiltonian, c))
+    def _off_diagonal(self) -> dict[str, float]:
+        return {c.id: off_diagonal_norm(self.hamiltonian, c) for c in self.csets}
+
+    def periodic(self, cset_id: str, window_index: int) -> bool:
+        """Whether window ``window_index`` of a set may reuse window 0's layout, shifted."""
+        return shift_is_sound(self._off_diagonal[cset_id], self.state0.dimension, window_index)
 
     def cset(self, cset_id: str | None = None) -> CommutingSet:
         if cset_id is None:
@@ -258,6 +262,17 @@ class Scenario:
         )
 
 
+def shift_is_sound(eps: float, dimension: int, window_index: int) -> bool:
+    """Whether window 0's layout, shifted to window ``window_index``, still holds.
+
+    ``eps`` is the off-diagonal norm of H in the set's basis.  The set must
+    be conserved (``eps <= CONSERVED_TOL``), and its weights, which drift by
+    at most ``2 d eps`` per window (``|dp_k/du| <= 2 |H_off| <= 2 d eps``),
+    must stay within ``MEASURE_TOL`` of window 0's up to that window.
+    """
+    return eps <= CONSERVED_TOL and 2 * dimension * eps * window_index <= MEASURE_TOL
+
+
 def trajectory(
     state0: QuantumState,
     hamiltonian: Hamiltonian,
@@ -268,56 +283,48 @@ def trajectory(
 ) -> JumpTrajectory:
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
-    One loop over raw arrays: per window, freeze the eigenbasis weights of
-    the current state, tile the window, then step the state with the
-    propagator ``exp(-iH)``, built once and renormalized as in :func:`evolve`.
-    The tilings are concatenated once; each window's partition is a view
-    into the result.  When the set is conserved, the window-0 tiling is
-    reused shifted by the window index (exact periodicity), but only while
-    the weights, which drift by at most ``2 d eps`` per window (``eps`` the
-    off-diagonal norm of H in the set's basis), stay within ``MEASURE_TOL``.
+    Per window: freeze the eigenbasis weights of the current state, build
+    the window layout, then step the state to the next integer boundary
+    with ``exp(-iH)``, built once; the layouts end up back to back in the
+    trajectory's arrays.  When every member observable commutes with the
+    Hamiltonian the weights are constants of motion and the window-0 layout
+    is reused verbatim, shifted by the window index — the layout freedom is
+    resolved in favour of exact periodicity, as long as
+    :func:`shift_is_sound` holds up to the last window.
     """
     if windows < 1:
         raise ValueError("windows must be at least 1")
     if windows > max_windows:
         raise ValueError(f"windows = {windows} exceeds max_windows = {max_windows}")
-    d = state0.dimension
-    if not d == hamiltonian.dimension == cset.dimension:
-        raise ValueError(f"dimension mismatch: state {d}, hamiltonian "
-                         f"{hamiltonian.dimension}, basis {cset.dimension}")
-    drift_tol = MEASURE_TOL / (2 * d * max(windows - 1, 1))
-    periodic = is_conserved(hamiltonian, cset, min(CONSERVED_TOL, drift_tol))
-    u, bh = hamiltonian.propagator(1.0), cset.basis.conj().T
-    psi, states, renorms = state0.amplitudes, [state0], 0
-    probs, tilings = [], []
+    # off_diagonal_norm and born_probabilities reject mismatched dimensions.
+    eps = off_diagonal_norm(hamiltonian, cset)
+    periodic = shift_is_sound(eps, cset.dimension, windows - 1)
+    u = hamiltonian.propagator(1.0)
+    psi, states, partitions, renorms = state0, [state0], [], 0
     for n in range(windows):
-        if periodic and n:
-            probs.append(probs[0])
-            tilings.append(_seal(tilings[0][0] + n, tilings[0][1]))
+        if periodic and partitions:
+            part = periodic_extend(partitions[0], n)
         else:
-            p = _validated_probabilities(np.abs(bh @ psi) ** 2)
-            p.setflags(write=False)  # so each partition keeps it without a copy
-            probs.append(p)
-            tilings.append(_tiling(p, float(n), n + 1.0, scheduler, n))
+            part = build_partition(born_probabilities(psi, cset), n, scheduler)
+        partitions.append(part)
         if n + 1 < windows:
-            psi = u @ psi
-            nrm = float(np.linalg.norm(psi))
-            drifted = abs(nrm - 1.0) > NORM_TOL
-            if drifted:
-                psi = psi / nrm
-            renorms += drifted
-            states.append(QuantumState(psi, renormalized=drifted))
+            psi = step(u, psi)
+            renorms += int(psi.renormalized)
+            states.append(psi)
     # One pair of arrays for the whole trajectory; windows share their
-    # boundary float, so each partition is a view into them.
-    offsets = np.cumsum([0] + [lab.size for _, lab in tilings])
-    bounds = np.concatenate([b[:-1] for b, _ in tilings] + [tilings[-1][0][-1:]])
-    labels = np.concatenate([lab for _, lab in tilings])
+    # boundary float, so each partition becomes a view into them.
+    offsets = np.cumsum([0] + [part.labels.size for part in partitions])
+    bounds = np.concatenate([p.bounds[:-1] for p in partitions] + [partitions[-1].bounds[-1:]])
+    labels = np.concatenate([part.labels for part in partitions])
     for a in (offsets, bounds, labels):
         a.setflags(write=False)
     o = offsets.tolist()
     views = tuple(
-        WindowPartition(n, float(n), n + 1.0, p, bounds[o[n]:o[n + 1] + 1], labels[o[n]:o[n + 1]])
-        for n, p in enumerate(probs)
+        WindowPartition(
+            part.window_index, part.lo, part.hi, part.probabilities,
+            bounds[o[n]:o[n + 1] + 1], labels[o[n]:o[n + 1]],
+        )
+        for n, part in enumerate(partitions)
     )
     return JumpTrajectory(cset, scheduler, bounds, labels, offsets, views, tuple(states), renorms)
 

@@ -252,21 +252,6 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     return p
 
 
-def _tiling(
-    p: np.ndarray, lo: float, hi: float, scheduler: SchedulerSpec, window_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sealed ``(bounds, labels)`` of the span ``(lo, hi]`` for validated ``p``."""
-    widths, labels = _layout(p, window_index, scheduler)
-    # Lay out in relative coordinates, then map onto (lo, hi].  The final
-    # boundary is forced to hi exactly so adjacent windows share floats.
-    bounds = np.zeros(widths.size + 1)
-    np.cumsum(widths, out=bounds[1:])
-    bounds *= hi - lo
-    bounds += lo
-    bounds[-1] = hi
-    return _seal(bounds, labels)
-
-
 def build_partition_span(
     probabilities, lo: float, hi: float, scheduler: SchedulerSpec, window_index: int
 ) -> WindowPartition:
@@ -281,7 +266,15 @@ def build_partition_span(
     if not hi > lo:
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
     p = _validated_probabilities(probabilities)
-    return WindowPartition(window_index, lo, hi, p, *_tiling(p, lo, hi, scheduler, window_index))
+    widths, labels = _layout(p, window_index, scheduler)
+    # Lay out in relative coordinates, then map onto (lo, hi].  The final
+    # boundary is forced to hi exactly so adjacent windows share floats.
+    bounds = np.zeros(widths.size + 1)
+    np.cumsum(widths, out=bounds[1:])
+    bounds *= hi - lo
+    bounds += lo
+    bounds[-1] = hi
+    return WindowPartition(window_index, lo, hi, p, *_seal(bounds, labels))
 
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:

@@ -226,6 +226,22 @@ def test_conserved_measure_then_cross_window_other_set():
     assert dist.total == 50
 
 
+def test_nearly_conserved_set_keeps_born_measures_in_a_late_window():
+    # Coupling 9e-11 passes is_conserved, but by window 5000 the weights have
+    # drifted by 4.5e-7; shifting window 0's layout would keep 0.5.
+    h = Hamiltonian(np.array([[0.0, 9e-11], [9e-11, 0.0]]))
+    sys = advance(start_qubit((1.0, 1j), H=h), 5000.5)
+    p = born_probabilities(sys.origin_state, sigma_z_set())
+    for k in range(2):
+        assert abs(interval_measure(sys.partition("sz"), k) - p[k]) <= 1e-9
+    # Window 2, where the drift bound 2 d eps n is below MEASURE_TOL, still
+    # shifts window 0.
+    early = advance(start_qubit((1.0, 1j), H=h), 2.5).partition("sz")
+    base = start_qubit((1.0, 1j), H=h).partition("sz")
+    assert np.array_equal(early.bounds, base.bounds + 2)
+    assert np.array_equal(early.probabilities, base.probabilities)
+
+
 def test_sequential_order_dependence_against_enumeration():
     sz, sx = sigma_z_set(), sigma_x_set()
     sc = Scenario(

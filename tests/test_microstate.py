@@ -310,9 +310,9 @@ def test_partitions_are_views_into_the_trajectory_arrays():
     assert [ev.label_index for ev in traj.events] == traj.labels.tolist()
 
 
-# The per-window loop the trajectory kernel replaced, kept as its reference:
-# build each window's partition from the Born weights of the evolved state,
-# or shift window 0 when the set is conserved.
+# The per-window loop over the public steps, kept as the reference: build
+# each window's partition from the Born weights of the state evolved with
+# `evolve`, or shift window 0 when the set is conserved.
 def _loop_trajectory(state0, hamiltonian, cset, scheduler, windows):
     conserved = is_conserved(hamiltonian, cset)
     states, partitions, renorms, psi = [state0], [], 0, state0
@@ -350,7 +350,7 @@ def _assert_matches_loop(traj, state0, hamiltonian, cset, scheduler, windows):
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
 @pytest.mark.parametrize("d", [2, 3, 16])
 @pytest.mark.parametrize("conserved", [False, True], ids=["driven", "conserved"])
-def test_trajectory_kernel_equals_per_window_loop(kind, d, conserved):
+def test_trajectory_equals_per_window_loop(kind, d, conserved):
     rng = np.random.default_rng(1000 * d + 10 * conserved + len(kind))
     cs = random_cset(rng, d)
     if conserved:  # diagonal in the set's basis, up to rounding
@@ -367,9 +367,9 @@ def test_trajectory_kernel_equals_per_window_loop(kind, d, conserved):
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
-def test_trajectory_kernel_equals_loop_when_every_step_renormalizes(kind, monkeypatch):
+def test_trajectory_equals_loop_when_every_step_renormalizes(kind, monkeypatch):
     # Natural runs never drift past NORM_TOL, so scale the propagator to make
-    # every step take the renormalization branch, in the kernel and the loop.
+    # every step take the renormalization branch, in the trajectory and the loop.
     exact = Hamiltonian.propagator
     monkeypatch.setattr(Hamiltonian, "propagator", lambda self, du: exact(self, du) * (1 + 1e-7))
     rng = np.random.default_rng(41)
