@@ -57,15 +57,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dump_partition(args) -> int:
-    config = load_config(args.config)
-    if args.csco not in {c.id for c in config.csets}:
+    scenario = load_config(args.config).scenario
+    if args.csco not in {c.id for c in scenario.csets}:
         raise ConfigError(
             f"unknown csco id {args.csco!r}; config defines "
-            + ", ".join(sorted(c.id for c in config.csets))
+            + ", ".join(sorted(c.id for c in scenario.csets))
         )
     if args.window < 0:
         raise ValueError("--window must be non-negative")
-    traj = config.scenario(windows=args.window + 1).build_trajectory(args.csco)
+    traj = scenario.build_trajectory(args.csco, args.window + 1)
     sys.stdout.write(dump_partition(traj.partitions[args.window]))
     return 0
 

@@ -32,7 +32,10 @@ Example::
       windows = 10
     }
 
-See the bundled configs for complete working scenarios.
+Parsing yields a :class:`ScenarioConfig`: its ``scenario`` holds the
+``system`` and ``csco`` blocks as one :class:`~qergo.microstate.Scenario`,
+built once, and its ``experiments`` hold one dataclass per ``experiment``
+block.  See the bundled configs for complete working scenarios.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import ClassVar, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .hilbert import CommutingSet, Hamiltonian, PhysicalScales, QuantumState, make_state
+from .hilbert import CommutingSet, Hamiltonian, PhysicalScales, make_state
 from .microstate import Scenario
 from .partition import SCHEDULER_KINDS, SchedulerSpec
 
@@ -342,26 +345,18 @@ _EXPERIMENT_KINDS = {cls.kind: cls for cls in get_args(Experiment)}
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """A fully validated scenario file, ready to run."""
+    """A fully validated scenario file, ready to run.
+
+    ``scenario`` is the one :class:`Scenario` of the ``system`` and ``csco``
+    blocks; every experiment reads from it.
+    """
 
     scales: PhysicalScales | None
-    state0: QuantumState
-    hamiltonian: Hamiltonian
-    csets: tuple[CommutingSet, ...]
-    schedulers: dict[str, SchedulerSpec]
+    scenario: Scenario
     experiments: tuple[Experiment, ...]
     output_dir: str
     base_dir: Path
     sha256: str
-
-    def scenario(self, windows: int = 1) -> Scenario:
-        return Scenario(
-            state0=self.state0,
-            hamiltonian=self.hamiltonian,
-            csets=self.csets,
-            schedulers=self.schedulers,
-            windows=windows,
-        )
 
 
 def _parse_steps(block: _Block, cset_ids: set[str]) -> tuple[tuple[str, float], ...]:
@@ -478,10 +473,7 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
 
     return ScenarioConfig(
         scales=scales,
-        state0=state0,
-        hamiltonian=hamiltonian,
-        csets=tuple(csets),
-        schedulers=schedulers,
+        scenario=Scenario(state0, hamiltonian, tuple(csets), schedulers),
         experiments=tuple(experiments),
         output_dir=output_dir,
         base_dir=Path(base_dir),

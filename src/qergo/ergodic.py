@@ -90,12 +90,8 @@ def window_average_value(partition: WindowPartition, cset: CommutingSet, member:
     """
     if partition.dimension != cset.dimension:
         raise ValueError("partition and commuting set dimensions differ")
-    if not 0 <= member < cset.n_members:
-        raise ValueError(f"member index {member} out of range ({cset.n_members} members)")
-    terms = [
-        window_average_step(partition, k) * cset.eigenvalues[k][member]
-        for k in range(cset.dimension)
-    ]
+    values = cset.member_values(member)
+    terms = [window_average_step(partition, k) * values[k] for k in range(cset.dimension)]
     return float(math.fsum(terms))
 
 
@@ -143,8 +139,7 @@ def offset_window_average(
     offsets it mixes two consecutive layouts and is the quantity whose
     deviation from the instantaneous expectation exposes the granularity.
     """
-    if not 0 <= member < cset.n_members:
-        raise ValueError(f"member index {member} out of range ({cset.n_members} members)")
+    w = cset.member_values(member)
     if alpha < 0.0 or alpha + 1.0 > traj.windows_covered:
         raise ValueError(
             f"offset window ({alpha}, {alpha + 1}] falls outside the covered span "
@@ -156,7 +151,7 @@ def offset_window_average(
     first = int(np.searchsorted(b[1:], lo, side="right"))
     stop = max(first, int(np.searchsorted(b[:-1], hi, side="left")))
     overlap = np.minimum(b[first + 1:stop + 1], hi) - np.maximum(b[first:stop], lo)
-    values = np.array([ev[member] for ev in cset.eigenvalues])[traj.labels[first:stop]]
+    values = w[traj.labels[first:stop]]
     inside = overlap > 0.0
     return float(math.fsum(overlap[inside] * values[inside]))  # offset window has unit span
 

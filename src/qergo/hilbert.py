@@ -195,11 +195,21 @@ class CommutingSet:
             raise ValueError(f"column index {k} out of range for dimension {self.dimension}")
         return self.basis[:, k].copy()
 
-    def observable_matrix(self, member: int = 0) -> np.ndarray:
-        """Dense matrix of one member observable, sum_k w_k |k><k|."""
+    @cached_property
+    def _member_columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _readonly(np.array([ev[m] for ev in self.eigenvalues])) for m in range(self.n_members)
+        )
+
+    def member_values(self, member: int) -> np.ndarray:
+        """Read-only eigenvalues of one member observable, one per basis column."""
         if not 0 <= member < self.n_members:
             raise ValueError(f"member index {member} out of range ({self.n_members} members)")
-        w = np.array([ev[member] for ev in self.eigenvalues])
+        return self._member_columns[member]
+
+    def observable_matrix(self, member: int = 0) -> np.ndarray:
+        """Dense matrix of one member observable, sum_k w_k |k><k|."""
+        w = self.member_values(member)
         return (self.basis * w) @ self.basis.conj().T
 
 
@@ -285,10 +295,8 @@ def born_probabilities(state: QuantumState, cset: CommutingSet) -> np.ndarray:
 
 def expectation(state: QuantumState, cset: CommutingSet, member: int = 0) -> float:
     """Quantum expectation of one member observable in ``state``."""
-    if member < 0 or member >= cset.n_members:
-        raise ValueError(f"member index {member} out of range ({cset.n_members} members)")
+    w = cset.member_values(member)
     p = born_probabilities(state, cset)
-    w = np.array([ev[member] for ev in cset.eigenvalues])
     return float(p @ w)
 
 

@@ -1,14 +1,17 @@
 """Measurement protocol: outcome extraction, collapse, and global re-partitioning.
 
-A system under observation carries one evolving state plus one live window
-partition per commuting set.  Measuring an observable set at time ``u``
-reads off the label active at ``u`` — the outcome is deterministic once the
+A system under observation carries one evolving state and one measurement
+span: the stretch of the current window from its origin (the window start,
+or the last collapse) to the window's end, with the state frozen at the
+origin.  Every set's partition of the current window is a pure function of
+the span, built on its first read and kept in the span, so one that is
+never read is never built.  Measuring an observable set at time ``u`` reads
+off the label active at ``u`` — the outcome is deterministic once the
 partitions are fixed; randomness enters only through the choice of
 measurement time.  The state then collapses to the outcome eigenvector and
-the remainder of the current window becomes a fresh origin: every set's
-partition of it has sub-interval measures proportional to the collapsed
-state's probabilities over the remaining span.  A partition is built on its
-first read, so one that is never read is never built.
+a new span starts at ``u``: every set's partition of it has sub-interval
+measures proportional to the collapsed state's probabilities over the
+remaining stretch.
 
 All operations are by value: each returns a new system snapshot, so runs
 can be branched, replayed, and compared without interference.
@@ -22,10 +25,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import CommutingSet, Hamiltonian, QuantumState, born_probabilities, evolve
+from .hilbert import CommutingSet, QuantumState, born_probabilities, evolve
 from .microstate import Scenario
 from .partition import (
-    SchedulerSpec,
     WindowPartition,
     active_label,
     build_partition,
@@ -35,6 +37,7 @@ from .partition import (
 
 __all__ = [
     "MeasurementRecord",
+    "Span",
     "SystemUnderObservation",
     "SequenceDistribution",
     "advance",
@@ -62,72 +65,79 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True, eq=False)
+class Span:
+    """The stretch ``(lo, hi]`` of one window that live partitions cover.
+
+    ``state`` is the state frozen at ``lo``, which is the window start or
+    the last collapse time; ``hi`` is the window's end.  ``base`` is the
+    state a conserved set's window-0 layout is built from: the last
+    collapsed state, or the initial one.  ``built`` holds the partitions
+    read so far; snapshots that share a span share them.
+    """
+
+    state: QuantumState
+    lo: float
+    base: QuantumState
+    built: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def window(self) -> int:
+        return math.floor(self.lo)
+
+    @property
+    def hi(self) -> float:
+        return float(self.window) + 1.0
+
+
+@dataclass(frozen=True, eq=False)
 class SystemUnderObservation:
     """Immutable snapshot of a monitored system of ``scenario``.
 
     Every live partition of the current (possibly partial) window is a pure
-    function of the span origin: ``origin_state`` frozen at time ``origin``
-    (the window start, or the last collapse time) in window
-    ``window_index``.  The scenario's conserved sets lay out whole windows
-    as window-0 layouts of ``base_state`` (the last collapsed state, or the
-    initial one) shifted in place (exact periodicity), in every window
-    where :meth:`Scenario.periodic` allows it.  :meth:`partition`
-    builds a set's partition on its first read and keeps it while the
-    origin stays put.  ``renorm_events`` counts the drift corrections of
-    every evolution step so far.
+    function of ``span``.  The scenario's conserved sets lay out whole
+    windows as window-0 layouts of ``span.base`` shifted in place (exact
+    periodicity), in every window where :meth:`Scenario.periodic` allows
+    it.  ``renorm_events`` counts the drift corrections of every evolution
+    step so far.
     """
 
     scenario: Scenario
     state: QuantumState
     current_time: float
-    origin_state: QuantumState
-    origin: float
-    window_index: int
-    base_state: QuantumState
+    span: Span
     history: tuple[MeasurementRecord, ...] = ()
     renorm_events: int = 0
-    # Partitions read so far; init=False so ``replace`` starts a new memo.
-    _built: dict = field(default_factory=dict, init=False, repr=False)
-
-    @classmethod
-    def start(
-        cls,
-        state: QuantumState,
-        hamiltonian: Hamiltonian,
-        csets: tuple[CommutingSet, ...],
-        schedulers: Mapping[str, SchedulerSpec] | None = None,
-    ) -> "SystemUnderObservation":
-        """Set up observation at u = 0, at the start of window 0."""
-        return cls.from_scenario(Scenario(state, hamiltonian, tuple(csets), dict(schedulers or {})))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "SystemUnderObservation":
+        """Set up observation at u = 0, at the start of window 0."""
         s = scenario.state0
-        return cls(scenario, s, 0.0, origin_state=s, origin=0.0, window_index=0, base_state=s)
+        return cls(scenario, s, 0.0, Span(s, 0.0, s))
 
     def cset(self, cset_id: str) -> CommutingSet:
         return self.scenario.cset(cset_id)
 
     @property
-    def window_end(self) -> float:
-        return float(self.window_index) + 1.0
+    def window_index(self) -> int:
+        return self.span.window
 
     def partition(self, cset_id: str) -> WindowPartition:
-        """The live partition of one set, built from the span origin on first read."""
-        part = self._built.get(cset_id)
+        """The live partition of one set, built from the span on first read."""
+        span = self.span
+        part = span.built.get(cset_id)
         if part is None:
             c = self.scenario.cset(cset_id)
             spec = self.scenario.scheduler_for(cset_id)
-            n = self.window_index
-            if self.origin != n:  # after a mid-window collapse: the remainder only
-                p = born_probabilities(self.origin_state, c)
-                part = build_partition_span(p, self.origin, self.window_end, spec, n)
+            n = span.window
+            if span.lo != n:  # after a mid-window collapse: the remainder only
+                p = born_probabilities(span.state, c)
+                part = build_partition_span(p, span.lo, span.hi, spec, n)
             elif self.scenario.periodic(cset_id, n):
-                p = born_probabilities(self.base_state, c)
+                p = born_probabilities(span.base, c)
                 part = periodic_extend(build_partition(p, 0, spec), n)
             else:
-                part = build_partition(born_probabilities(self.origin_state, c), n, spec)
-            self._built[cset_id] = part
+                part = build_partition(born_probabilities(span.state, c), n, spec)
+            span.built[cset_id] = part
         return part
 
     @property
@@ -139,10 +149,11 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     """Evolve the system to ``u_target``, refreezing layouts at each crossing.
 
     Stepping stops at every window boundary on the way: the state is evolved
-    to the boundary, which becomes the origin the next window's partitions
-    are built from, and evolution continues.  Arriving exactly on a boundary
+    to the boundary, which starts the span the next window's partitions are
+    built from, and evolution continues.  Arriving exactly on a boundary
     does not open the next window (the boundary still belongs to the old
-    one).
+    one).  While ``u_target`` stays in the current window the span, and so
+    every partition built so far, carries over unchanged.
     """
     if u_target < sys.current_time:
         raise ValueError(
@@ -151,11 +162,10 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     if u_target == sys.current_time:
         return sys
     state, h = sys.state, sys.scenario.hamiltonian
-    u = sys.current_time
+    u, span = sys.current_time, sys.span
     renorms = sys.renorm_events
-    n, origin_state, origin = sys.window_index, sys.origin_state, sys.origin
     while True:
-        end = float(n) + 1.0
+        end = span.hi
         if u_target <= end:
             state = evolve(state, h, u_target - u)
             renorms += int(state.renormalized)
@@ -164,19 +174,8 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
         state = evolve(state, h, end - u)
         renorms += int(state.renormalized)
         u = end
-        n, origin_state, origin = int(end), state, end
-    out = replace(
-        sys,
-        state=state,
-        current_time=u,
-        origin_state=origin_state,
-        origin=origin,
-        window_index=n,
-        renorm_events=renorms,
-    )
-    if n == sys.window_index:  # same origin, so the same partitions
-        object.__setattr__(out, "_built", sys._built)
-    return out
+        span = Span(state, end, span.base)
+    return replace(sys, state=state, current_time=u, span=span, renorm_events=renorms)
 
 
 def measure(
@@ -186,11 +185,11 @@ def measure(
 
     Advances to ``u``, reads the label active in that set's partition (the
     outcome — deterministic given the partitions), collapses the state to
-    the outcome eigenvector bitwise, makes the collapse the new origin of
-    the remainder of the window, and appends the record.  Every partition
-    is later built from the collapsed state, on its first read.  A
-    measurement exactly on a window boundary starts the next window fresh
-    instead (the remainder is empty).
+    the outcome eigenvector bitwise, starts a new span at ``u`` from the
+    collapsed state, and appends the record.  Every partition is later
+    built from the collapsed state, on its first read.  A measurement
+    exactly on a window boundary starts the next window fresh instead (the
+    remainder is empty).
     """
     here = advance(sys, u)
     c = here.cset(cset_id)  # raises for unknown ids before any state change
@@ -206,16 +205,8 @@ def measure(
         pre_state=pre,
         post_state=post,
     )
-    after = replace(
-        here,
-        state=post,
-        origin_state=post,
-        origin=u,
-        window_index=here.window_index + (u == here.window_end),
-        # Conserved layouts are refrozen from the collapsed state too.
-        base_state=post,
-        history=here.history + (record,),
-    )
+    # Conserved layouts are refrozen from the collapsed state too.
+    after = replace(here, state=post, span=Span(post, u, post), history=here.history + (record,))
     return record, after
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "TrajectoryEvent",
     "JumpTrajectory",
     "Scenario",
+    "MAX_WINDOWS",
     "microstate_at",
     "value_function",
     "apply_value_operator",
@@ -179,10 +180,8 @@ def value_function(
     Piecewise constant in time: the eigenvalue of whichever eigenvector is
     active.  Jumps happen only at interior interval boundaries.
     """
-    if not 0 <= member < cset.n_members:
-        raise ValueError(f"member index {member} out of range ({cset.n_members} members)")
-    k = active_label(partition, u)
-    return cset.eigenvalues[k][member]
+    values = cset.member_values(member)
+    return float(values[active_label(partition, u)])
 
 
 def apply_value_operator(
@@ -273,13 +272,17 @@ def shift_is_sound(eps: float, dimension: int, window_index: int) -> bool:
     return eps <= CONSERVED_TOL and 2 * dimension * eps * window_index <= MEASURE_TOL
 
 
+# Bounds are absolute floats, each off by up to ulp(windows) / 2; this cap
+# keeps every window's measures well within MEASURE_TOL.
+MAX_WINDOWS = 10_000
+
+
 def trajectory(
     state0: QuantumState,
     hamiltonian: Hamiltonian,
     cset: CommutingSet,
     scheduler: SchedulerSpec,
     windows: int,
-    max_windows: int = 10_000,
 ) -> JumpTrajectory:
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
@@ -294,8 +297,8 @@ def trajectory(
     """
     if windows < 1:
         raise ValueError("windows must be at least 1")
-    if windows > max_windows:
-        raise ValueError(f"windows = {windows} exceeds max_windows = {max_windows}")
+    if windows > MAX_WINDOWS:
+        raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")
     # off_diagonal_norm and born_probabilities reject mismatched dimensions.
     eps = off_diagonal_norm(hamiltonian, cset)
     periodic = shift_is_sound(eps, cset.dimension, windows - 1)

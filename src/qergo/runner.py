@@ -2,9 +2,10 @@
 
 Every experiment is computed in memory first; files only touch disk once
 the whole scenario has succeeded.  Any failure, in the computation or in
-the writes, leaves a ``FAILED`` marker naming it; files written before a
-failed write can still sit beside the marker.  Nothing written here
-contains a timestamp — two runs of the same config are byte-identical.
+the writes, leaves a ``FAILED`` marker naming it and removes an earlier
+run's manifest; files written before a failed write can still sit beside
+the marker.  Nothing written here contains a timestamp — two runs of the
+same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .qgrid import (
 __all__ = ["run_scenario", "run_experiment", "FAILURE_MARKER"]
 
 FAILURE_MARKER = "FAILED"
+MANIFEST = "manifest.txt"
 
 # (filename, text) pairs — computed fully before anything is written.
 Artifacts = list[tuple[str, str]]
@@ -62,12 +64,12 @@ def _label_name(label: tuple[int, ...]) -> str:
 
 
 def _run_trajectory(config: ScenarioConfig, exp: TrajectoryExperiment, prefix: str):
-    traj = config.scenario(windows=exp.windows).build_trajectory(exp.cset_id)
+    traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     return [(f"{prefix}.csv", dump_trajectory(traj))], traj.renorm_events
 
 
 def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, prefix: str):
-    traj = config.scenario(windows=exp.windows).build_trajectory(exp.cset_id)
+    traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     dist = sample_born(traj, exp.samples, exp.seed, window=exp.window)
     exact = traj.partitions[exp.window].probabilities
     rows = [
@@ -78,8 +80,8 @@ def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, pref
 
 
 def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, prefix: str):
-    scenario = config.scenario(windows=exp.windows)
-    traj = scenario.build_trajectory(exp.cset_id)
+    scenario = config.scenario
+    traj = scenario.build_trajectory(exp.cset_id, exp.windows)
     est = offset_window_average(traj, exp.alpha, traj.cset, exp.member)
     at_alpha = evolve(scenario.state0, scenario.hamiltonian, exp.alpha)
     exact = expectation(at_alpha, traj.cset, exp.member)
@@ -88,7 +90,7 @@ def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, pr
 
 
 def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
-    traj = config.scenario(windows=exp.windows).build_trajectory(exp.cset_id)
+    traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     corr = sub_tau_correlation(traj, exp.delta, exp.pairs, exp.seed)
     base_windows = int(traj.windows_covered - exp.delta) if exp.delta > 0 else exp.windows
     exact = same_outcome_measure(traj, exp.delta, base_windows)
@@ -98,7 +100,7 @@ def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
 
 def _run_sequential(config: ScenarioConfig, exp: SequentialExperiment, prefix: str):
     histories, renorms = [], 0
-    for sys in sequence_records(config.scenario(), list(exp.steps), exp.runs, exp.seed):
+    for sys in sequence_records(config.scenario, list(exp.steps), exp.runs, exp.seed):
         histories.append(sys.history)
         renorms += sys.renorm_events
     dist = SequenceDistribution.from_runs(exp.steps, histories)
@@ -171,6 +173,8 @@ def _manifest(
 def _write_failure_marker(out_dir: Path, message: str):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # An earlier run's manifest ends "status = ok"; it must not outlive this failure.
+        (out_dir / MANIFEST).unlink(missing_ok=True)
         (out_dir / FAILURE_MARKER).write_text(message + "\n", encoding="utf-8")
     except OSError:
         pass  # the original error matters more than the marker
@@ -185,9 +189,10 @@ def run_scenario(
 
     All experiments are computed before any file is written.  On any
     failure, computing or writing, a ``FAILED`` marker naming the error is
-    left in the output directory and the error is raised again; a failed
-    write can leave the files written before it beside the marker.  Returns
-    the written paths, the manifest last.
+    left in the output directory, an earlier run's manifest is removed and
+    the error is raised again; a failed write can leave the files written
+    before it beside the marker.  Returns the written paths, the manifest
+    last.
     """
     config_path = Path(config_path)
     config = load_config(config_path)
@@ -216,7 +221,7 @@ def run_scenario(
                 path = out / name
                 path.write_text(text, encoding="utf-8")
                 written.append(path)
-        manifest_path = out / "manifest.txt"
+        manifest_path = out / MANIFEST
         manifest_path.write_text(
             _manifest(config, config_path, per_experiment_files),
             encoding="utf-8",

@@ -312,7 +312,7 @@ def _check_measurement_repartition():
     sys0 = SystemUnderObservation.from_scenario(scenario)
     for u in [0.2, 0.45, 0.8]:
         rec, sys1 = measure(sys0, "sz", u)
-        remainder = sys1.window_end - u
+        remainder = sys1.span.hi - u
         for cid in ("sz", "sx"):
             part = sys1.partitions[cid]
             p = born_probabilities(sys1.state, sys1.cset(cid))

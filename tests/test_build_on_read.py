@@ -20,6 +20,7 @@ from qergo.hilbert import (
     is_conserved,
 )
 from qergo.measurement import SystemUnderObservation, advance, measure
+from qergo.microstate import Scenario
 from qergo.partition import (
     SchedulerSpec,
     active_label,
@@ -156,7 +157,7 @@ def _assert_same(sys, ref):
 def test_build_on_read_matches_eager_rules(seed):
     rng = np.random.default_rng(seed)
     state0, h, csets, schedulers = _scenario(rng)
-    sys = SystemUnderObservation.start(state0, h, csets, schedulers)
+    sys = SystemUnderObservation.from_scenario(Scenario(state0, h, csets, schedulers))
     ref = Eager(state0, h, csets, schedulers)
     _assert_same(sys, ref)
     for cid, u in _operations(rng, [c.id for c in csets]):
@@ -174,7 +175,7 @@ def test_build_on_read_matches_eager_rules(seed):
 
 def test_advance_within_window_keeps_partitions_built_before():
     state0, h, csets, schedulers = _scenario(np.random.default_rng(3))
-    sys = SystemUnderObservation.start(state0, h, csets, schedulers)
+    sys = SystemUnderObservation.from_scenario(Scenario(state0, h, csets, schedulers))
     part = sys.partition("r0")
     assert advance(sys, 0.5).partition("r0") is part
     assert advance(sys, 1.5).partition("r0") is not part

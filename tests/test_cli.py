@@ -114,6 +114,22 @@ def test_each_experiment_builds_its_trajectory_once(tmp_path, monkeypatch):
     assert built == [8, 4]
 
 
+def test_config_scenario_is_built_once(tmp_path, monkeypatch):
+    import qergo.microstate as microstate
+
+    measured = []
+    original = microstate.off_diagonal_norm
+
+    def counting(hamiltonian, cset):
+        measured.append(cset.id)
+        return original(hamiltonian, cset)
+
+    monkeypatch.setattr(microstate, "off_diagonal_norm", counting)
+    run_scenario(CONFIG_DIR / "order-dependence.cfg", out_dir=tmp_path)
+    # two sequential blocks share one Scenario, which measures each set once
+    assert sorted(measured) == ["sx", "sz"]
+
+
 def test_failure_leaves_marker_and_no_artifacts(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text(BROKEN_RUN)
@@ -142,6 +158,28 @@ def test_write_failure_leaves_marker(tmp_path):
         run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=out)
     marker = (out / FAILURE_MARKER).read_text()
     assert "01-rabi-sampling.csv" in marker and "old failure" not in marker
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("failure", ["write", "compute"])
+def test_failed_rerun_removes_the_earlier_manifest(tmp_path, failure):
+    out = tmp_path / "out"
+    run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=out)
+    assert (out / "manifest.txt").read_text().endswith("status = ok\n")
+    cfg = CONFIG_DIR / "rabi-born.cfg"
+    if failure == "write":
+        (out / "01-rabi-sampling.csv").unlink()
+        (out / "01-rabi-sampling.csv").mkdir()  # blocks the second artifact
+        expected = OSError
+    else:
+        cfg = tmp_path / "rabi-born.cfg"
+        text = (CONFIG_DIR / "rabi-born.cfg").read_text()
+        assert "  window = 2\n" in text and "  windows = 3\n" in text
+        cfg.write_text(text.replace("  window = 2\n", "  window = 3\n"))
+        expected = ValueError
+    with pytest.raises(expected):
+        run_scenario(cfg, out_dir=out)
+    assert (out / FAILURE_MARKER).exists()
     assert not (out / "manifest.txt").exists()
 
 
@@ -256,7 +294,7 @@ def test_cli_dump_partition_matches_library(capsys):
     assert rc == 0
     got = capsys.readouterr().out
     cfg = load_config(CONFIG_DIR / "rabi-born.cfg")
-    part = cfg.scenario(windows=3).build_trajectory("sz").partitions[2]
+    part = cfg.scenario.build_trajectory("sz", 3).partitions[2]
     assert got == dump_partition(part)
 
 

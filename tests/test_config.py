@@ -50,9 +50,9 @@ experiment {
 
 def test_minimal_text_parses():
     cfg = parse_config_text(MINIMAL)
-    assert cfg.state0.amplitudes.shape == (2,)
-    assert len(cfg.csets) == 1 and cfg.csets[0].id == "sz"
-    assert cfg.schedulers["sz"].kind == "contiguous"  # default when omitted
+    assert cfg.scenario.state0.amplitudes.shape == (2,)
+    assert len(cfg.scenario.csets) == 1 and cfg.scenario.csets[0].id == "sz"
+    assert cfg.scenario.schedulers["sz"].kind == "contiguous"  # default when omitted
     (exp,) = cfg.experiments
     assert isinstance(exp, TrajectoryExperiment)
     assert exp.windows == 3
@@ -62,7 +62,7 @@ def test_minimal_text_parses():
 
 def test_scenario_construction_runs():
     cfg = parse_config_text(MINIMAL)
-    traj = cfg.scenario(windows=2).build_trajectory("sz")
+    traj = cfg.scenario.build_trajectory("sz", 2)
     assert traj.windows_covered == 2
 
 
@@ -89,7 +89,7 @@ def test_sha256_matches_text():
 def test_complex_literals(literal, expected):
     text = MINIMAL.replace("state = 1, 0", f"state = {literal}, 0", 1)
     cfg = parse_config_text(text)
-    amp = complex(cfg.state0.amplitudes[0]) * abs(expected)  # undo normalization
+    amp = complex(cfg.scenario.state0.amplitudes[0]) * abs(expected)  # undo normalization
     assert amp == pytest.approx(expected, abs=1e-12)
 
 
@@ -173,8 +173,8 @@ def test_multi_index_labels():
     text = MINIMAL.replace("labels = (0), (1)", "labels = (0,1), (1,0)")
     text = text.replace("eigenvalues = (1), (-1)", "eigenvalues = (1.5, 2), (-1.5, -2)")
     cfg = parse_config_text(text)
-    assert cfg.csets[0].labels == ((0, 1), (1, 0))
-    assert cfg.csets[0].eigenvalues == ((1.5, 2.0), (-1.5, -2.0))
+    assert cfg.scenario.csets[0].labels == ((0, 1), (1, 0))
+    assert cfg.scenario.csets[0].eigenvalues == ((1.5, 2.0), (-1.5, -2.0))
 
 
 @pytest.mark.parametrize("bad", ["0, 1", "(0), 1", "()", "(0) (1) junk"])
@@ -198,7 +198,7 @@ def test_scheduler_settings_applied():
         "  labels = (0), (1)\n  scheduler {\n    kind = seeded-random\n"
         "    max_subintervals = 3\n    seed = 9\n  }",
     )
-    spec = parse_config_text(text).schedulers["sz"]
+    spec = parse_config_text(text).scenario.schedulers["sz"]
     assert (spec.kind, spec.max_subintervals, spec.seed) == ("seeded-random", 3, 9)
 
 
@@ -259,7 +259,7 @@ def test_comments_and_blank_lines_ignored():
     text = "# leading comment\n\n" + MINIMAL.replace(
         "dimension = 2", "dimension = 2  # trailing comment"
     )
-    assert parse_config_text(text).state0.amplitudes.shape == (2,)
+    assert parse_config_text(text).scenario.state0.amplitudes.shape == (2,)
 
 
 def test_bundled_configs_parse():
@@ -282,7 +282,7 @@ def test_basis_columns_are_eigenvectors():
         "row = 0.7071067811865476, 0.7071067811865476\n"
         "    row = 0.7071067811865476, -0.7071067811865476",
     )
-    cs = parse_config_text(text).csets[0]
+    cs = parse_config_text(text).scenario.csets[0]
     v = cs.basis_vector(1)
     assert np.allclose(v, np.array([1.0, -1.0]) / np.sqrt(2.0))
 
@@ -441,7 +441,7 @@ def _scheduler_text(where: str, body: str) -> str:
 
 def _parsed_scheduler(where: str, body: str) -> SchedulerSpec:
     cfg = parse_config_text(_scheduler_text(where, body))
-    return cfg.schedulers["sz"] if where == "csco" else cfg.experiments[0].scheduler
+    return cfg.scenario.schedulers["sz"] if where == "csco" else cfg.experiments[0].scheduler
 
 
 @pytest.mark.parametrize("where", ["csco", "qgrid"])

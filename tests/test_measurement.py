@@ -25,7 +25,8 @@ RABI = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 def start_qubit(state=(1.0, 0.0), H=H0, csets=None, schedulers=None):
     csets = csets or (sigma_z_set(),)
-    return SystemUnderObservation.start(make_state(list(state)), H, csets, schedulers or {})
+    sc = Scenario(make_state(list(state)), H, csets, schedulers or {})
+    return SystemUnderObservation.from_scenario(sc)
 
 
 def test_advance_same_time_is_identity():
@@ -231,7 +232,7 @@ def test_nearly_conserved_set_keeps_born_measures_in_a_late_window():
     # drifted by 4.5e-7; shifting window 0's layout would keep 0.5.
     h = Hamiltonian(np.array([[0.0, 9e-11], [9e-11, 0.0]]))
     sys = advance(start_qubit((1.0, 1j), H=h), 5000.5)
-    p = born_probabilities(sys.origin_state, sigma_z_set())
+    p = born_probabilities(sys.span.state, sigma_z_set())
     for k in range(2):
         assert abs(interval_measure(sys.partition("sz"), k) - p[k]) <= 1e-9
     # Window 2, where the drift bound 2 d eps n is below MEASURE_TOL, still

@@ -10,6 +10,7 @@ from qergo.hilbert import (
     make_state,
 )
 from qergo.microstate import (
+    MAX_WINDOWS,
     Scenario,
     apply_value_operator,
     dump_trajectory,
@@ -253,8 +254,8 @@ def test_trajectory_guards():
     H = Hamiltonian(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="at least 1"):
         trajectory(s, H, sigma_z_set(), SchedulerSpec(), 0)
-    with pytest.raises(ValueError, match="max_windows"):
-        trajectory(s, H, sigma_z_set(), SchedulerSpec(), 50, max_windows=10)
+    with pytest.raises(ValueError, match="MAX_WINDOWS"):
+        trajectory(s, H, sigma_z_set(), SchedulerSpec(), MAX_WINDOWS + 1)
 
 
 def test_dump_trajectory_format():

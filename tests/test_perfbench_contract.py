@@ -1,22 +1,27 @@
-"""The benchmark's tracer still finds every function its metrics name.
+"""The benchmark still finds everything it uses of qergo.
 
 ``perfbench/tracing.py`` wraps the public functions of qergo's modules (the
 names in each module's ``__all__`` that are functions defined there) and
 reduces the spans to per-layer metrics by ``"layer.function"`` name.  A
 function that is renamed, moved to another module or dropped from
 ``__all__`` is no longer wrapped, and the metrics that name it silently read
-zero.  This test reads the names from the tracer and checks each one.
+zero.  These tests read the names from the tracer and check each one.  They
+also check every name the benchmark imports from qergo, and run its
+known-defect probe, which builds a ``Scenario`` by keyword.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -49,3 +54,44 @@ def test_traced_function_is_public_in_its_layer(name):
     assert attr in module.__all__
     fn = getattr(module, attr)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def _qergo_imports() -> list[tuple[str, str, str | None]]:
+    """(file, module, name) for each qergo import in perfbench; name None for ``import m``."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qergo":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [
+                    (path.name, alias.name, None)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "qergo"
+                ]
+    return found
+
+
+QERGO_IMPORTS = _qergo_imports()
+
+
+def test_perfbench_qergo_imports_were_collected():
+    assert ("checks.py", "qergo", "Scenario") in QERGO_IMPORTS
+
+
+@pytest.mark.parametrize("where,module,name", QERGO_IMPORTS)
+def test_perfbench_qergo_import_resolves(where, module, name):
+    mod = importlib.import_module(module)
+    if name is not None and not hasattr(mod, name):
+        importlib.import_module(f"{module}.{name}")
+
+
+def test_perfbench_probe_passes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(checks)
+        assert checks.probe_known_defect() == (True, "ok")
+    finally:
+        sys.modules.pop("workloads", None)  # imported by checks.py under a bare name
