@@ -41,6 +41,7 @@ block.  See the bundled configs for complete working scenarios.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -150,11 +151,19 @@ def _parse_int(entry: _Entry) -> int:
         raise ConfigError(f"{entry.key!r} expects an integer, got {entry.value!r}", entry.line) from None
 
 
+def _finite(x: float, entry: _Entry) -> float:
+    """``x``, or a ConfigError at the entry's line when it is inf or nan."""
+    if not math.isfinite(x):
+        raise ConfigError(f"{entry.key!r} must be a finite number, got {entry.value!r}", entry.line)
+    return x
+
+
 def _parse_float(entry: _Entry) -> float:
     try:
-        return float(entry.value)
+        x = float(entry.value)
     except ValueError:
         raise ConfigError(f"{entry.key!r} expects a number, got {entry.value!r}", entry.line) from None
+    return _finite(x, entry)
 
 
 def _parse_complex_token(token: str, entry: _Entry) -> complex:
@@ -369,9 +378,10 @@ def _parse_steps(block: _Block, cset_ids: set[str]) -> tuple[tuple[str, float], 
         if cid not in cset_ids:
             raise ConfigError(f"unknown csco id {cid!r} in step", e.line)
         try:
-            steps.append((cid, float(t)))
+            u = float(t)
         except ValueError:
             raise ConfigError(f"bad step time {t!r}", e.line) from None
+        steps.append((cid, _finite(u, e)))
     if not steps:
         raise ConfigError(f"{SequentialExperiment.kind} needs at least one 'step'", block.line)
     return tuple(steps)
@@ -448,7 +458,11 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         _reject_unknown(cblock, {"id", "labels", "eigenvalues"}, {"basis", "scheduler"})
         cid = cblock.one("id").value
         labels = _parse_tuple_list(cblock.one("labels"), int)
-        eigenvalues = _parse_tuple_list(cblock.one("eigenvalues"), float)
+        eig_entry = cblock.one("eigenvalues")
+        eigenvalues = _parse_tuple_list(eig_entry, float)
+        for ev in eigenvalues:
+            for x in ev:
+                _finite(x, eig_entry)
         basis = _parse_matrix(cblock.one_block("basis"), dim)
         try:
             cs = CommutingSet(

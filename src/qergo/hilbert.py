@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,11 @@ __all__ = [
     "off_diagonal_norm",
     "is_conserved",
 ]
+
+
+# |n^2 - 1| <= 1.9 NORM_TOL gives |n - 1| <= 0.95 NORM_TOL, a margin far wider
+# than the rounding by which two ways of summing the squares can differ.
+_NORM_SQ_SLACK = 1.9 * NORM_TOL
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -93,14 +99,20 @@ class QuantumState:
         vec = np.array(self.amplitudes, dtype=np.complex128)
         if vec.ndim != 1 or vec.size < 1:
             raise ValueError("state amplitudes must form a non-empty 1-d vector")
-        if not np.all(np.isfinite(vec.view(np.float64))):
-            raise ValueError("state amplitudes must be finite")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}; "
-                "use make_state() to normalize raw amplitudes"
-            )
+        # One reduction decides the common case: a squared norm within
+        # _NORM_SQ_SLACK of 1 puts the norm well inside NORM_TOL, and a
+        # non-finite or overflowing vector never lands there.  Everything
+        # else takes the full checks, in their order and with their messages.
+        re_im = vec.view(np.float64)
+        if not abs(float(re_im @ re_im) - 1.0) <= _NORM_SQ_SLACK:
+            if not np.all(np.isfinite(re_im)):
+                raise ValueError("state amplitudes must be finite")
+            nrm = float(np.linalg.norm(vec))
+            if abs(nrm - 1.0) > NORM_TOL:
+                raise ValueError(
+                    f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}; "
+                    "use make_state() to normalize raw amplitudes"
+                )
         object.__setattr__(self, "amplitudes", _readonly(vec))
 
     @property
@@ -164,6 +176,8 @@ class CommutingSet:
         arities = {len(lab) for lab in labels} | {len(ev) for ev in eigs}
         if len(arities) != 1 or 0 in arities:
             raise ValueError("labels and eigenvalue tuples must share one positive arity")
+        if not all(math.isfinite(x) for ev in eigs for x in ev):
+            raise ValueError("eigenvalues must be finite")
         object.__setattr__(self, "basis", _readonly(b))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "eigenvalues", eigs)
@@ -235,9 +249,10 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
     @cached_property
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Energies, eigenvectors, and the eigenvectors' adjoint ``v.conj().T``."""
         w, v = np.linalg.eigh(self.matrix)
-        return _readonly(w), _readonly(v)
+        return _readonly(w), _readonly(v), _readonly(v.conj()).T
 
     @property
     def energies(self) -> np.ndarray:
@@ -245,8 +260,8 @@ class Hamiltonian:
 
     def propagator(self, du: float) -> np.ndarray:
         """Unitary ``exp(-i H du)`` built from the cached eigensystem."""
-        w, v = self._eigensystem
-        return (v * np.exp(-1j * w * du)) @ v.conj().T
+        w, v, v_adj = self._eigensystem
+        return (v * np.exp(-1j * w * du)) @ v_adj
 
 
 def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumState:

@@ -20,7 +20,7 @@ can be branched, replayed, and compared without interference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,7 +175,7 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
         renorms += int(state.renormalized)
         u = end
         span = Span(state, end, span.base)
-    return replace(sys, state=state, current_time=u, span=span, renorm_events=renorms)
+    return SystemUnderObservation(sys.scenario, state, u, span, sys.history, renorms)
 
 
 def measure(
@@ -195,7 +195,7 @@ def measure(
     c = here.cset(cset_id)  # raises for unknown ids before any state change
     idx = active_label(here.partition(cset_id), u)
     pre = here.state
-    post = QuantumState(c.basis_vector(idx))
+    post = QuantumState(c.basis[:, idx])
     record = MeasurementRecord(
         time=u,
         cset_id=cset_id,
@@ -206,7 +206,9 @@ def measure(
         post_state=post,
     )
     # Conserved layouts are refrozen from the collapsed state too.
-    after = replace(here, state=post, span=Span(post, u, post), history=here.history + (record,))
+    after = SystemUnderObservation(
+        here.scenario, post, u, Span(post, u, post), here.history + (record,), here.renorm_events
+    )
     return record, after
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,15 @@ class SchedulerSpec:
             raise ValueError(f"offset must lie in [0, 1], got {self.offset}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    @cached_property
+    def _layouts(self) -> dict:
+        """Seeded-random layouts drawn so far, keyed by (weight bytes, window).
+
+        Lives as long as this spec, which a config load builds once; see
+        :func:`_layout`.
+        """
+        return {}
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -209,15 +219,33 @@ def _seeded_random_layout(
     return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
 
+# Most seeded-random layouts one spec keeps for reuse.
+_LAYOUT_MEMO_SIZE = 128
+
+
 def _layout(
     p: np.ndarray, window_index: int, spec: SchedulerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Widths (relative to the span) and labels of the stretches, in time order."""
+    """Widths (relative to the span) and labels of the stretches, in time order.
+
+    A seeded-random layout depends only on the exact weights and the window,
+    and the same weights recur, e.g. after every collapse onto one basis
+    column; the spec keeps up to ``_LAYOUT_MEMO_SIZE`` drawn layouts
+    (read-only) and returns them again for the same key.
+    """
     if spec.kind == "contiguous":
         return _contiguous_layout(p)
     if spec.kind == "two-outcome":
         return _two_outcome_layout(p, spec.offset)
-    return _seeded_random_layout(p, window_index, spec)
+    memo, key = spec._layouts, (p.tobytes(), window_index)
+    layout = memo.get(key)
+    if layout is None:
+        layout = _seeded_random_layout(p, window_index, spec)
+        for a in layout:
+            a.setflags(write=False)
+        if len(memo) < _LAYOUT_MEMO_SIZE:
+            memo[key] = layout
+    return layout
 
 
 def _seal(bounds: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +267,11 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probabilities must form a non-empty 1-d vector")
+    # Two reductions decide the common case: every weight positive (so
+    # finite, and left alone by the clip below) and the sum within
+    # tolerance.  ``p / total`` is ``p`` bitwise when total is 1.0.
+    if p.min() > 0.0 and abs((total := float(p.sum())) - 1.0) <= PROB_SUM_TOL:
+        return p / total
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
     if np.any(p < -1e-12):

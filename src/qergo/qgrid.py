@@ -15,6 +15,7 @@ Only static wavefunctions are handled — no grid dynamics.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,9 +228,25 @@ def parse_grid_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     Returns (positions, complex samples); spacing uniformity is checked by
     the caller via :func:`load_grid`.
     """
+    # np.loadtxt over the same lines splits, skips comments and parses
+    # numbers as the loop below does, in one C pass; whatever it cannot
+    # read (underscores in numbers, non-ASCII digits, bad rows) goes to the
+    # loop, which returns the same arrays or raises the line-numbered error.
+    lines = text.splitlines()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on text without rows
+        try:
+            rows = np.loadtxt(lines, comments="#", ndmin=2)
+        except ValueError:
+            rows = None
+    if rows is not None and rows.shape[0] >= 2 and rows.shape[1] == 3:
+        vals = np.empty(rows.shape[0], dtype=np.complex128)
+        vals.real = rows[:, 1]
+        vals.imag = rows[:, 2]
+        return np.ascontiguousarray(rows[:, 0]), vals
     xs: list[float] = []
     vals: list[complex] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -281,6 +281,33 @@ def test_cli_experiment_without_csco_among_several_exit_2(tmp_path, capsys):
     assert f"line {line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, entry, bad",
+    [
+        ("order-dependence.cfg", "step = sx, 0.7", "step = sx, inf"),
+        ("order-dependence.cfg", "step = sx, 0.7", "step = sx, nan"),
+        ("subtau.cfg", "delta = 0.1", "delta = inf"),
+        ("subtau.cfg", "delta = 0.1", "delta = nan"),
+        ("rabi-born.cfg", "alpha = 1.5", "alpha = nan"),
+        ("rabi-born.cfg", "alpha = 1.5", "alpha = -inf"),
+        ("rabi-born.cfg", "eigenvalues = (1), (-1)", "eigenvalues = (nan), (-1)"),
+        ("rabi-born.cfg", "eigenvalues = (1), (-1)", "eigenvalues = (1), (-inf)"),
+    ],
+)
+def test_cli_non_finite_number_exit_2(tmp_path, capsys, config, entry, bad):
+    text = (CONFIG_DIR / config).read_text()
+    assert entry in text
+    text = text.replace(entry, bad, 1)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["run", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    line = text.splitlines().index("  " + bad) + 1
+    assert f"line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_file_exit_4(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.cfg")])
     assert rc == 4

@@ -324,3 +324,49 @@ def test_sequential_run_across_windows_matches_recorded_digests(tmp_path):
         if p.name != "manifest.txt"
     }
     assert got == SEQUENTIAL_DIGESTS
+
+
+def test_seeded_random_layouts_are_drawn_once_per_config_load(tmp_path, monkeypatch):
+    """A seeded-random layout is drawn once per (exact weights, window) and config load.
+
+    Reading ``hb`` right after a collapse onto an ``sz`` column gives one of
+    four weight vectors in window 0, so one run of the config draws far
+    fewer layouts than it builds.  A second run loads the config again and
+    draws every layout again, and both write the same bytes as a run that
+    keeps no layout at all.
+    """
+    from qergo import partition
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SEQUENTIAL_CFG.replace("step = hb, 1.2", "step = hb, 0.7"), encoding="utf-8")
+    draws, builds = [], []
+    draw, layout = partition._seeded_random_layout, partition._layout
+
+    def counting_draw(p, window_index, spec):
+        draws.append(window_index)
+        return draw(p, window_index, spec)
+
+    def counting_layout(p, window_index, spec):
+        if spec.kind == "seeded-random":
+            builds.append(window_index)
+        return layout(p, window_index, spec)
+
+    monkeypatch.setattr(partition, "_seeded_random_layout", counting_draw)
+    monkeypatch.setattr(partition, "_layout", counting_layout)
+
+    def run(name):
+        draws.clear()
+        builds.clear()
+        written = run_scenario(cfg, tmp_path / name)
+        return len(draws), len(builds), {p.name: p.read_bytes() for p in written}
+
+    first_draws, first_builds, first = run("first")
+    assert first_builds >= 400  # hb is read in every one of the 400 runs
+    assert first_draws < first_builds
+    second_draws, second_builds, second = run("second")
+    assert (second_draws, second_builds) == (first_draws, first_builds)
+
+    monkeypatch.setattr(partition, "_LAYOUT_MEMO_SIZE", 0)
+    unkept_draws, unkept_builds, unkept = run("unkept")
+    assert unkept_draws == unkept_builds == first_builds
+    assert first == second == unkept

@@ -226,3 +226,9 @@ def test_hamiltonian_hermiticity_tolerance_is_absolute_up_to_unit_entries():
     Hamiltonian(np.array([[0.0, 0.5], [0.5 + 0.9e-10, 0.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         Hamiltonian(np.array([[0.0, 0.5], [0.5 + 2e-10, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_commuting_set_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        CommutingSet("sz", np.eye(2), ((0,), (1,)), ((1.0,), (bad,)))

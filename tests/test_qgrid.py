@@ -216,3 +216,113 @@ def test_format_cell_probabilities():
     assert float(row[1]) == 6.0 and float(row[2]) == 7.0
     total = sum(float(ln.split(",")[3]) for ln in lines[1:])
     assert abs(total - 1.0) <= 1e-8
+
+
+def reference_parse_grid_text(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The per-line parser that parse_grid_text's one-pass read replaced."""
+    xs: list[float] = []
+    vals: list[complex] = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"grid line {ln}: expected 3 columns, got {len(parts)}")
+        try:
+            x, re_v, im_v = (float(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"grid line {ln}: non-numeric value in {line!r}") from None
+        xs.append(x)
+        vals.append(complex(re_v, im_v))
+    if len(xs) < 2:
+        raise ValueError("grid needs at least two sample rows")
+    return np.array(xs), np.array(vals, dtype=np.complex128)
+
+
+def grid_outcome(parse, text):
+    """Bits, dtypes and shapes of both arrays, or the exception raised."""
+    try:
+        xs, vals = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return ("raise", type(exc), str(exc))
+    return tuple((a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (xs, vals))
+
+
+def _random_doubles(rng, n):
+    """Doubles from random bit patterns (subnormals and both zeros among them)."""
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0]
+    return np.concatenate([x, special, rng.standard_normal(n)])
+
+
+def _random_grid_text(rng, n_rows):
+    x = _random_doubles(rng, 3 * n_rows)
+    rng.shuffle(x)
+    formats = [repr, lambda v: f"{v:.17e}", lambda v: f"{v:g}", lambda v: f"{v:.3f}"]
+    seps = [" ", "\t", "  ", " \t "]
+    lines = []
+    for row in x[: 3 * (x.size // 3)].reshape(-1, 3).tolist():
+        fmt = formats[int(rng.integers(len(formats)))]
+        sep = seps[int(rng.integers(len(seps)))]
+        line = sep.join(fmt(v) for v in row)
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append("# a comment line")
+        elif roll < 0.1:
+            lines.append("   ")
+        elif roll < 0.15:
+            line = "  " + line + "  # trailing comment"
+        lines.append(line)
+    return "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+
+
+def test_parse_grid_text_equals_line_loop_on_random_reprs():
+    rng = np.random.default_rng(31)
+    for n_rows in (2, 3, 17, 500):
+        for _ in range(5):
+            text = _random_grid_text(rng, n_rows)
+            want = grid_outcome(reference_parse_grid_text, text)
+            assert want[0] != "raise"
+            assert grid_outcome(parse_grid_text, text) == want
+
+
+GRID_TEXTS = [
+    "",
+    "\n\n",
+    "# only a comment\n",
+    "0.0 1.0 0.5\n",
+    "# header\n0.0 1.0 0.5\n\n",
+    "0.0 1.0 0.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5 7.0\n0.5 2.0 -0.5 7.0\n",
+    "0.0 1.0\n0.5 2.0\n",
+    "0.0 1.0 0.5\n0.5 2.0\n",
+    "0.0 1.0 0.5\n0.5 2.0 -0.5 1.0\n",
+    "0.0 x 0.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5\n0.5 2.0 -0.5\n1.0 1e 0.0\n",
+    "0.0 nan inf\n0.5 -inf -nan\n",
+    "0.0 -0.0 -0.0\n0.5 0.0 -0.0\n",
+    "0.0 1_0 0.5\n0.5 2.0 -0.5\n",
+    "0.0 \u0661 0.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5\r\n0.5 2.0 -0.5\r\n",
+    "0.0 1.0 0.5\r0.5 2.0 -0.5\r",
+    "0.0 1.0\x0c0.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5\x0b0.5 2.0 -0.5\n",
+    "0.0\u20031.0\xa00.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0\u20280.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0\x850.5\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5\u2029\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5\x1f\n0.5 2.0 -0.5\n",
+    "0.0 1.0 0.5 # c # d\n#\n0.5 2.0 -0.5#e\n",
+    "0.0 '1.0' 0.5\n0.5 2.0 -0.5\n",
+    '0.0 "1.0" 0.5\n0.5 2.0 -0.5\n',
+    "0.0,1.0,0.5\n0.5,2.0,-0.5\n",
+    "0.0 1.0 0.5\n\x000.5 2.0 -0.5\n",
+]
+
+
+@pytest.mark.parametrize("text", GRID_TEXTS, ids=repr)
+def test_parse_grid_text_equals_line_loop_on_edge_cases(text):
+    assert grid_outcome(parse_grid_text, text) == grid_outcome(reference_parse_grid_text, text)
