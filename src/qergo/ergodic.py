@@ -138,7 +138,13 @@ def offset_window_average(
     numbers this reduces to the ordinary window average; for fractional
     offsets it mixes two consecutive layouts and is the quantity whose
     deviation from the instantaneous expectation exposes the granularity.
+    ``cset`` must have the eigenbasis of the set the trajectory was built for.
     """
+    if cset is not traj.cset and not np.array_equal(cset.basis, traj.cset.basis):
+        raise ValueError(
+            f"commuting set {cset.id!r} does not share the eigenbasis of the "
+            f"trajectory's set {traj.cset.id!r}"
+        )
     w = cset.member_values(member)
     if alpha < 0.0 or alpha + 1.0 > traj.windows_covered:
         raise ValueError(

@@ -48,6 +48,9 @@ __all__ = [
 # than the rounding by which two ways of summing the squares can differ.
 _NORM_SQ_SLACK = 1.9 * NORM_TOL
 
+# Below this norm some squares summed by np.linalg.norm may be subnormal.
+_MIN_PLAIN_NORM = 1e-150
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -119,24 +122,28 @@ class QuantumState:
     def dimension(self) -> int:
         return self.amplitudes.size
 
-    def overlap(self, other: "QuantumState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def make_state(amplitudes) -> QuantumState:
     """Normalize raw amplitudes into a :class:`QuantumState`.
 
     The Euclidean norm of the input is recorded on the result as
     ``input_norm`` so callers can audit how much rescaling happened.
-    Rejects the zero vector.
+    Rejects the zero vector and non-finite amplitudes.
     """
     vec = np.asarray(amplitudes, dtype=np.complex128)
     if vec.ndim != 1 or vec.size < 1:
         raise ValueError("state amplitudes must form a non-empty 1-d vector")
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise ValueError("cannot normalize a zero or non-finite vector")
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(vec))
+    if not _MIN_PLAIN_NORM <= nrm < math.inf:
+        # The unscaled squares overflowed, or underflowed into subnormals
+        # that lose digits: take the norm of vec / max|x| instead.
+        scale = float(np.max(np.maximum(np.abs(vec.real), np.abs(vec.imag))))
+        if scale == 0.0 or not math.isfinite(scale):
+            raise ValueError("cannot normalize a zero or non-finite vector")
+        vec = vec / scale
+        unit = float(np.linalg.norm(vec))
+        return QuantumState(vec / unit, input_norm=scale * unit)
     return QuantumState(vec / nrm, input_norm=nrm)
 
 
@@ -253,10 +260,6 @@ class Hamiltonian:
         """Energies, eigenvectors, and the eigenvectors' adjoint ``v.conj().T``."""
         w, v = np.linalg.eigh(self.matrix)
         return _readonly(w), _readonly(v), _readonly(v.conj()).T
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self._eigensystem[0]
 
     def propagator(self, du: float) -> np.ndarray:
         """Unitary ``exp(-i H du)`` built from the cached eigensystem."""

@@ -306,6 +306,8 @@ def sequence_records(
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     times = [u for _, u in sequence]
+    if not all(math.isfinite(u) for u in times):
+        raise ValueError(f"measurement times must be finite, got {times}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"sequence times must be strictly increasing, got {times}")
     if times[0] <= 0.0:

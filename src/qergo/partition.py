@@ -264,24 +264,24 @@ def _seal(bounds: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _validated_probabilities(probabilities) -> np.ndarray:
+    """The weights as a new read-only vector, renormalized to sum to 1."""
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probabilities must form a non-empty 1-d vector")
     # Two reductions decide the common case: every weight positive (so
     # finite, and left alone by the clip below) and the sum within
     # tolerance.  ``p / total`` is ``p`` bitwise when total is 1.0.
-    if p.min() > 0.0 and abs((total := float(p.sum())) - 1.0) <= PROB_SUM_TOL:
-        return p / total
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite")
-    if np.any(p < -1e-12):
-        raise ValueError(f"probabilities must be non-negative, got min {p.min()!r}")
-    p = np.clip(p, 0.0, None)
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, off 1 by more than {PROB_SUM_TOL}")
-    if total != 1.0:
-        p = p / total
+    if not (p.min() > 0.0 and abs((total := float(p.sum())) - 1.0) <= PROB_SUM_TOL):
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
+        if np.any(p < -1e-12):
+            raise ValueError(f"probabilities must be non-negative, got min {p.min()!r}")
+        p = np.clip(p, 0.0, None)
+        total = float(p.sum())
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, off 1 by more than {PROB_SUM_TOL}")
+    p = p / total
+    p.setflags(write=False)  # WindowPartition keeps it without a copy
     return p
 
 

@@ -95,11 +95,6 @@ class GridWavefunction:
         return int(round(self.compton_wavelength / self.planck_step))
 
     @property
-    def extent(self) -> float:
-        """Position of the last sample node."""
-        return self.origin + (self.samples.size - 1) * self.spacing
-
-    @property
     def n_cells(self) -> int:
         """Number of whole cells covered by the sample range."""
         return (self.samples.size - 1) // self.nodes_per_cell
@@ -107,10 +102,6 @@ class GridWavefunction:
     def cell_edges(self, k: int) -> tuple[float, float]:
         lo = self.origin + k * self.planck_step
         return lo, lo + self.planck_step
-
-    def cell_center(self, k: int) -> float:
-        """Window anchor for cell k: its left edge plus half a cell."""
-        return self.origin + k * self.planck_step + 0.5 * self.planck_step
 
 
 def _window_node_range(wf: GridWavefunction, k: int) -> tuple[int, int]:
@@ -207,10 +198,7 @@ def position_partition(
     Partition label ``j`` stands for the j-th cell of the window;
     :func:`cell_for_label` maps back to absolute cell indices.
     """
-    if wf.renorm_center != k_center:
-        wf = window_renormalize(wf, k_center)
-    pr = cell_probabilities(wf, k_center)
-    return build_partition(pr, window_index, scheduler)
+    return build_partition(cell_probabilities(wf, k_center), window_index, scheduler)
 
 
 def cell_for_label(wf: GridWavefunction, k_center: int, label: int) -> int:
@@ -292,11 +280,9 @@ def format_cell_probabilities(wf: GridWavefunction, k_center: int) -> str:
 
     Columns: cell_index, q_lo, q_hi, probability (repr floats).
     """
-    if wf.renorm_center != k_center:
-        wf = window_renormalize(wf, k_center)
     lines = ["cell_index,q_lo,q_hi,probability"]
-    for k in window_cells(wf, k_center):
+    probabilities = cell_probabilities(wf, k_center).tolist()
+    for k, pr in zip(window_cells(wf, k_center), probabilities):
         lo, hi = wf.cell_edges(k)
-        pr = planck_cell_probability(wf, k)
         lines.append(f"{k},{lo!r},{hi!r},{pr!r}")
     return "\n".join(lines) + "\n"

@@ -13,10 +13,10 @@ from qergo.ergodic import (
     window_average_step,
     window_average_value,
 )
-from qergo.hilbert import Hamiltonian, evolve, expectation, make_state
+from qergo.hilbert import CommutingSet, Hamiltonian, evolve, expectation, make_state
 from qergo.microstate import Scenario, dump_trajectory, trajectory
 from qergo.partition import SchedulerSpec, build_partition, interval_measure
-from qergo.testing import random_cset, random_hamiltonian, random_state, sigma_z_set
+from qergo.testing import random_cset, random_hamiltonian, random_state, sigma_x_set, sigma_z_set
 
 TWO_OUTCOME = SchedulerSpec(kind="two-outcome", offset=0.3)
 
@@ -355,3 +355,15 @@ def test_sub_tau_reads_a_built_trajectory():
     )
     with pytest.raises(ValueError, match="not 'sx'"):
         sub_tau_correlation(traj, 0.3, 1000, seed=4, cset_id="sx")
+
+
+def test_offset_window_average_rejects_another_sets_eigenbasis():
+    rabi = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    traj = trajectory(make_state([1.0, 0.0]), rabi, sigma_z_set(), SchedulerSpec(), 3)
+    with pytest.raises(ValueError, match="'sx'.*'sz'"):
+        offset_window_average(traj, 0.5, sigma_x_set())
+    # Another set on the same eigenbasis weights the same stretches with its own values.
+    own = offset_window_average(traj, 0.5, traj.cset)
+    assert offset_window_average(traj, 0.5, sigma_z_set("z-copy")) == own
+    doubled = CommutingSet("z2", np.eye(2), ((0,), (1,)), ((2.0,), (-2.0,)))
+    assert offset_window_average(traj, 0.5, doubled) == pytest.approx(2.0 * own, abs=1e-15)

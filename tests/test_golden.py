@@ -4,13 +4,14 @@ The SHA-256 of every experiment artifact of ``configs/*.cfg`` is frozen
 here, and so is the SHA-256 of two seeded trajectory dumps, of the exact
 averages read from them, of two long contiguous and two-outcome trajectory
 dumps, of Monte Carlo reads of two more trajectories, and of a sequential
-run whose steps cross windows.
+run whose steps cross windows, and of the ``qergo verify`` report.
 ``manifest.txt`` is left out because it names the numpy version; the
 digests themselves are only checked on the numpy version they were
 recorded with.
 """
 
 import hashlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from qergo.microstate import Scenario, dump_trajectory, trajectory
 from qergo.partition import SchedulerSpec
 from qergo.runner import run_scenario
 from qergo.testing import random_cset, random_hamiltonian, random_state
+from qergo.verify import verify_suite
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECORDED_NUMPY = "2.4.6"
@@ -370,3 +372,15 @@ def test_seeded_random_layouts_are_drawn_once_per_config_load(tmp_path, monkeypa
     unkept_draws, unkept_builds, unkept = run("unkept")
     assert unkept_draws == unkept_builds == first_builds
     assert first == second == unkept
+
+
+VERIFY_DIGEST = "d04ab8772f087225ce3931702134878b032d9093d545bbd28a1536d587356f7d"
+
+
+def test_verify_report_matches_recorded_digest():
+    """Every battery line, worst deviation included, and the summary line."""
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded on numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
+    out = io.StringIO()
+    assert verify_suite(out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == VERIFY_DIGEST

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,42 @@ def test_hamiltonian_hermiticity_tolerance_is_absolute_up_to_unit_entries():
 def test_commuting_set_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValueError, match="eigenvalues must be finite"):
         CommutingSet("sz", np.eye(2), ((0,), (1,)), ((1.0,), (bad,)))
+
+
+@pytest.mark.parametrize(
+    "vec, norm, unit",
+    [
+        ([1e200, 1e200], 1e200 * math.sqrt(2.0), [0.5**0.5, 0.5**0.5]),
+        ([1e154, 1e154], 1e154 * math.sqrt(2.0), [0.5**0.5, 0.5**0.5]),
+        ([1e308 + 1e308j, 0.0], 1e308 * math.sqrt(2.0), [0.5**0.5 + 0.5**0.5 * 1j, 0.0]),
+        ([1e-200, 0.0], 1e-200, [1.0, 0.0]),
+        ([1e-160, 0.0], 1e-160, [1.0, 0.0]),
+        ([3e-170, -4e-170j], 5e-170, [0.6, -0.8j]),
+    ],
+    ids=repr,
+)
+def test_make_state_normalizes_vectors_whose_squares_overflow_or_underflow(vec, norm, unit):
+    s = make_state(vec)
+    assert s.input_norm == pytest.approx(norm, rel=1e-15)
+    assert np.max(np.abs(s.amplitudes - np.array(unit, dtype=complex))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [[0.0, 0.0], [0.0j], [math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf], [complex(0.0, math.inf)]],
+    ids=repr,
+)
+def test_make_state_still_rejects_zero_and_non_finite_vectors(vec):
+    with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
+        make_state(vec)
+
+
+def test_make_state_divides_ordinary_vectors_by_their_plain_norm():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        d = int(rng.integers(1, 9))
+        vec = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 10.0 ** rng.uniform(-140, 150)
+        s = make_state(vec)
+        nrm = np.linalg.norm(vec)
+        assert s.input_norm == nrm
+        assert np.array_equal(s.amplitudes, vec / nrm)

@@ -14,6 +14,7 @@ from qergo.measurement import (
     total_variation,
     format_measurement_log,
     format_sequence_distribution,
+    sequence_records,
 )
 from qergo.microstate import Scenario, trajectory
 from qergo.partition import SchedulerSpec, dump_partition, interval_measure, periodic_extend
@@ -315,3 +316,14 @@ def test_log_and_distribution_formats():
     assert text.splitlines()[0] == "sequence,count,frequency"
     total = sum(int(ln.split(",")[1]) for ln in text.strip().splitlines()[1:])
     assert total == 50
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [[("sz", math.inf)], [("sz", -math.inf)], [("sz", math.nan)], [("sz", 0.5), ("sz", math.inf)]],
+    ids=repr,
+)
+def test_sequence_records_rejects_non_finite_times(sequence):
+    scenario = Scenario(make_state([1.0, 0.0]), RABI, (sigma_z_set(),), {})
+    with pytest.raises(ValueError, match="must be finite"):
+        sequence_records(scenario, sequence, 1, 0)
