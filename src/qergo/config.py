@@ -2,9 +2,9 @@
 
 The format is deliberately small: ``key = value`` pairs and ``name { ... }``
 blocks, one item per line, ``#`` comments.  Complex numbers are written
-``a+bi`` (also ``a``, ``bi``).  Unknown keys and blocks are rejected with
-their line number — silent typos in physics configs are the classic failure
-mode, so parsing is strict.
+``a+bi`` (also ``a``, ``bi``).  Unknown keys and blocks are rejected at
+their line in every block, matrix blocks included — silent typos in physics
+configs are the classic failure mode, so parsing is strict.
 
 Example::
 
@@ -95,25 +95,15 @@ class _Block:
     def blocks(self, name: str) -> list["_Block"]:
         return [it for it in self.items if isinstance(it, _Block) and it.name == name]
 
-    def one(self, key: str, required: bool = True) -> _Entry | None:
-        found = self.entries(key)
+    def one(self, name: str, required: bool = True, block: bool = False):
+        """The one key ``name`` (sub-block, with ``block``); None if optional and absent."""
+        found, what = (self.blocks(name), "block") if block else (self.entries(name), "key")
         if len(found) > 1:
-            raise ConfigError(f"duplicate key {key!r} in block {self.name!r}", found[1].line)
-        if not found:
-            if required:
-                raise ConfigError(f"block {self.name!r} is missing key {key!r}", self.line)
-            return None
-        return found[0]
-
-    def one_block(self, name: str, required: bool = True) -> "_Block | None":
-        found = self.blocks(name)
-        if len(found) > 1:
-            raise ConfigError(f"duplicate block {name!r} inside {self.name!r}", found[1].line)
-        if not found:
-            if required:
-                raise ConfigError(f"block {self.name!r} is missing block {name!r}", self.line)
-            return None
-        return found[0]
+            where = "inside" if block else "in block"
+            raise ConfigError(f"duplicate {what} {name!r} {where} {self.name!r}", found[1].line)
+        if not found and required:
+            raise ConfigError(f"block {self.name!r} is missing {what} {name!r}", self.line)
+        return found[0] if found else None
 
 
 def _parse_tree(text: str) -> _Block:
@@ -149,6 +139,14 @@ def _parse_int(entry: _Entry) -> int:
         return int(entry.value)
     except ValueError:
         raise ConfigError(f"{entry.key!r} expects an integer, got {entry.value!r}", entry.line) from None
+
+
+def _at(line: int, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError raised as a ConfigError at ``line``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from None
 
 
 def _finite(x: float, entry: _Entry) -> float:
@@ -208,10 +206,8 @@ def _parse_tuple_list(entry: _Entry, caster) -> list[tuple]:
 
 
 def _parse_matrix(block: _Block, dimension: int) -> np.ndarray:
+    _reject_unknown(block, {"row"}, set())
     rows = block.entries("row")
-    stray = [it for it in block.items if isinstance(it, _Entry) and it.key != "row"]
-    if stray:
-        raise ConfigError(f"unknown key {stray[0].key!r} in block {block.name!r}", stray[0].line)
     if len(rows) != dimension:
         raise ConfigError(
             f"block {block.name!r} needs {dimension} 'row' entries, found {len(rows)}", block.line
@@ -228,6 +224,7 @@ def _parse_matrix(block: _Block, dimension: int) -> np.ndarray:
 
 
 def _reject_unknown(block: _Block, keys: set[str], blocks: set[str]):
+    """The only unknown-item check; every block passes it before it is read."""
     for it in block.items:
         if isinstance(it, _Entry) and it.key not in keys:
             raise ConfigError(f"unknown key {it.key!r} in block {block.name!r}", it.line)
@@ -261,7 +258,7 @@ def _parse_fields(block: _Block, cls, **given):
             entry = block.one(f.name, required=f.default is MISSING)
             if entry is not None:
                 kwargs[f.name] = _VALUE_PARSERS[f.type](entry)
-    return cls(**kwargs)
+    return _at(block.line, cls, **kwargs)
 
 
 def _parse_scheduler(block: _Block | None) -> SchedulerSpec:
@@ -273,10 +270,7 @@ def _parse_scheduler(block: _Block | None) -> SchedulerSpec:
             f"unknown scheduler kind {e.value!r}; choose from {', '.join(SCHEDULER_KINDS)}",
             e.line,
         )
-    try:
-        return _parse_fields(block, SchedulerSpec)
-    except ValueError as exc:
-        raise ConfigError(str(exc), block.line) from None
+    return _parse_fields(block, SchedulerSpec)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -414,7 +408,7 @@ def _parse_experiment(block: _Block, ordinal: int, cset_ids: set[str]) -> Experi
     if "steps" in field_names:
         given["steps"] = _parse_steps(block, cset_ids)
     if "scheduler" in field_names:
-        given["scheduler"] = _parse_scheduler(block.one_block("scheduler", required=False))
+        given["scheduler"] = _parse_scheduler(block.one("scheduler", required=False, block=True))
     return _parse_fields(block, cls, **given)
 
 
@@ -426,31 +420,22 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     out_entry = root.one("output_dir", required=False)
     output_dir = out_entry.value if out_entry else "out"
 
-    scales = None
-    scales_block = root.one_block("scales", required=False)
-    if scales_block is not None:
-        try:
-            scales = _parse_fields(scales_block, PhysicalScales)
-        except ValueError as exc:
-            raise ConfigError(str(exc), scales_block.line) from None
+    scales_block = root.one("scales", required=False, block=True)
+    scales = None if scales_block is None else _parse_fields(scales_block, PhysicalScales)
 
-    system = root.one_block("system")
+    system = root.one("system", block=True)
     _reject_unknown(system, {"dimension", "state"}, {"hamiltonian"})
-    dim = _parse_int(system.one("dimension"))
+    dim_entry = system.one("dimension")
+    dim = _parse_int(dim_entry)
     if dim < 1:
-        raise ConfigError("dimension must be at least 1", system.one("dimension").line)
+        raise ConfigError("dimension must be at least 1", dim_entry.line)
     state_entry = system.one("state")
     amps = _parse_complex_list(state_entry)
     if len(amps) != dim:
         raise ConfigError(f"state has {len(amps)} amplitudes, expected {dim}", state_entry.line)
-    try:
-        state0 = make_state(amps)
-    except ValueError as exc:
-        raise ConfigError(str(exc), state_entry.line) from None
-    try:
-        hamiltonian = Hamiltonian(_parse_matrix(system.one_block("hamiltonian"), dim))
-    except ValueError as exc:
-        raise ConfigError(str(exc), system.one_block("hamiltonian").line) from None
+    state0 = _at(state_entry.line, make_state, amps)
+    h_block = system.one("hamiltonian", block=True)
+    hamiltonian = _at(h_block.line, Hamiltonian, _parse_matrix(h_block, dim))
 
     csets: list[CommutingSet] = []
     schedulers: dict[str, SchedulerSpec] = {}
@@ -458,32 +443,24 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         _reject_unknown(cblock, {"id", "labels", "eigenvalues"}, {"basis", "scheduler"})
         cid = cblock.one("id").value
         labels = _parse_tuple_list(cblock.one("labels"), int)
-        eig_entry = cblock.one("eigenvalues")
-        eigenvalues = _parse_tuple_list(eig_entry, float)
-        for ev in eigenvalues:
-            for x in ev:
-                _finite(x, eig_entry)
-        basis = _parse_matrix(cblock.one_block("basis"), dim)
-        try:
-            cs = CommutingSet(
-                id=cid, basis=basis, labels=tuple(labels), eigenvalues=tuple(eigenvalues)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), cblock.line) from None
+        eig = cblock.one("eigenvalues")
+        eigenvalues = _parse_tuple_list(eig, lambda p: _finite(float(p), eig))
+        basis = _parse_matrix(cblock.one("basis", block=True), dim)
+        cs = _at(cblock.line, CommutingSet, cid, basis, tuple(labels), tuple(eigenvalues))
         if cid in schedulers:
             raise ConfigError(f"duplicate csco id {cid!r}", cblock.line)
         csets.append(cs)
-        schedulers[cid] = _parse_scheduler(cblock.one_block("scheduler", required=False))
+        schedulers[cid] = _parse_scheduler(cblock.one("scheduler", required=False, block=True))
     if not csets:
-        raise ConfigError("config defines no csco block")
+        raise ConfigError("config defines no csco block", root.line)
 
     experiments = []
     cset_ids = {c.id for c in csets}
     for ordinal, eblock in enumerate(root.blocks("experiment")):
-        experiments.append(_parse_experiment(eblock, ordinal, cset_ids))
-    names = [e.name for e in experiments]
-    if len(set(names)) != len(names):
-        raise ConfigError("experiment ids must be unique across the config")
+        exp = _parse_experiment(eblock, ordinal, cset_ids)
+        if any(e.name == exp.name for e in experiments):
+            raise ConfigError("experiment ids must be unique across the config", eblock.line)
+        experiments.append(exp)
 
     return ScenarioConfig(
         scales=scales,

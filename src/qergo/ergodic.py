@@ -146,7 +146,7 @@ def offset_window_average(
             f"trajectory's set {traj.cset.id!r}"
         )
     w = cset.member_values(member)
-    if alpha < 0.0 or alpha + 1.0 > traj.windows_covered:
+    if not (alpha >= 0.0 and alpha + 1.0 <= traj.windows_covered):  # NaN fails too
         raise ValueError(
             f"offset window ({alpha}, {alpha + 1}] falls outside the covered span "
             f"(0, {traj.windows_covered}]"
@@ -172,9 +172,9 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
     granularity signature; :func:`sub_tau_correlation` is its Monte Carlo
     counterpart.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # NaN fails too
         raise ValueError("delta must be non-negative")
-    if base_windows < 1 or base_windows + delta > traj.windows_covered:
+    if not (base_windows >= 1 and base_windows + delta <= traj.windows_covered):
         raise ValueError("base span plus delta must fit inside the covered windows")
     if delta == 0.0:
         return 1.0
@@ -211,7 +211,7 @@ def sub_tau_correlation(
     enter: the base times are sorted once, the shifted times ``u + delta``
     stay sorted because rounding is monotone, and both are read per stretch.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # NaN fails too
         raise ValueError("delta must be non-negative")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -222,11 +222,11 @@ def sub_tau_correlation(
     else:
         traj = scenario.build_trajectory(cset_id)
     span = traj.windows_covered - delta
-    base_windows = int(math.floor(span))
-    if base_windows < 1:
+    if not span >= 1.0:  # also for an infinite delta, before floor() could overflow
         raise ValueError(
             f"delta = {delta} leaves no whole base window inside {traj.windows_covered} windows"
         )
+    base_windows = int(math.floor(span))
     rng = np.random.default_rng(seed)
     us = base_windows * (1.0 - rng.random(n_pairs))
     us.sort()

@@ -153,8 +153,11 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     built from, and evolution continues.  Arriving exactly on a boundary
     does not open the next window (the boundary still belongs to the old
     one).  While ``u_target`` stays in the current window the span, and so
-    every partition built so far, carries over unchanged.
+    every partition built so far, carries over unchanged.  A non-finite
+    ``u_target`` is rejected before any evolution.
     """
+    if not math.isfinite(u_target):
+        raise ValueError(f"cannot advance to a non-finite time {u_target!r}")
     if u_target < sys.current_time:
         raise ValueError(
             f"cannot advance backward: current u = {sys.current_time}, target {u_target}"
@@ -189,8 +192,15 @@ def measure(
     collapsed state, and appends the record.  Every partition is later
     built from the collapsed state, on its first read.  A measurement
     exactly on a window boundary starts the next window fresh instead (the
-    remainder is empty).
+    remainder is empty).  A second measurement at the instant of the
+    previous one is rejected: the span after a collapse is open at ``u``.
     """
+    last = sys.history[-1] if sys.history else None
+    if last is not None and last.time == u == sys.current_time:
+        raise ValueError(
+            f"cannot measure {cset_id!r} at u = {u!r}: {last.cset_id!r} was measured at "
+            "that instant, and the span after a collapse excludes its start"
+        )
     here = advance(sys, u)
     c = here.cset(cset_id)  # raises for unknown ids before any state change
     idx = active_label(here.partition(cset_id), u)

@@ -134,7 +134,7 @@ class JumpTrajectory:
     def labels_at(self, us: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`label_at` for sampling experiments."""
         us = np.asarray(us, dtype=float)
-        if us.size and (us.min() <= 0.0 or us.max() > self.windows_covered):
+        if us.size and not (us.min() > 0.0 and us.max() <= self.windows_covered):  # NaN fails too
             raise ValueError("sample times must lie in (0, windows_covered]")
         return self.labels[self.bounds[1:].searchsorted(us)]
 

@@ -298,6 +298,8 @@ def build_partition_span(
     """
     if not hi > lo:
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"span bounds must be finite, got ({lo!r}, {hi!r}]")
     p = _validated_probabilities(probabilities)
     widths, labels = _layout(p, window_index, scheduler)
     # Lay out in relative coordinates, then map onto (lo, hi].  The final

@@ -1,5 +1,6 @@
 """Scenario-file parsing: grammar, diagnostics, strictness."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -498,3 +499,82 @@ def test_readme_config_examples_parse():
     assert examples
     for text in examples:
         assert parse_config_text(text).experiments
+
+
+def _every_block_kind() -> str:
+    """MINIMAL plus a scales block, a csco scheduler and one experiment of each kind."""
+    head = MINIMAL[: MINIMAL.index("experiment {")].replace(
+        "  labels = (0), (1)\n", "  labels = (0), (1)\n  scheduler {\n  }\n", 1
+    )
+    experiments = []
+    for kind, _, required, _, _ in EXPERIMENT_KINDS:
+        body = "".join(f"  {k} = {v}\n" for k, v in required.items())
+        extra = "  scheduler {\n  }\n" if kind == "qgrid" else ""
+        experiments.append(f"experiment {{\n  kind = {kind}\n{body}{extra}}}\n")
+    return "scales {\n  tau = 1\n}\n" + head + "".join(experiments)
+
+
+EVERY_BLOCK_KIND = _every_block_kind()
+
+# (case, opener of the block the item goes into, which such opener); None is the root.
+BLOCK_KINDS = [
+    ("root", None, 0),
+    ("scales", "scales {", 0),
+    ("system", "system {", 0),
+    ("hamiltonian", "hamiltonian {", 0),
+    ("csco", "csco {", 0),
+    ("basis", "basis {", 0),
+    ("csco-scheduler", "scheduler {", 0),
+    ("qgrid-scheduler", "scheduler {", 1),
+] + [(f"experiment-{kind}", "experiment {", i) for i, kind in enumerate(KIND_IDS)]
+
+
+def test_every_block_kind_parses_as_written():
+    cfg = parse_config_text(EVERY_BLOCK_KIND)
+    assert [type(e).kind for e in cfg.experiments] == KIND_IDS
+    assert cfg.scales is not None and cfg.experiments[-1].scheduler == SchedulerSpec()
+
+
+@pytest.mark.parametrize("item,what", [("bogus = 1", "key"), ("bogus {\n}", "block")])
+@pytest.mark.parametrize("case,opener,occurrence", BLOCK_KINDS, ids=[row[0] for row in BLOCK_KINDS])
+def test_unknown_item_rejected_at_its_line(case, opener, occurrence, item, what):
+    lines = EVERY_BLOCK_KIND.splitlines()
+    openers = [i for i, ln in enumerate(lines) if ln.strip() == opener]
+    at = 0 if opener is None else openers[occurrence] + 1
+    lines[at:at] = item.splitlines()
+    name = "<root>" if opener is None else opener.removesuffix(" {")
+    message = f"line {at + 1}: unknown {what} 'bogus' in block '{name}'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text("\n".join(lines) + "\n")
+
+
+def test_repeated_experiment_id_rejected_at_the_repeated_block():
+    text = MINIMAL.replace("kind = trajectory", "kind = trajectory\n  id = same")
+    text += "\nexperiment {\n  kind = trajectory\n  id = same\n  windows = 1\n}\n"
+    repeated = [i for i, ln in enumerate(text.splitlines(), start=1) if ln == "experiment {"][1]
+    message = f"line {repeated}: experiment ids must be unique across the config"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
+
+
+def test_config_without_csco_rejected_at_the_root_line():
+    text = MINIMAL[: MINIMAL.index("csco {")] + MINIMAL[MINIMAL.index("experiment {") :]
+    with pytest.raises(ConfigError, match=r"^line 0: config defines no csco block$") as caught:
+        parse_config_text(text)
+    assert caught.value.line == 0
+
+
+def test_every_config_error_in_config_py_carries_a_line():
+    source = (Path(__file__).resolve().parent.parent / "src" / "qergo" / "config.py").read_text()
+    calls = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"
+    ]
+    assert len(calls) >= 20
+    for call in calls:
+        line = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "line"), None
+        )
+        assert line is not None, f"config.py:{call.lineno}: ConfigError without a line"
+        assert not (isinstance(line, ast.Constant) and line.value is None), call.lineno

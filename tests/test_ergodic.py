@@ -367,3 +367,28 @@ def test_offset_window_average_rejects_another_sets_eigenbasis():
     assert offset_window_average(traj, 0.5, sigma_z_set("z-copy")) == own
     doubled = CommutingSet("z2", np.eye(2), ((0,), (1,)), ((2.0,), (-2.0,)))
     assert offset_window_average(traj, 0.5, doubled) == pytest.approx(2.0 * own, abs=1e-15)
+
+
+# NaN compares false with everything, so each range check is written to fail
+# on it; an infinite lag or offset fails the upper bound.
+def test_offset_window_average_rejects_a_nan_offset():
+    traj = stationary_half_scenario(windows=3).build_trajectory()
+    with pytest.raises(ValueError, match="falls outside the covered span"):
+        offset_window_average(traj, math.nan, traj.cset)
+
+
+def test_same_outcome_measure_rejects_a_non_finite_lag_or_base_span():
+    traj = stationary_half_scenario(windows=3).build_trajectory()
+    with pytest.raises(ValueError, match="delta must be non-negative"):
+        same_outcome_measure(traj, math.nan, 2)
+    for delta, base_windows in [(math.inf, 2), (0.5, math.nan)]:
+        with pytest.raises(ValueError, match="must fit inside the covered windows"):
+            same_outcome_measure(traj, delta, base_windows)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf], ids=repr)
+def test_sub_tau_correlation_rejects_a_non_finite_lag(delta):
+    traj = stationary_half_scenario(windows=3).build_trajectory()
+    message = "delta must be non-negative" if math.isnan(delta) else "whole base window"
+    with pytest.raises(ValueError, match=message):
+        sub_tau_correlation(traj, delta, 10, 0)

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -327,3 +330,40 @@ def test_sequence_records_rejects_non_finite_times(sequence):
     scenario = Scenario(make_state([1.0, 0.0]), RABI, (sigma_z_set(),), {})
     with pytest.raises(ValueError, match="must be finite"):
         sequence_records(scenario, sequence, 1, 0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed, instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("u", [math.inf, math.nan], ids=repr)
+def test_advance_and_measure_reject_a_non_finite_time(u):
+    sys = advance(start_qubit(H=RABI), 0.5)
+    for call in (lambda: advance(sys, u), lambda: measure(sys, "sz", u)):
+        with _deadline(5), pytest.raises(ValueError, match=re.escape(f"non-finite time {u!r}")):
+            call()
+
+
+@pytest.mark.parametrize("u", [0.4, 1.0])
+def test_measure_rejects_a_second_measurement_at_the_same_instant(u):
+    sys = start_qubit(state=(0.6, 0.8), H=RABI, csets=(sigma_z_set(), sigma_x_set()))
+    _, after = measure(sys, "sz", u)
+    message = f"cannot measure 'sx' at u = {u!r}: 'sz' was measured at that instant"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        measure(after, "sx", u)
+    with pytest.raises(ValueError, match=re.escape(message.replace("'sx'", "'sz'", 1))):
+        measure(after, "sz", u)
+    later, _ = measure(after, "sx", u + 0.25)
+    assert later.time == u + 0.25 and later.cset_id == "sx"

@@ -463,3 +463,11 @@ def test_trajectory_rejects_mismatched_dimensions(dims):
             random_state(rng, ds), random_hamiltonian(rng, dh), random_cset(rng, dc),
             SchedulerSpec(), 3,
         )
+
+
+def test_labels_at_rejects_a_nan_time():
+    traj = trajectory(
+        make_state([0.6, 0.8]), Hamiltonian(np.zeros((2, 2))), sigma_z_set(), SchedulerSpec(), 3
+    )
+    with pytest.raises(ValueError, match=r"sample times must lie in \(0, windows_covered\]"):
+        traj.labels_at([0.5, float("nan")])

@@ -281,3 +281,11 @@ def test_partition_arrays_are_read_only_and_segments_derived():
         (SubInterval(4.7, 5.0), 2),
     )
     assert p.segments is not p.segments
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(0.0, float("inf")), (float("-inf"), 1.0), (float("-inf"), float("inf"))]
+)
+def test_span_partition_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match=r"span bounds must be finite"):
+        build_partition_span([0.5, 0.5], lo, hi, SchedulerSpec(), window_index=0)
