@@ -123,6 +123,20 @@ class QuantumState:
         return self.amplitudes.size
 
 
+def _unit_state(vec: np.ndarray) -> QuantumState:
+    """A :class:`QuantumState` that holds ``vec`` itself, made read-only.
+
+    For a fresh 1-d complex128 vector whose norm the caller has just found
+    within ``NORM_TOL`` of 1: the constructor would accept it and store a
+    bitwise copy, so its checks and its copy are skipped.
+    """
+    state = object.__new__(QuantumState)
+    object.__setattr__(state, "amplitudes", _readonly(vec))
+    object.__setattr__(state, "input_norm", 1.0)
+    object.__setattr__(state, "renormalized", False)
+    return state
+
+
 def make_state(amplitudes) -> QuantumState:
     """Normalize raw amplitudes into a :class:`QuantumState`.
 
@@ -210,6 +224,20 @@ class CommutingSet:
         except KeyError:
             raise ValueError(f"{self.id!r} has no eigenvector labelled {key}") from None
 
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        """The adjoint basis ``basis.conj().T``, read-only."""
+        return _readonly(self.basis.conj()).T
+
+    @cached_property
+    def eigenstates(self) -> tuple[QuantumState, ...]:
+        """One read-only state per basis column, in column order, built on first use.
+
+        A collapse onto column ``k`` ends on ``eigenstates[k]``, so every
+        collapse onto one eigenvector shares one state object.
+        """
+        return tuple(QuantumState(self.basis[:, k]) for k in range(self.dimension))
+
     def basis_vector(self, k: int) -> np.ndarray:
         """Copy of eigenvector column ``k``."""
         if not 0 <= k < self.dimension:
@@ -231,7 +259,7 @@ class CommutingSet:
     def observable_matrix(self, member: int = 0) -> np.ndarray:
         """Dense matrix of one member observable, sum_k w_k |k><k|."""
         w = self.member_values(member)
-        return (self.basis * w) @ self.basis.conj().T
+        return (self.basis * w) @ self._adjoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,14 +285,23 @@ class Hamiltonian:
 
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Energies, eigenvectors, and the eigenvectors' adjoint ``v.conj().T``."""
+        """``-1j`` times the energies, the eigenvectors, and their adjoint ``v.conj().T``."""
         w, v = np.linalg.eigh(self.matrix)
-        return _readonly(w), _readonly(v), _readonly(v.conj()).T
+        return _readonly(-1j * w), _readonly(v), _readonly(v.conj()).T
+
+    @cached_property
+    def _off_diagonal(self) -> dict:
+        """Off-diagonal norms found so far, keyed by commuting set (by identity).
+
+        See :func:`off_diagonal_norm`.
+        """
+        return {}
 
     def propagator(self, du: float) -> np.ndarray:
         """Unitary ``exp(-i H du)`` built from the cached eigensystem."""
-        w, v, v_adj = self._eigensystem
-        return (v * np.exp(-1j * w * du)) @ v_adj
+        minus_iw, v, v_adj = self._eigensystem
+        # (-1j * w) * du: the products -1j * w * du takes, in its order.
+        return (v * np.exp(minus_iw * du)) @ v_adj
 
 
 def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumState:
@@ -289,16 +326,24 @@ def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumS
 def step(propagator: np.ndarray, state: QuantumState) -> QuantumState:
     """Apply a prebuilt propagator to ``state``, renormalizing as :func:`evolve` does.
 
-    For callers that take many equal steps and build the propagator once.
-    Left out of ``__all__`` so that perfbench's tracer, which wraps the
-    functions listed there, counts a step's time in its caller's span.
+    For callers that take many equal steps and build the propagator once
+    (a complex ``d x d`` matrix, as :meth:`Hamiltonian.propagator` gives).
+    A product within ``NORM_TOL`` of unit norm becomes the new state as it
+    is, without a second norm check or a copy.  Left out of ``__all__`` so
+    that perfbench's tracer, which wraps the functions listed there, counts
+    a step's time in its caller's span.
     """
     psi = propagator @ state.amplitudes
+    # One reduction decides the common case, as in QuantumState: a squared
+    # norm within _NORM_SQ_SLACK of 1 puts np.linalg.norm within NORM_TOL.
+    re_im = psi.view(np.float64)
+    if abs(float(re_im @ re_im) - 1.0) <= _NORM_SQ_SLACK:
+        return _unit_state(psi)
     nrm = float(np.linalg.norm(psi))
-    drifted = abs(nrm - 1.0) > NORM_TOL
-    if drifted:
-        psi = psi / nrm
-    return QuantumState(psi, renormalized=drifted)
+    if abs(nrm - 1.0) <= NORM_TOL:
+        return _unit_state(psi)
+    # Drifted, or not finite: the constructor's checks and messages decide.
+    return QuantumState(psi / nrm, renormalized=True)
 
 
 def born_probabilities(state: QuantumState, cset: CommutingSet) -> np.ndarray:
@@ -307,7 +352,7 @@ def born_probabilities(state: QuantumState, cset: CommutingSet) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: state {state.dimension}, basis {cset.dimension}"
         )
-    amp = cset.basis.conj().T @ state.amplitudes
+    amp = cset._adjoint @ state.amplitudes
     return np.abs(amp) ** 2
 
 
@@ -327,11 +372,29 @@ def commutator_norm(a: CommutingSet, b: CommutingSet, member_a: int = 0, member_
     return float(np.max(np.abs(ma @ mb - mb @ ma)))
 
 
+# Most off-diagonal norms one Hamiltonian keeps for reuse.
+_OFF_DIAGONAL_MEMO_SIZE = 128
+
+
 def off_diagonal_norm(hamiltonian: Hamiltonian, cset: CommutingSet) -> float:
-    """Max-abs off-diagonal entry of the Hamiltonian in the set's eigenbasis."""
+    """Max-abs off-diagonal entry of the Hamiltonian in the set's eigenbasis.
+
+    Both objects are immutable, so the Hamiltonian keeps the norm of up to
+    ``_OFF_DIAGONAL_MEMO_SIZE`` sets and returns it again for the same set.
+    """
+    memo = hamiltonian._off_diagonal
+    eps = memo.get(cset)
+    if eps is None:
+        eps = _off_diagonal_norm(hamiltonian, cset)
+        if len(memo) < _OFF_DIAGONAL_MEMO_SIZE:
+            memo[cset] = eps
+    return eps
+
+
+def _off_diagonal_norm(hamiltonian: Hamiltonian, cset: CommutingSet) -> float:
     if hamiltonian.dimension != cset.dimension:
         raise ValueError("dimension mismatch between hamiltonian and basis")
-    m = cset.basis.conj().T @ hamiltonian.matrix @ cset.basis
+    m = cset._adjoint @ hamiltonian.matrix @ cset.basis
     off = m - np.diag(np.diag(m))
     return float(np.max(np.abs(off)))
 

@@ -188,7 +188,8 @@ def measure(
 
     Advances to ``u``, reads the label active in that set's partition (the
     outcome — deterministic given the partitions), collapses the state to
-    the outcome eigenvector bitwise, starts a new span at ``u`` from the
+    the outcome eigenvector bitwise (the set's one state for it, from
+    :attr:`CommutingSet.eigenstates`), starts a new span at ``u`` from the
     collapsed state, and appends the record.  Every partition is later
     built from the collapsed state, on its first read.  A measurement
     exactly on a window boundary starts the next window fresh instead (the
@@ -205,7 +206,7 @@ def measure(
     c = here.cset(cset_id)  # raises for unknown ids before any state change
     idx = active_label(here.partition(cset_id), u)
     pre = here.state
-    post = QuantumState(c.basis[:, idx])
+    post = c.eigenstates[idx]
     record = MeasurementRecord(
         time=u,
         cset_id=cset_id,

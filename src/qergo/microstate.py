@@ -12,7 +12,6 @@ state at every integer crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -229,13 +228,10 @@ class Scenario:
         if self.windows < 1:
             raise ValueError("windows must be at least 1")
 
-    @cached_property
-    def _off_diagonal(self) -> dict[str, float]:
-        return {c.id: off_diagonal_norm(self.hamiltonian, c) for c in self.csets}
-
     def periodic(self, cset_id: str, window_index: int) -> bool:
         """Whether window ``window_index`` of a set may reuse window 0's layout, shifted."""
-        return shift_is_sound(self._off_diagonal[cset_id], self.state0.dimension, window_index)
+        eps = off_diagonal_norm(self.hamiltonian, self.cset(cset_id))
+        return shift_is_sound(eps, self.state0.dimension, window_index)
 
     def cset(self, cset_id: str | None = None) -> CommutingSet:
         if cset_id is None:

@@ -195,20 +195,28 @@ def _two_outcome_layout(p: np.ndarray, offset: float) -> tuple[np.ndarray, np.nd
     return np.array([w for w, _ in widths]), np.array([k for _, k in widths], dtype=np.intp)
 
 
+_UINT32_END = 2**32
+
+
 def _seeded_random_layout(
     p: np.ndarray, window_index: int, spec: SchedulerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     # Keyed per window so partitions can be rebuilt out of order.  Python
     # floats throughout: `cut - prev` is the double np.diff would give.
-    rng = np.random.default_rng([spec.seed, window_index])
-    integers, uniform, top = rng.integers, rng.uniform, spec.max_subintervals + 1
+    key = [spec.seed, window_index]
+    if 0 <= window_index < _UINT32_END and spec.seed < _UINT32_END:
+        # SeedSequence reads a list of such ints as these uint32 words.
+        key = np.array(key, dtype=np.uint32)
+    rng = np.random.default_rng(key)
+    integers, random, top = rng.integers, rng.random, spec.max_subintervals + 1
     widths: list[float] = []
     labels: list[int] = []
     for k, mass in enumerate(p.tolist()):
         if mass <= 0.0:
             continue
         n = int(integers(1, top))
-        cuts = sorted(uniform(0.0, mass, n - 1).tolist()) if n > 1 else []
+        # rng.uniform(0.0, mass, n - 1) is 0.0 + mass * U: the same doubles.
+        cuts = sorted((mass * random(n - 1)).tolist()) if n > 1 else []
         prev = 0.0
         for cut in cuts + [mass]:
             if (w := cut - prev) > 0.0:
@@ -309,6 +317,10 @@ def build_partition_span(
     bounds *= hi - lo
     bounds += lo
     bounds[-1] = hi
+    # Rounding can carry an interior bound past hi when the last stretches
+    # are slivers; clamped to hi, they collapse and _seal drops them.
+    if bounds[-2] > hi:
+        np.minimum(bounds, hi, out=bounds)
     return WindowPartition(window_index, lo, hi, p, *_seal(bounds, labels))
 
 

@@ -19,8 +19,14 @@ from qergo.measurement import (
     format_sequence_distribution,
     sequence_records,
 )
-from qergo.microstate import Scenario, trajectory
-from qergo.partition import SchedulerSpec, dump_partition, interval_measure, periodic_extend
+from qergo.microstate import Scenario, dump_trajectory, trajectory
+from qergo.partition import (
+    SchedulerSpec,
+    check_partition,
+    dump_partition,
+    interval_measure,
+    periodic_extend,
+)
 from qergo.testing import haar_unitary, sigma_x_set, sigma_z_set
 
 H0 = Hamiltonian(np.zeros((2, 2)))
@@ -367,3 +373,24 @@ def test_measure_rejects_a_second_measurement_at_the_same_instant(u):
         measure(after, "sz", u)
     later, _ = measure(after, "sx", u + 0.25)
     assert later.time == u + 0.25 and later.cset_id == "sx"
+
+
+def test_window_layout_from_born_weights_ends_on_the_window_end():
+    # The last weight, ~1e-18, is below half an ulp of 1: the partial sums of
+    # the others rounded to 1.0000000000000002, which became the last bound.
+    s = make_state([
+        -0.4927687948123542 + 2.187981864530712j,
+        0.385483933892715 + 0.6864987964126616j,
+        1.252592533070883 - 0.36446034394198246j,
+        0.6679124924998421 + 0.7526967264568842j,
+        1.1767172522293345e-09,
+    ])
+    z = CommutingSet("z", np.eye(5), [(k,) for k in range(5)], [(float(k),) for k in range(5)])
+    h = Hamiltonian(np.zeros((5, 5)))
+    scenario = Scenario(state0=s, hamiltonian=h, csets=(z,), schedulers={})
+    part = SystemUnderObservation.from_scenario(scenario).partition("z")
+    assert part.bounds[-1] == 1.0
+    assert check_partition(part) <= 1e-15
+    dump = dump_trajectory(trajectory(s, h, z, SchedulerSpec(), 1))
+    assert "1.0000000000000002" not in dump
+    assert dump.splitlines()[-1] == "0,3,0.878932828562821,1.0,3.0"

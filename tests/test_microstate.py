@@ -471,3 +471,45 @@ def test_labels_at_rejects_a_nan_time():
     )
     with pytest.raises(ValueError, match=r"sample times must lie in \(0, windows_covered\]"):
         traj.labels_at([0.5, float("nan")])
+
+
+# The seeded-random layout as it drew before seeding from uint32 words and
+# scaling rng.random, kept as the reference for the stream it must reproduce.
+def _uniform_seeded_random_layout(p, window_index, spec):
+    rng = np.random.default_rng([spec.seed, window_index])
+    integers, uniform, top = rng.integers, rng.uniform, spec.max_subintervals + 1
+    widths, labels = [], []
+    for k, mass in enumerate(p.tolist()):
+        if mass <= 0.0:
+            continue
+        n = int(integers(1, top))
+        cuts = sorted(uniform(0.0, mass, n - 1).tolist()) if n > 1 else []
+        prev = 0.0
+        for cut in cuts + [mass]:
+            if (w := cut - prev) > 0.0:
+                widths.append(w)
+                labels.append(k)
+            prev = cut
+    order = rng.permutation(len(widths))
+    return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
+
+
+def test_seeded_random_layout_equals_uniform_draw_reference():
+    rng = np.random.default_rng(1212)
+    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3]
+    cases = 0
+    for i in range(2_400):
+        d = 1 + i % 16
+        p = random_probabilities(rng, d)
+        p[rng.random(d) < 0.25] = 0.0  # zero-mass labels draw nothing
+        if i % 50 == 7:
+            p[0] = 5e-324
+        seed = seeds[i % len(seeds)] if i % 3 == 0 else int(rng.integers(0, 2**63))
+        window = (0, 1, 2**32 - 1, 2**32, 2**35)[i % 5] if i % 7 == 0 else int(rng.integers(0, 10_000))
+        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + i % 6, seed=seed)
+        got = _seeded_random_layout(p, window, spec)
+        want = _uniform_seeded_random_layout(p, window, spec)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+        cases += 1
+    assert cases >= 2_000

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qergo.errors import InvariantViolation
 from qergo.partition import (
+    SCHEDULER_KINDS,
     SchedulerSpec,
     SubInterval,
     active_label,
@@ -289,3 +292,32 @@ def test_partition_arrays_are_read_only_and_segments_derived():
 def test_span_partition_rejects_non_finite_bounds(lo, hi):
     with pytest.raises(ValueError, match=r"span bounds must be finite"):
         build_partition_span([0.5, 0.5], lo, hi, SchedulerSpec(), window_index=0)
+
+
+# The partial sums of these weights round past 1 before the sub-ulp last one.
+OVERSHOOTING = [0.3521690750691994, 0.2771775720926887, 0.37065335283811185, 4.661954861284995e-18]
+
+
+def test_layout_ends_on_hi_when_rounding_overshoots_it():
+    p = build_partition(OVERSHOOTING, 0, SchedulerSpec())
+    assert p.bounds[-1] == 1.0 and p.hi == 1.0
+    assert np.all(p.bounds <= 1.0)
+    assert check_partition(p) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=5),
+    tail=st.floats(min_value=1e-30, max_value=1e-16),
+    kind=st.sampled_from(SCHEDULER_KINDS),
+    lo=st.floats(min_value=0.0, max_value=1e3),
+)
+@example(weights=OVERSHOOTING[:-1], tail=OVERSHOOTING[-1], kind="contiguous", lo=0.0)
+def test_layout_with_sub_ulp_trailing_weight_ends_on_hi(weights, tail, kind, lo):
+    w = np.array(weights + [tail])
+    window = math.floor(lo)
+    hi = window + 1.0
+    spec = SchedulerSpec(kind=kind, max_subintervals=3, seed=7)
+    p = build_partition_span(w / w.sum(), lo, hi, spec, window)
+    assert p.bounds[-1] == hi
+    assert check_partition(p) <= 1e-9
