@@ -72,8 +72,9 @@ def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, pref
     traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     dist = sample_born(traj, exp.samples, exp.seed, window=exp.window)
     exact = traj.partitions[exp.window].probabilities
+    stderr = dist.stderr  # a property that rebuilds its dict on every read
     rows = [
-        (exp.name, _label_name(traj.cset.labels[k]), dist.estimate(k), dist.stderr[k], float(exact[k]))
+        (exp.name, _label_name(traj.cset.labels[k]), dist.estimate(k), stderr[k], float(exact[k]))
         for k in range(traj.cset.dimension)
     ]
     return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events
@@ -92,8 +93,7 @@ def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, pr
 def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
     traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     corr = sub_tau_correlation(traj, exp.delta, exp.pairs, exp.seed)
-    base_windows = int(traj.windows_covered - exp.delta) if exp.delta > 0 else exp.windows
-    exact = same_outcome_measure(traj, exp.delta, base_windows)
+    exact = same_outcome_measure(traj, exp.delta, corr.base_windows)
     rows = [(exp.name, f"lag-{exp.delta!r}", corr.same_fraction, corr.stderr, exact)]
     return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events
 

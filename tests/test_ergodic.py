@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qergo.ergodic import (
+    _BLOCK,
+    _READS_PER_STRETCH,
     EmpiricalDistribution,
     format_statistics,
     offset_window_average,
@@ -314,6 +317,21 @@ def scattered_sub_tau(traj, delta, n_pairs, seed):
     return frac, math.sqrt(frac * (1.0 - frac) / n_pairs)
 
 
+def reads_scenario(rng, kind, conserved, d, windows, seed):
+    cs = random_cset(rng, d)
+    if conserved:
+        H = Hamiltonian((cs.basis * rng.standard_normal(d)) @ cs.basis.conj().T)
+    else:
+        H = random_hamiltonian(rng, d)
+    return Scenario(
+        state0=random_state(rng, d),
+        hamiltonian=H,
+        csets=(cs,),
+        schedulers={cs.id: SchedulerSpec(kind=kind, max_subintervals=4, seed=seed)},
+        windows=windows,
+    )
+
+
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
 @pytest.mark.parametrize("conserved", [False, True])
 def test_random_reads_equal_scattered_reference(kind, conserved):
@@ -321,18 +339,7 @@ def test_random_reads_equal_scattered_reference(kind, conserved):
     for trial in range(3):
         d = int(rng.integers(2, 7))
         windows = int(rng.integers(2, 9))
-        cs = random_cset(rng, d)
-        if conserved:
-            H = Hamiltonian((cs.basis * rng.standard_normal(d)) @ cs.basis.conj().T)
-        else:
-            H = random_hamiltonian(rng, d)
-        sc = Scenario(
-            state0=random_state(rng, d),
-            hamiltonian=H,
-            csets=(cs,),
-            schedulers={cs.id: SchedulerSpec(kind=kind, max_subintervals=4, seed=trial)},
-            windows=windows,
-        )
+        sc = reads_scenario(rng, kind, conserved, d, windows, seed=trial)
         traj = sc.build_trajectory()
         for n in (1, 2, 10**5):
             seed = int(rng.integers(1 << 30))
@@ -345,6 +352,64 @@ def test_random_reads_equal_scattered_reference(kind, conserved):
                     est = sub_tau_correlation(source, delta, n, seed)
                     assert (est.same_fraction, est.stderr) == want, (trial, n, delta)
                     assert est.n_pairs == n
+
+
+# The reads are drawn and counted in blocks of _BLOCK; counts on either side
+# of a block edge, and several blocks with a ragged last one, must give the
+# one-shot results bit for bit.
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+@pytest.mark.parametrize("conserved", [False, True])
+def test_random_reads_at_block_edges_equal_one_shot_reads(kind, conserved):
+    rng = np.random.default_rng(["contiguous", "two-outcome", "seeded-random"].index(kind) + 10 * conserved + 100)
+    traj = reads_scenario(rng, kind, conserved, d=int(rng.integers(2, 7)), windows=5, seed=7).build_trajectory()
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        seed = int(rng.integers(1 << 30))
+        for window in (0, 4):
+            got = sample_born(traj, n, seed, window=window).counts
+            assert got == scattered_sample_born(traj, n, seed, window), (n, window)
+        for delta in (0.0, 0.1, float(rng.random()), 4.0):
+            est = sub_tau_correlation(traj, delta, n, seed)
+            assert (est.same_fraction, est.stderr) == scattered_sub_tau(traj, delta, n, seed), (n, delta)
+
+
+# A long trajectory's sub-tau blocks hold _READS_PER_STRETCH reads per
+# stretch, more than _BLOCK; the results stay those of the one-shot reads.
+@pytest.mark.parametrize("conserved", [False, True])
+def test_sub_tau_blocks_of_a_long_trajectory_equal_one_shot_reads(conserved):
+    rng = np.random.default_rng(200 + conserved)
+    traj = reads_scenario(rng, "seeded-random", conserved, d=16, windows=150, seed=9).build_trajectory()
+    block = _READS_PER_STRETCH * traj.labels.size
+    assert block > _BLOCK
+    for n in (block - 1, block, block + 1, 2 * block + 7):
+        seed = int(rng.integers(1 << 30))
+        for delta in (0.1, float(rng.random()), 149.0):
+            est = sub_tau_correlation(traj, delta, n, seed)
+            assert (est.same_fraction, est.stderr) == scattered_sub_tau(traj, delta, n, seed), (n, delta)
+
+
+# Four million reads held at once take 32 MB per float array; in blocks the
+# traced peak stays near a few blocks whatever the read count.
+def test_random_reads_memory_does_not_grow_with_the_read_count():
+    rng = np.random.default_rng(13)
+    traj = reads_scenario(rng, "seeded-random", True, d=16, windows=126, seed=3).build_trajectory()
+    n = 4_000_000
+    for read in (
+        lambda: sample_born(traj, n, seed=5, window=60),
+        lambda: sub_tau_correlation(traj, 0.1, n, seed=6),
+    ):
+        tracemalloc.start()
+        try:
+            read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
+def test_sub_tau_reports_the_base_span_it_sampled():
+    traj = stationary_half_scenario(windows=4).build_trajectory()
+    for delta, base_windows in [(0.0, 4), (0.5, 3), (1.0, 3), (2.9, 1)]:
+        assert sub_tau_correlation(traj, delta, 10, seed=0).base_windows == base_windows
 
 
 def test_sub_tau_reads_a_built_trajectory():
