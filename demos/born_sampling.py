@@ -29,9 +29,10 @@ dist = sample_born(traj, SAMPLES, seed=SEED + 1, window=1)
 exact = born_probabilities(traj.states[1], cset)
 print(f"{SAMPLES} uniform reads in window 1, dimension {DIM}")
 print("\nlabel  estimate    stderr      |<O_k|psi>|^2   pulls")
+stderr = dist.stderr
 for k in range(DIM):
     est = dist.estimate(k)
-    se = dist.stderr[k]
+    se = stderr[k]
     pulls = (est - exact[k]) / se if se > 0 else 0.0
     print(f"  {k}    {est:.6f}   {se:.6f}    {exact[k]:.6f}      {pulls:+.2f}")
 

@@ -399,11 +399,11 @@ def _off_diagonal_norm(hamiltonian: Hamiltonian, cset: CommutingSet) -> float:
     return float(np.max(np.abs(off)))
 
 
-def is_conserved(hamiltonian: Hamiltonian, cset: CommutingSet, tol: float = CONSERVED_TOL) -> bool:
+def is_conserved(hamiltonian: Hamiltonian, cset: CommutingSet) -> bool:
     """Whether every member observable commutes with the Hamiltonian.
 
     True exactly when the Hamiltonian is diagonal in the joint eigenbasis
-    (up to ``tol``), in which case eigenbasis weights are constants of
-    motion and window layouts can be chosen periodic.
+    (up to ``CONSERVED_TOL``), in which case eigenbasis weights are
+    constants of motion and window layouts can be chosen periodic.
     """
-    return off_diagonal_norm(hamiltonian, cset) <= tol
+    return off_diagonal_norm(hamiltonian, cset) <= CONSERVED_TOL

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .hilbert import CommutingSet, QuantumState, born_probabilities, evolve
-from .microstate import Scenario
+from .microstate import Scenario, shift_is_sound
 from .partition import (
     WindowPartition,
     active_label,
@@ -94,11 +94,11 @@ class SystemUnderObservation:
     """Immutable snapshot of a monitored system of ``scenario``.
 
     Every live partition of the current (possibly partial) window is a pure
-    function of ``span``.  The scenario's conserved sets lay out whole
-    windows as window-0 layouts of ``span.base`` shifted in place (exact
-    periodicity), in every window where :meth:`Scenario.periodic` allows
-    it.  ``renorm_events`` counts the drift corrections of every evolution
-    step so far.
+    function of ``span``.  A whole window where a set passes
+    :func:`~qergo.microstate.shift_is_sound` is window 0's layout of
+    ``span.base`` shifted in place, as in a trajectory (bitwise that
+    trajectory's window while ``span.base`` is the initial state).
+    ``renorm_events`` counts the drift corrections of every step so far.
     """
 
     scenario: Scenario
@@ -132,7 +132,7 @@ class SystemUnderObservation:
             if span.lo != n:  # after a mid-window collapse: the remainder only
                 p = born_probabilities(span.state, c)
                 part = build_partition_span(p, span.lo, span.hi, spec, n)
-            elif self.scenario.periodic(cset_id, n):
+            elif shift_is_sound(self.scenario.hamiltonian, c, n):
                 p = born_probabilities(span.base, c)
                 part = periodic_extend(build_partition(p, 0, spec), n)
             else:

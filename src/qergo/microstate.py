@@ -228,11 +228,6 @@ class Scenario:
         if self.windows < 1:
             raise ValueError("windows must be at least 1")
 
-    def periodic(self, cset_id: str, window_index: int) -> bool:
-        """Whether window ``window_index`` of a set may reuse window 0's layout, shifted."""
-        eps = off_diagonal_norm(self.hamiltonian, self.cset(cset_id))
-        return shift_is_sound(eps, self.state0.dimension, window_index)
-
     def cset(self, cset_id: str | None = None) -> CommutingSet:
         if cset_id is None:
             if len(self.csets) != 1:
@@ -257,15 +252,18 @@ class Scenario:
         )
 
 
-def shift_is_sound(eps: float, dimension: int, window_index: int) -> bool:
-    """Whether window 0's layout, shifted to window ``window_index``, still holds.
+def shift_is_sound(hamiltonian: Hamiltonian, cset: CommutingSet, window_index: int) -> bool:
+    """Whether window ``window_index`` of ``cset`` may reuse window 0's layout, shifted.
 
-    ``eps`` is the off-diagonal norm of H in the set's basis.  The set must
-    be conserved (``eps <= CONSERVED_TOL``), and its weights, which drift by
-    at most ``2 d eps`` per window (``|dp_k/du| <= 2 |H_off| <= 2 d eps``),
-    must stay within ``MEASURE_TOL`` of window 0's up to that window.
+    ``eps`` is the off-diagonal norm of H in the set's basis, memoized per
+    Hamiltonian and set.  The set must be conserved (``eps <= CONSERVED_TOL``),
+    and its weights, which drift by at most ``2 d eps`` per window
+    (``|dp_k/du| <= 2 |H_off| <= 2 d eps``), must stay within ``MEASURE_TOL``
+    of window 0's up to that window.  The answer depends on that window
+    alone, and once false it stays false for every later window.
     """
-    return eps <= CONSERVED_TOL and 2 * dimension * eps * window_index <= MEASURE_TOL
+    eps = off_diagonal_norm(hamiltonian, cset)
+    return eps <= CONSERVED_TOL and 2 * cset.dimension * eps * window_index <= MEASURE_TOL
 
 
 # Bounds are absolute floats, each off by up to ulp(windows) / 2; this cap
@@ -288,20 +286,20 @@ def trajectory(
     trajectory's arrays.  When every member observable commutes with the
     Hamiltonian the weights are constants of motion and the window-0 layout
     is reused verbatim, shifted by the window index — the layout freedom is
-    resolved in favour of exact periodicity, as long as
-    :func:`shift_is_sound` holds up to the last window.
+    resolved in favour of exact periodicity — in every window where
+    :func:`shift_is_sound` holds.  So a window's layout does not depend on
+    how many windows are asked for.
     """
     if windows < 1:
         raise ValueError("windows must be at least 1")
     if windows > MAX_WINDOWS:
         raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")
     # off_diagonal_norm and born_probabilities reject mismatched dimensions.
-    eps = off_diagonal_norm(hamiltonian, cset)
-    periodic = shift_is_sound(eps, cset.dimension, windows - 1)
+    off_diagonal_norm(hamiltonian, cset)
     u = hamiltonian.propagator(1.0)
     psi, states, partitions, renorms = state0, [state0], [], 0
     for n in range(windows):
-        if periodic and partitions:
+        if partitions and shift_is_sound(hamiltonian, cset, n):
             part = periodic_extend(partitions[0], n)
         else:
             part = build_partition(born_probabilities(psi, cset), n, scheduler)

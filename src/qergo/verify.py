@@ -173,8 +173,8 @@ def _check_long_horizon():
     """Each window's measures against the Born weights of its own window-start state.
 
     Generic couplings, and couplings so weak that the set passes
-    ``is_conserved`` while its weights still drift by far more than 1e-9
-    over 2000 windows.
+    ``is_conserved`` while its weights drift by far more than 1e-9 over
+    2000 windows; it shifts window 0 only where ``shift_is_sound`` holds.
     """
     sx = Hamiltonian(np.array([[0.0, 9e-11], [9e-11, 0.0]]))
     cases = [("sigma_y state, H = 9e-11 sigma_x", make_state([1.0, 1.0j]), sx, sigma_z_set())]

@@ -325,6 +325,52 @@ def test_cli_dump_partition_matches_library(capsys):
     assert got == dump_partition(part)
 
 
+WEAKLY_COUPLED = """
+system {
+  dimension = 2
+  state = 0.6, 0.8
+  hamiltonian {
+    row = 0, 1e-11
+    row = 1e-11, 0
+  }
+}
+csco {
+  id = sz
+  basis {
+    row = 1, 0
+    row = 0, 1
+  }
+  labels = (0), (1)
+  eigenvalues = (1), (-1)
+  scheduler {
+    kind = seeded-random
+    max_subintervals = 3
+    seed = 4
+  }
+}
+experiment {
+  kind = trajectory
+  id = weak
+  windows = 40
+}
+"""
+
+
+def test_cli_dump_partition_agrees_with_a_longer_trajectory_run(tmp_path, capsys):
+    # The coupling passes is_conserved, and the shift stays sound up to
+    # window 25: window 5 is window 0's layout shifted whether a run asks for
+    # 6 windows (dump-partition) or 40 (the trajectory artifact).
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text(WEAKLY_COUPLED)
+    assert main(["dump-partition", str(cfg), "--window", "5", "--csco", "sz"]) == 0
+    dumped = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    run_scenario(cfg, out_dir=tmp_path / "out")
+    rows = (tmp_path / "out" / "00-weak.csv").read_text().splitlines()[1:]
+    window5 = [row.split(",")[:4] for row in rows if row.startswith("5,")]
+    assert len(dumped) > 1
+    assert dumped == window5
+
+
 def test_cli_dump_partition_unknown_csco_exit_2(capsys):
     rc = main(
         ["dump-partition", str(CONFIG_DIR / "minimal.cfg"), "--window", "0", "--csco", "qq"]

@@ -374,7 +374,7 @@ def test_seeded_random_layouts_are_drawn_once_per_config_load(tmp_path, monkeypa
     assert first == second == unkept
 
 
-VERIFY_DIGEST = "d04ab8772f087225ce3931702134878b032d9093d545bbd28a1536d587356f7d"
+VERIFY_DIGEST = "ebfd955114cf32c31842cd8c0cb80f4bdaff4a4a0780ddc1a991464bd2b9605d"
 
 
 def test_verify_report_matches_recorded_digest():

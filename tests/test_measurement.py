@@ -253,6 +253,23 @@ def test_nearly_conserved_set_keeps_born_measures_in_a_late_window():
     assert np.array_equal(early.probabilities, base.probabilities)
 
 
+@pytest.mark.parametrize("n", [2, 25])
+def test_a_sound_shifted_window_is_the_trajectorys_window(n):
+    # 2 d eps n <= MEASURE_TOL holds up to window 25 for d = 2, eps = 1e-11,
+    # so a 40-window trajectory shifts window 0 there, as the protocol does.
+    sc = Scenario(
+        make_state([0.6, 0.8]),
+        Hamiltonian(np.array([[0.0, 1e-11], [1e-11, 0.0]])),
+        (sigma_z_set(),),
+        {"sz": SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=4)},
+    )
+    got = advance(SystemUnderObservation.from_scenario(sc), n + 0.5).partition("sz")
+    want = sc.build_trajectory("sz", 40).partitions[n]
+    assert (got.window_index, got.lo, got.hi) == (want.window_index, want.lo, want.hi)
+    for name in ("bounds", "labels", "probabilities"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_sequential_order_dependence_against_enumeration():
     sz, sx = sigma_z_set(), sigma_x_set()
     sc = Scenario(

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qergo.hilbert import (
+    CONSERVED_TOL,
     CommutingSet,
     Hamiltonian,
     born_probabilities,
     evolve,
     is_conserved,
     make_state,
+    off_diagonal_norm,
 )
 from qergo.microstate import (
     MAX_WINDOWS,
@@ -15,6 +17,7 @@ from qergo.microstate import (
     apply_value_operator,
     dump_trajectory,
     microstate_at,
+    shift_is_sound,
     trajectory,
     value_function,
 )
@@ -438,6 +441,35 @@ def test_nearly_conserved_trajectory_keeps_born_measures_over_a_long_horizon():
     for n, part in enumerate(short.partitions):
         assert np.array_equal(part.bounds, short.partitions[0].bounds + n)
         assert part.probabilities is short.partitions[0].probabilities
+
+
+def _weakly_coupled(d):
+    """A state, an H that passes is_conserved but drifts, and a set, in dimension d."""
+    if d == 2:
+        h = Hamiltonian(np.array([[0.0, 1e-11], [1e-11, 0.0]]))
+        return make_state([0.6, 0.8]), h, sigma_z_set()
+    rng = np.random.default_rng(77)
+    cs, h = random_cset(rng, d), random_hamiltonian(rng, d)
+    h = Hamiltonian(h.matrix * (1e-11 / off_diagonal_norm(h, cs)))
+    return random_state(rng, d), h, cs
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_windows_layout_does_not_depend_on_how_many_windows_follow(kind, d):
+    s, h, cs = _weakly_coupled(d)
+    assert 0.0 < off_diagonal_norm(h, cs) <= CONSERVED_TOL
+    sound = [shift_is_sound(h, cs, n) for n in range(40)]
+    assert all(sound[:6]) and not sound[-1]  # the shift stops being sound in between
+    spec = SchedulerSpec(kind=kind, max_subintervals=3, seed=4, offset=0.3)
+    short, long = trajectory(s, h, cs, spec, 6), trajectory(s, h, cs, spec, 40)
+    for a, b in zip(short.partitions, long.partitions):
+        for name in ("bounds", "labels", "probabilities"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    for traj in (short, long):
+        base = traj.partitions[0].probabilities
+        for n, part in enumerate(traj.partitions):
+            assert (part.probabilities is base) == sound[n]
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])

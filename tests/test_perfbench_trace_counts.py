@@ -5,9 +5,9 @@ evolutions through ``evolve``, layouts through the partition builders,
 measurements through ``measure``.  A lean path that skipped one of them
 would make its work vanish from the per-layer metrics instead of making it
 cheaper.  These tests install the tracer in-process around a small driven
-measurement sequence and a small driven trajectory and check the counts that
-the call structure fixes, and that every partition they returned passes its
-audit.
+measurement sequence, a small driven trajectory and a weakly coupled one that
+shifts only its early windows, and check the counts that the call structure
+fixes, and that every partition they returned passes its audit.
 """
 
 import importlib.util
@@ -83,4 +83,18 @@ def test_tracer_counts_every_window_of_a_driven_trajectory(tracing):
     assert metrics["partition.build.calls"] == 6
     assert metrics["partition.extend.calls"] == 0
     assert metrics["microstate.events"] == metrics["partition.segments"] > 0
+    assert 0.0 <= err <= MEASURE_TOL
+
+
+def test_tracer_counts_shifted_and_built_windows_of_a_weakly_coupled_trajectory(tracing):
+    # H = 1e-11 sigma_x passes is_conserved, and the shift of window 0 stays
+    # sound up to window 25: windows 1-25 are shifted, 26-39 built afresh.
+    h = Hamiltonian(np.array([[0.0, 1e-11], [1e-11, 0.0]]))
+    spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=4)
+    state = make_state([0.6, 0.8])
+    metrics, err = _traced(
+        tracing, lambda: qergo.microstate.trajectory(state, h, sigma_z_set(), spec, 40)
+    )
+    assert metrics["partition.extend.calls"] == 25
+    assert metrics["partition.build.calls"] == 1 + 14
     assert 0.0 <= err <= MEASURE_TOL
