@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +66,11 @@ class EmpiricalDistribution:
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
 
-    @property
+    @cached_property
     def estimates(self) -> dict[int, float]:
         return {k: c / self.total for k, c in self.counts.items()}
 
-    @property
+    @cached_property
     def stderr(self) -> dict[int, float]:
         out = {}
         for k, c in self.counts.items():

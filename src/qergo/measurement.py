@@ -21,19 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import CommutingSet, QuantumState, born_probabilities, evolve
-from .microstate import Scenario, shift_is_sound
-from .partition import (
-    WindowPartition,
-    active_label,
-    build_partition,
-    build_partition_span,
-    periodic_extend,
-)
+from .hilbert import CommutingSet, QuantumState, evolve
+from .microstate import LayoutBase, Scenario, span_partition
+from .partition import WindowPartition, active_label
 
 __all__ = [
     "MeasurementRecord",
@@ -70,14 +65,16 @@ class Span:
 
     ``state`` is the state frozen at ``lo``, which is the window start or
     the last collapse time; ``hi`` is the window's end.  ``base`` is the
-    state a conserved set's window-0 layout is built from: the last
-    collapsed state, or the initial one.  ``built`` holds the partitions
-    read so far; snapshots that share a span share them.
+    :class:`~qergo.microstate.LayoutBase` of the last collapsed state, or
+    of the initial one: it keeps the window-0 layouts that a conserved
+    set's whole windows shift, so each is built once however many windows
+    and runs shift it.  ``built`` holds the partitions read so far;
+    snapshots that share a span share them.
     """
 
     state: QuantumState
     lo: float
-    base: QuantumState
+    base: LayoutBase
     built: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -94,10 +91,9 @@ class SystemUnderObservation:
     """Immutable snapshot of a monitored system of ``scenario``.
 
     Every live partition of the current (possibly partial) window is a pure
-    function of ``span``.  A whole window where a set passes
-    :func:`~qergo.microstate.shift_is_sound` is window 0's layout of
-    ``span.base`` shifted in place, as in a trajectory (bitwise that
-    trajectory's window while ``span.base`` is the initial state).
+    function of ``span``, laid out by :func:`~qergo.microstate.span_partition`,
+    the rule a trajectory follows too: while ``span.base`` is the initial
+    state's, a whole window's partition is bitwise that trajectory's window.
     ``renorm_events`` counts the drift corrections of every step so far.
     """
 
@@ -112,7 +108,7 @@ class SystemUnderObservation:
     def from_scenario(cls, scenario: Scenario) -> "SystemUnderObservation":
         """Set up observation at u = 0, at the start of window 0."""
         s = scenario.state0
-        return cls(scenario, s, 0.0, Span(s, 0.0, s))
+        return cls(scenario, s, 0.0, Span(s, 0.0, LayoutBase(s)))
 
     def cset(self, cset_id: str) -> CommutingSet:
         return self.scenario.cset(cset_id)
@@ -123,22 +119,13 @@ class SystemUnderObservation:
 
     def partition(self, cset_id: str) -> WindowPartition:
         """The live partition of one set, built from the span on first read."""
-        span = self.span
-        part = span.built.get(cset_id)
-        if part is None:
-            c = self.scenario.cset(cset_id)
-            spec = self.scenario.scheduler_for(cset_id)
-            n = span.window
-            if span.lo != n:  # after a mid-window collapse: the remainder only
-                p = born_probabilities(span.state, c)
-                part = build_partition_span(p, span.lo, span.hi, spec, n)
-            elif shift_is_sound(self.scenario.hamiltonian, c, n):
-                p = born_probabilities(span.base, c)
-                part = periodic_extend(build_partition(p, 0, spec), n)
-            else:
-                part = build_partition(born_probabilities(span.state, c), n, spec)
-            span.built[cset_id] = part
-        return part
+        span, sc = self.span, self.scenario
+        if cset_id not in span.built:
+            span.built[cset_id] = span_partition(
+                sc.hamiltonian, sc.cset(cset_id), sc.scheduler_for(cset_id),
+                span.state, span.lo, span.base,
+            )
+        return span.built[cset_id]
 
     @property
     def partitions(self) -> Mapping[str, WindowPartition]:
@@ -167,18 +154,14 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     state, h = sys.state, sys.scenario.hamiltonian
     u, span = sys.current_time, sys.span
     renorms = sys.renorm_events
-    while True:
-        end = span.hi
-        if u_target <= end:
-            state = evolve(state, h, u_target - u)
-            renorms += int(state.renormalized)
-            u = u_target
-            break
-        state = evolve(state, h, end - u)
+    while u_target > span.hi:
+        state = evolve(state, h, span.hi - u)
         renorms += int(state.renormalized)
-        u = end
-        span = Span(state, end, span.base)
-    return SystemUnderObservation(sys.scenario, state, u, span, sys.history, renorms)
+        u = span.hi
+        span = Span(state, u, span.base)
+    state = evolve(state, h, u_target - u)
+    renorms += int(state.renormalized)
+    return SystemUnderObservation(sys.scenario, state, u_target, span, sys.history, renorms)
 
 
 def measure(
@@ -218,7 +201,8 @@ def measure(
     )
     # Conserved layouts are refrozen from the collapsed state too.
     after = SystemUnderObservation(
-        here.scenario, post, u, Span(post, u, post), here.history + (record,), here.renorm_events
+        here.scenario, post, u, Span(post, u, LayoutBase(post)),
+        here.history + (record,), here.renorm_events,
     )
     return record, after
 
@@ -265,7 +249,7 @@ class SequenceDistribution:
             counts[key] = counts.get(key, 0) + 1
         return cls(steps=tuple(cid for cid, _ in steps), counts=counts, total=sum(counts.values()))
 
-    @property
+    @cached_property
     def frequencies(self) -> dict[tuple[tuple[int, ...], ...], float]:
         return {k: c / self.total for k, c in self.counts.items()}
 

@@ -11,7 +11,8 @@ state at every integer crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .partition import (
     WindowPartition,
     active_label,
     build_partition,
+    build_partition_span,
     periodic_extend,
 )
 
@@ -39,6 +41,7 @@ __all__ = [
     "TrajectoryEvent",
     "JumpTrajectory",
     "Scenario",
+    "LayoutBase",
     "MAX_WINDOWS",
     "microstate_at",
     "value_function",
@@ -96,7 +99,6 @@ class JumpTrajectory:
     """
 
     cset: CommutingSet
-    scheduler: SchedulerSpec
     bounds: np.ndarray
     labels: np.ndarray
     offsets: np.ndarray
@@ -266,6 +268,44 @@ def shift_is_sound(hamiltonian: Hamiltonian, cset: CommutingSet, window_index: i
     return eps <= CONSERVED_TOL and 2 * cset.dimension * eps * window_index <= MEASURE_TOL
 
 
+@dataclass(frozen=True, eq=False)
+class LayoutBase:
+    """A state and its window-0 layouts, one per set, each built on first use.
+
+    A set's whole windows where :func:`shift_is_sound` holds are its layout
+    here, shifted by the window index.  A trajectory starts one from its
+    initial state; the measurement protocol starts one from the initial
+    state and one from every collapsed state.
+    """
+
+    state: QuantumState
+    layouts: dict = field(default_factory=dict, init=False, repr=False)
+
+
+def span_partition(
+    hamiltonian: Hamiltonian, cset: CommutingSet, scheduler: SchedulerSpec,
+    state: QuantumState, lo: float, base: LayoutBase,
+) -> WindowPartition:
+    """The layout of ``(lo, floor(lo) + 1]``, from ``state`` frozen at ``lo``.
+
+    The one rule behind every layout of a trajectory and of the measurement
+    protocol.  A span that starts inside a window (after a collapse) is a
+    remainder, laid out from ``state`` over what is left of the window.  A
+    whole window ``N`` is ``base``'s window-0 layout shifted by ``N`` where
+    :func:`shift_is_sound` holds (window 0 is that layout itself), and is
+    otherwise built from ``state``.
+    """
+    n = math.floor(lo)
+    if lo != n:
+        return build_partition_span(born_probabilities(state, cset), lo, n + 1.0, scheduler, n)
+    if shift_is_sound(hamiltonian, cset, n):
+        layouts = base.layouts
+        if cset.id not in layouts:
+            layouts[cset.id] = build_partition(born_probabilities(base.state, cset), 0, scheduler)
+        return periodic_extend(layouts[cset.id], n) if n else layouts[cset.id]
+    return build_partition(born_probabilities(state, cset), n, scheduler)
+
+
 # Bounds are absolute floats, each off by up to ulp(windows) / 2; this cap
 # keeps every window's measures well within MEASURE_TOL.
 MAX_WINDOWS = 10_000
@@ -280,30 +320,26 @@ def trajectory(
 ) -> JumpTrajectory:
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
-    Per window: freeze the eigenbasis weights of the current state, build
-    the window layout, then step the state to the next integer boundary
-    with ``exp(-iH)``, built once; the layouts end up back to back in the
-    trajectory's arrays.  When every member observable commutes with the
-    Hamiltonian the weights are constants of motion and the window-0 layout
-    is reused verbatim, shifted by the window index — the layout freedom is
-    resolved in favour of exact periodicity — in every window where
-    :func:`shift_is_sound` holds.  So a window's layout does not depend on
-    how many windows are asked for.
+    Per window: lay the window out with :func:`span_partition` from the
+    current state and a :class:`LayoutBase` of ``state0``, then step the
+    state to the next integer boundary with ``exp(-iH)``, built once; the
+    layouts end up back to back in the trajectory's arrays.  When every
+    member observable commutes with the Hamiltonian the weights are
+    constants of motion, and window 0's layout is reused verbatim, shifted
+    by the window index, in every window where :func:`shift_is_sound`
+    holds: the layout freedom is resolved in favour of exact periodicity.
+    So a window's layout does not depend on how many windows are asked for,
+    and it is the layout the measurement protocol gives that window before
+    any collapse.  Mismatched dimensions are rejected in window 0.
     """
     if windows < 1:
         raise ValueError("windows must be at least 1")
     if windows > MAX_WINDOWS:
         raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")
-    # off_diagonal_norm and born_probabilities reject mismatched dimensions.
-    off_diagonal_norm(hamiltonian, cset)
     u = hamiltonian.propagator(1.0)
-    psi, states, partitions, renorms = state0, [state0], [], 0
+    psi, base, states, partitions, renorms = state0, LayoutBase(state0), [state0], [], 0
     for n in range(windows):
-        if partitions and shift_is_sound(hamiltonian, cset, n):
-            part = periodic_extend(partitions[0], n)
-        else:
-            part = build_partition(born_probabilities(psi, cset), n, scheduler)
-        partitions.append(part)
+        partitions.append(span_partition(hamiltonian, cset, scheduler, psi, n, base))
         if n + 1 < windows:
             psi = step(u, psi)
             renorms += int(psi.renormalized)
@@ -323,7 +359,7 @@ def trajectory(
         )
         for n, part in enumerate(partitions)
     )
-    return JumpTrajectory(cset, scheduler, bounds, labels, offsets, views, tuple(states), renorms)
+    return JumpTrajectory(cset, bounds, labels, offsets, views, tuple(states), renorms)
 
 
 def dump_trajectory(traj: JumpTrajectory) -> str:

@@ -72,9 +72,8 @@ def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, pref
     traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     dist = sample_born(traj, exp.samples, exp.seed, window=exp.window)
     exact = traj.partitions[exp.window].probabilities
-    stderr = dist.stderr  # a property that rebuilds its dict on every read
     rows = [
-        (exp.name, _label_name(traj.cset.labels[k]), dist.estimate(k), stderr[k], float(exact[k]))
+        (exp.name, _label_name(traj.cset.labels[k]), dist.estimate(k), dist.stderr[k], float(exact[k]))
         for k in range(traj.cset.dimension)
     ]
     return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events

@@ -117,6 +117,17 @@ def test_empirical_distribution_contract():
         EmpiricalDistribution(counts={0: 10}, total=11)
 
 
+def test_empirical_distribution_computes_estimates_and_stderr_once():
+    counts, total = {0: 3, 1: 7, 2: 1}, 11
+    d = EmpiricalDistribution(counts=counts, total=total)
+    assert d.estimates is d.estimates and d.stderr is d.stderr
+    # The per-read formulas the cached values must keep, bit for bit.
+    assert d.estimates == {k: c / total for k, c in counts.items()}
+    assert d.stderr == {
+        k: math.sqrt(c / total * (1.0 - c / total) / total) for k, c in counts.items()
+    }
+
+
 def test_offset_average_integer_alpha_matches_window_average():
     rng = np.random.default_rng(55)
     s = random_state(rng, 3)

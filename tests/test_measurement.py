@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import math
 import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from qergo.ergodic import sample_born
 from qergo.hilbert import CommutingSet, Hamiltonian, born_probabilities, evolve, make_state
 from qergo.measurement import (
+    SequenceDistribution,
     SystemUnderObservation,
     advance,
     measure,
@@ -411,3 +414,24 @@ def test_window_layout_from_born_weights_ends_on_the_window_end():
     dump = dump_trajectory(trajectory(s, h, z, SchedulerSpec(), 1))
     assert "1.0000000000000002" not in dump
     assert dump.splitlines()[-1] == "0,3,0.878932828562821,1.0,3.0"
+
+
+def test_sequence_distribution_computes_frequencies_once():
+    counts = {((0,), (1,)): 2, ((1,), (1,)): 5}
+    dist = SequenceDistribution(steps=("sz", "sx"), counts=counts, total=7)
+    assert dist.frequencies is dist.frequencies
+    assert dist.frequencies == {k: c / 7 for k, c in counts.items()}
+
+
+def test_measurement_leaves_every_layout_decision_to_microstate():
+    # One function lays out every window and remainder; the protocol calls it.
+    source = Path(__file__).resolve().parent.parent / "src" / "qergo" / "measurement.py"
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    rules = {"build_partition", "build_partition_span", "periodic_extend", "shift_is_sound"}
+    assert not names & rules
+    assert "span_partition" in names

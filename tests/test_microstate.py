@@ -486,14 +486,22 @@ def test_every_partition_of_a_long_trajectory_passes_the_audit(kind):
     assert max(check_partition(part) for part in traj.partitions) <= 1e-9
 
 
-@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
-def test_trajectory_rejects_mismatched_dimensions(dims):
+_MISMATCHED = [(3, 2, 2), (2, 3, 2), (2, 2, 3)]
+
+
+# A single window has no step to catch a mismatch: window 0's layout must.
+@pytest.mark.parametrize(
+    "dims, windows",
+    [pytest.param(d, 3, id=f"dims{i}") for i, d in enumerate(_MISMATCHED)]
+    + [pytest.param(d, 1, id=f"dims{i}-windows1") for i, d in enumerate(_MISMATCHED)],
+)
+def test_trajectory_rejects_mismatched_dimensions(dims, windows):
     rng = np.random.default_rng(sum(dims))
     ds, dh, dc = dims
     with pytest.raises(ValueError, match="dimension mismatch"):
         trajectory(
             random_state(rng, ds), random_hamiltonian(rng, dh), random_cset(rng, dc),
-            SchedulerSpec(), 3,
+            SchedulerSpec(), windows,
         )
 
 

@@ -20,7 +20,7 @@ import qergo
 from qergo.hilbert import Hamiltonian, make_state
 from qergo.microstate import Scenario
 from qergo.partition import MEASURE_TOL, SchedulerSpec
-from qergo.testing import sigma_z_set
+from qergo.testing import sigma_x_set, sigma_z_set
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -97,4 +97,34 @@ def test_tracer_counts_shifted_and_built_windows_of_a_weakly_coupled_trajectory(
     )
     assert metrics["partition.extend.calls"] == 25
     assert metrics["partition.build.calls"] == 1 + 14
+    assert 0.0 <= err <= MEASURE_TOL
+
+
+def test_tracer_counts_each_bases_window_0_layout_once(tracing):
+    # sigma_z is conserved by a diagonal H and sigma_x is not.  Reading sz in
+    # windows 0-4 shifts the initial state's window-0 layout; measuring sx at
+    # 4.7 starts a new base, whose window-0 layout windows 5-7 shift.  Builds:
+    # the two bases' sz layouts and sx's window 4; extends: sz's windows 1-4
+    # and 5-7, none for window 0.
+    scenario = Scenario(
+        state0=make_state([0.6, 0.8]),
+        hamiltonian=Hamiltonian(np.diag([0.3, -0.2])),
+        csets=(sigma_z_set(), sigma_x_set()),
+        schedulers={},
+    )
+
+    def run():
+        m = qergo.measurement
+        sys = m.SystemUnderObservation.from_scenario(scenario)
+        for u in (0.5, 1.5, 2.5, 3.5, 4.5):
+            sys = m.advance(sys, u)
+            sys.partition("sz")
+        _, sys = m.measure(sys, "sx", 4.7)
+        for u in (5.5, 6.5, 7.5):
+            sys = m.advance(sys, u)
+            sys.partition("sz")
+
+    metrics, err = _traced(tracing, run)
+    assert metrics["partition.build.calls"] == 3
+    assert metrics["partition.extend.calls"] == 7
     assert 0.0 <= err <= MEASURE_TOL
