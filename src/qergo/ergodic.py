@@ -68,10 +68,18 @@ class EmpiricalDistribution:
 
     @cached_property
     def estimates(self) -> dict[int, float]:
+        """Frequency per label, built on first read.
+
+        Every read returns the same dict: do not change it.
+        """
         return {k: c / self.total for k, c in self.counts.items()}
 
     @cached_property
     def stderr(self) -> dict[int, float]:
+        """Binomial standard error per label, built on first read.
+
+        Every read returns the same dict: do not change it.
+        """
         out = {}
         for k, c in self.counts.items():
             p = c / self.total

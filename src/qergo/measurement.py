@@ -29,6 +29,9 @@ import numpy as np
 from .hilbert import CommutingSet, QuantumState, evolve
 from .microstate import LayoutBase, Scenario, span_partition
 from .partition import WindowPartition, active_label
+# Unused here: every layout goes through span_partition.  The name stays bound
+# because perfbench's tracer test expects to rebind measurement.build_partition.
+from .partition import build_partition  # noqa: F401
 
 __all__ = [
     "MeasurementRecord",
@@ -251,6 +254,10 @@ class SequenceDistribution:
 
     @cached_property
     def frequencies(self) -> dict[tuple[tuple[int, ...], ...], float]:
+        """Frequency per outcome sequence, built on first read.
+
+        Every read returns the same dict: do not change it.
+        """
         return {k: c / self.total for k, c in self.counts.items()}
 
     def frequency(self, key: tuple[tuple[int, ...], ...]) -> float:

@@ -41,7 +41,6 @@ __all__ = [
     "TrajectoryEvent",
     "JumpTrajectory",
     "Scenario",
-    "LayoutBase",
     "MAX_WINDOWS",
     "microstate_at",
     "value_function",
