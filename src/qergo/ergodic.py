@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .hilbert import CommutingSet
-from .microstate import JumpTrajectory, Scenario
+from .microstate import JumpTrajectory
 from .partition import WindowPartition, interval_measure
 
 __all__ = [
@@ -235,11 +235,7 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
 
 
 def sub_tau_correlation(
-    scenario: Scenario | JumpTrajectory,
-    delta: float,
-    n_pairs: int,
-    seed: int,
-    cset_id: str | None = None,
+    traj: JumpTrajectory, delta: float, n_pairs: int, seed: int
 ) -> CorrelationEstimate:
     """Monte Carlo same-outcome fraction for reads separated by ``delta``.
 
@@ -249,26 +245,19 @@ def sub_tau_correlation(
     the per-window overlap measure.  ``delta = 0`` returns exactly 1: the
     trajectory is piecewise constant and both reads coincide.
 
-    ``scenario`` is either a scenario, whose trajectory for ``cset_id`` is
-    built here, or that trajectory already built (``cset_id`` then must be
-    omitted or name its set).  The estimate is the count of matching pairs
-    over ``n_pairs``, one correctly rounded division, so neither the order of
-    the pairs nor their grouping enters.  The base times are drawn in blocks
-    of ``_BLOCK``, or of ``_READS_PER_STRETCH`` reads per stretch if that is
-    more (the same doubles as one bulk draw); each block is sorted, the
-    shifted times ``u + delta`` stay sorted because rounding is monotone, and
-    both are read per stretch.  Memory does not grow with ``n_pairs``.
+    ``traj`` is the trajectory already built, as for :func:`sample_born`.
+    The estimate is the count of matching pairs over ``n_pairs``, one
+    correctly rounded division, so neither the order of the pairs nor their
+    grouping enters.  The base times are drawn in blocks of ``_BLOCK``, or
+    of ``_READS_PER_STRETCH`` reads per stretch if that is more (the same
+    doubles as one bulk draw); each block is sorted, the shifted times
+    ``u + delta`` stay sorted because rounding is monotone, and both are
+    read per stretch.  Memory does not grow with ``n_pairs``.
     """
     if not delta >= 0.0:  # NaN fails too
         raise ValueError("delta must be non-negative")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
-    if isinstance(scenario, JumpTrajectory):
-        traj = scenario
-        if cset_id not in (None, traj.cset_id):
-            raise ValueError(f"trajectory is of set {traj.cset_id!r}, not {cset_id!r}")
-    else:
-        traj = scenario.build_trajectory(cset_id)
     span = traj.windows_covered - delta
     if not span >= 1.0:  # also for an infinite delta, before floor() could overflow
         raise ValueError(

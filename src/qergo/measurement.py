@@ -1,10 +1,12 @@
 """Measurement protocol: outcome extraction, collapse, and global re-partitioning.
 
-A system under observation carries one evolving state and one measurement
-span: the stretch of the current window from its origin (the window start,
-or the last collapse) to the window's end, with the state frozen at the
-origin.  Every set's partition of the current window is a pure function of
-the span, built on its first read and kept in the span, so one that is
+A system under observation is a measurement span and a clock.  The span is
+the stretch of the current window from its origin (the window start, or the
+last collapse) to the window's end, with the state frozen at the origin;
+the state at the current time is derived from it, and the only evolution
+steps the protocol takes run from one span's origin to the next window
+boundary.  Every set's partition of the current window is a pure function
+of the span, built on its first read and kept in the span, so one that is
 never read is never built.  Measuring an observable set at time ``u`` reads
 off the label active at ``u`` — the outcome is deterministic once the
 partitions are fixed; randomness enters only through the choice of
@@ -51,14 +53,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """One completed measurement: when, what, which outcome, state before/after."""
+    """One completed measurement: when, what, which outcome, and the collapsed state.
+
+    ``post_state`` is the set's eigenstate for the outcome, which the span
+    after the measurement starts from.
+    """
 
     time: float
     cset_id: str
     outcome_index: int
     outcome_label: tuple[int, ...]
     outcome_eigenvalues: tuple[float, ...]
-    pre_state: QuantumState
     post_state: QuantumState
 
 
@@ -67,12 +72,14 @@ class Span:
     """The stretch ``(lo, hi]`` of one window that live partitions cover.
 
     ``state`` is the state frozen at ``lo``, which is the window start or
-    the last collapse time; ``hi`` is the window's end.  ``base`` is the
-    :class:`~qergo.microstate.LayoutBase` of the last collapsed state, or
-    of the initial one: it keeps the window-0 layouts that a conserved
-    set's whole windows shift, so each is built once however many windows
-    and runs shift it.  ``built`` holds the partitions read so far;
-    snapshots that share a span share them.
+    the last collapse time; ``hi`` is the window's end.  Every evolution
+    step of the protocol starts from a span's ``state``: the state at any
+    time of the span, and the next span's state at ``hi``, are evolved from
+    it in one step.  ``base`` is the :class:`~qergo.microstate.LayoutBase`
+    of the last collapsed state, or of the initial one: it keeps the
+    window-0 layouts that a conserved set's whole windows shift, so each is
+    built once however many windows and runs shift it.  ``built`` holds the
+    partitions read so far; snapshots that share a span share them.
     """
 
     state: QuantumState
@@ -81,27 +88,27 @@ class Span:
     built: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def window(self) -> int:
-        return math.floor(self.lo)
-
-    @property
     def hi(self) -> float:
-        return float(self.window) + 1.0
+        return float(math.floor(self.lo)) + 1.0
 
 
 @dataclass(frozen=True, eq=False)
 class SystemUnderObservation:
-    """Immutable snapshot of a monitored system of ``scenario``.
+    """Immutable snapshot of a monitored system of ``scenario``: a span and a clock.
 
-    Every live partition of the current (possibly partial) window is a pure
-    function of ``span``, laid out by :func:`~qergo.microstate.span_partition`,
-    the rule a trajectory follows too: while ``span.base`` is the initial
-    state's, a whole window's partition is bitwise that trajectory's window.
-    ``renorm_events`` counts the drift corrections of every step so far.
+    The snapshot stores no state of its own.  :attr:`state`, the state at
+    ``current_time``, is evolved from ``span.state`` on first read, so a
+    snapshot's state and layouts depend only on its span and its time, not
+    on the hops that reached it.  Every live partition of the current
+    (possibly partial) window is a pure function of ``span``, laid out by
+    :func:`~qergo.microstate.span_partition`, the rule a trajectory follows
+    too: while ``span.base`` is the initial state's, a whole window's
+    partition is bitwise that trajectory's window.  ``renorm_events`` counts
+    the drift corrections of the steps to window boundaries so far, which
+    are the only steps the protocol takes.
     """
 
     scenario: Scenario
-    state: QuantumState
     current_time: float
     span: Span
     history: tuple[MeasurementRecord, ...] = ()
@@ -111,14 +118,20 @@ class SystemUnderObservation:
     def from_scenario(cls, scenario: Scenario) -> "SystemUnderObservation":
         """Set up observation at u = 0, at the start of window 0."""
         s = scenario.state0
-        return cls(scenario, s, 0.0, Span(s, 0.0, LayoutBase(s)))
+        return cls(scenario, 0.0, Span(s, 0.0, LayoutBase(s)))
+
+    @cached_property
+    def state(self) -> QuantumState:
+        """The state at ``current_time``, evolved from the span's state on first read.
+
+        At the span's origin (u = 0, a window start, or right after a
+        collapse) this is the span's own state object.
+        """
+        span = self.span
+        return evolve(span.state, self.scenario.hamiltonian, self.current_time - span.lo)
 
     def cset(self, cset_id: str) -> CommutingSet:
         return self.scenario.cset(cset_id)
-
-    @property
-    def window_index(self) -> int:
-        return self.span.window
 
     def partition(self, cset_id: str) -> WindowPartition:
         """The live partition of one set, built from the span on first read."""
@@ -136,15 +149,16 @@ class SystemUnderObservation:
 
 
 def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservation:
-    """Evolve the system to ``u_target``, refreezing layouts at each crossing.
+    """Move the clock to ``u_target``, refreezing layouts at each crossing.
 
-    Stepping stops at every window boundary on the way: the state is evolved
-    to the boundary, which starts the span the next window's partitions are
-    built from, and evolution continues.  Arriving exactly on a boundary
-    does not open the next window (the boundary still belongs to the old
-    one).  While ``u_target`` stays in the current window the span, and so
-    every partition built so far, carries over unchanged.  A non-finite
-    ``u_target`` is rejected before any evolution.
+    Each window boundary on the way starts a new span, whose state is the
+    old span's state evolved to the boundary in one step; no step is taken
+    past the last boundary (the state at ``u_target`` is derived on read).
+    Arriving exactly on a boundary does not open the next window (the
+    boundary still belongs to the old one).  While ``u_target`` stays in
+    the current window the span, and so every partition built so far,
+    carries over unchanged.  A non-finite ``u_target`` is rejected before
+    any evolution.
     """
     if not math.isfinite(u_target):
         raise ValueError(f"cannot advance to a non-finite time {u_target!r}")
@@ -154,17 +168,12 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
         )
     if u_target == sys.current_time:
         return sys
-    state, h = sys.state, sys.scenario.hamiltonian
-    u, span = sys.current_time, sys.span
-    renorms = sys.renorm_events
+    h, span, renorms = sys.scenario.hamiltonian, sys.span, sys.renorm_events
     while u_target > span.hi:
-        state = evolve(state, h, span.hi - u)
+        state = evolve(span.state, h, span.hi - span.lo)
         renorms += int(state.renormalized)
-        u = span.hi
-        span = Span(state, u, span.base)
-    state = evolve(state, h, u_target - u)
-    renorms += int(state.renormalized)
-    return SystemUnderObservation(sys.scenario, state, u_target, span, sys.history, renorms)
+        span = Span(state, span.hi, span.base)
+    return SystemUnderObservation(sys.scenario, u_target, span, sys.history, renorms)
 
 
 def measure(
@@ -173,10 +182,11 @@ def measure(
     """Measure one observable set at time ``u``.
 
     Advances to ``u``, reads the label active in that set's partition (the
-    outcome — deterministic given the partitions), collapses the state to
-    the outcome eigenvector bitwise (the set's one state for it, from
+    outcome — deterministic given the partitions), collapses to the outcome
+    eigenvector bitwise (the set's one state for it, from
     :attr:`CommutingSet.eigenstates`), starts a new span at ``u`` from the
-    collapsed state, and appends the record.  Every partition is later
+    collapsed state, and appends the record.  The read needs no state at
+    ``u``, so no evolution step is taken to it.  Every partition is later
     built from the collapsed state, on its first read.  A measurement
     exactly on a window boundary starts the next window fresh instead (the
     remainder is empty).  A second measurement at the instant of the
@@ -191,20 +201,11 @@ def measure(
     here = advance(sys, u)
     c = here.cset(cset_id)  # raises for unknown ids before any state change
     idx = active_label(here.partition(cset_id), u)
-    pre = here.state
     post = c.eigenstates[idx]
-    record = MeasurementRecord(
-        time=u,
-        cset_id=cset_id,
-        outcome_index=idx,
-        outcome_label=c.labels[idx],
-        outcome_eigenvalues=c.eigenvalues[idx],
-        pre_state=pre,
-        post_state=post,
-    )
+    record = MeasurementRecord(u, cset_id, idx, c.labels[idx], c.eigenvalues[idx], post)
     # Conserved layouts are refrozen from the collapsed state too.
     after = SystemUnderObservation(
-        here.scenario, post, u, Span(post, u, LayoutBase(post)),
+        here.scenario, u, Span(post, u, LayoutBase(post)),
         here.history + (record,), here.renorm_events,
     )
     return record, after
@@ -299,9 +300,10 @@ def sequence_records(
     of the window.  Every run starts from the same initial system.  Yields
     one :class:`SystemUnderObservation` per run, in run order: its
     ``history`` holds the run's records, one per step, and its
-    ``renorm_events`` counts the drift corrections of every evolution step
-    of the run, including the steps to window boundaries.  Input validation
-    happens at call time, before the first run executes.
+    ``renorm_events`` counts the drift corrections of the run's steps to
+    window boundaries, the only evolution steps the protocol takes: each
+    starts at a span's origin and ends at the window's end.  Input
+    validation happens at call time, before the first run executes.
     """
     if not sequence:
         raise ValueError("sequence must contain at least one measurement")

@@ -229,11 +229,11 @@ def test_criterion_08_short_lag_agreement():
         schedulers={"sz": SchedulerSpec()},
         windows=8,
     )
-    zero = sub_tau_correlation(scenario, 0.0, 1000, seed=8)
+    traj = scenario.build_trajectory()
+    zero = sub_tau_correlation(traj, 0.0, 1000, seed=8)
     assert zero.same_fraction == 1.0  # piecewise-constant: both reads coincide
 
-    corr = sub_tau_correlation(scenario, 0.1, 100_000, seed=88)
-    traj = scenario.build_trajectory()
+    corr = sub_tau_correlation(traj, 0.1, 100_000, seed=88)
     analytic = same_outcome_measure(traj, 0.1, 7)
     assert abs(analytic - 0.8) <= 1e-12
     assert abs(corr.same_fraction - analytic) <= 3.0 * corr.stderr

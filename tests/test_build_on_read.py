@@ -2,7 +2,9 @@
 
 ``Eager`` keeps every set's partition current at every step, rebuilding
 all of them after each collapse and at each window crossing, and keeps the
-window-0 base layout of every conserved set.  ``SystemUnderObservation``
+window-0 base layout of every conserved set.  Its state at ``u``, and its
+state at each boundary, are evolved from the state frozen at its span's
+start (the window start or the last collapse).  ``SystemUnderObservation``
 builds a partition only when it is read; both must agree bit for bit at
 every snapshot of random measure/advance sequences.
 """
@@ -37,15 +39,19 @@ class Eager:
     """Reference protocol that rebuilds every partition eagerly."""
 
     def __init__(self, state, hamiltonian, csets, schedulers):
-        self.state, self.hamiltonian, self.csets = state, hamiltonian, csets
+        self.origin, self.hamiltonian, self.csets = state, hamiltonian, csets
         self.schedulers = schedulers
-        self.u = 0.0
+        self.u = self.lo = 0.0
         self.partitions = {
             c.id: build_partition(born_probabilities(state, c), 0, self.spec(c.id)) for c in csets
         }
         self.bases = {
             c.id: self.partitions[c.id] for c in csets if is_conserved(hamiltonian, c)
         }
+
+    @property
+    def state(self):
+        return evolve(self.origin, self.hamiltonian, self.u - self.lo)
 
     def spec(self, cid):
         return self.schedulers.get(cid, SchedulerSpec())
@@ -64,12 +70,11 @@ class Eager:
         while True:
             end = next(iter(self.partitions.values())).hi
             if u_target <= end:
-                self.state = evolve(self.state, self.hamiltonian, u_target - self.u)
                 self.u = u_target
                 return
-            self.state = evolve(self.state, self.hamiltonian, end - self.u)
-            self.u = end
-            self.partitions = self.fresh(self.state, int(end))
+            self.origin = evolve(self.origin, self.hamiltonian, end - self.lo)
+            self.u = self.lo = end
+            self.partitions = self.fresh(self.origin, int(end))
 
     def measure(self, cid, u):
         self.advance(u)
@@ -77,7 +82,7 @@ class Eager:
         part = self.partitions[cid]
         idx = active_label(part, u)
         post = QuantumState(c.basis_vector(idx))
-        self.state = post
+        self.origin, self.lo = post, u
         for cc in self.csets:
             if cc.id in self.bases:
                 self.bases[cc.id] = build_partition(

@@ -9,6 +9,7 @@ from qergo import load_config
 from qergo.cli import main
 from qergo.errors import InvariantViolation
 from qergo.hilbert import QuantumState
+from qergo.measurement import sequence_records
 from qergo.partition import dump_partition
 from qergo.runner import FAILURE_MARKER, run_experiment, run_scenario
 
@@ -194,8 +195,8 @@ def test_strict_float_passes_on_clean_scenario(tmp_path):
 def _two_step_sequence(tmp_path) -> Path:
     """order-dependence.cfg's system and sets, measuring sz at 0.25 and 1.5.
 
-    Each run evolves three steps: 0 -> u1, u1 -> 1 (ending on the window
-    boundary) and 1 -> u2.
+    Each run evolves one step: from its first read u1 to the window
+    boundary u = 1.  The reads themselves take none.
     """
     text = (CONFIG_DIR / "order-dependence.cfg").read_text()
     text = text[: text.index("experiment {")] + (
@@ -231,18 +232,21 @@ def test_sequential_drift_count_covers_every_evolution_step(tmp_path, monkeypatc
     config = load_config(_two_step_sequence(tmp_path))
     steps = _flag_renormalized(monkeypatch, lambda i: True)
     _, renorms = run_experiment(config, config.experiments[0], 0)
-    assert len(steps) == 3 * 5
+    assert len(steps) == 1 * 5
     assert renorms == len(steps)
 
 
 def test_strict_float_sees_drift_on_the_step_to_a_window_boundary(tmp_path, monkeypatch):
     cfg = _two_step_sequence(tmp_path)
-    steps = _flag_renormalized(monkeypatch, lambda i: i % 3 == 1)
+    steps = _flag_renormalized(monkeypatch, lambda i: True)
     with pytest.raises(InvariantViolation, match="strict-float: 5 renormalization"):
         run_scenario(cfg, out_dir=tmp_path / "o", strict_float=True)
-    # The flagged steps are exactly those that end on the boundary u = 1.
-    assert len(steps) == 15
-    assert all(abs(sum(steps[i - 1 : i + 1]) - 1.0) < 1e-12 for i in range(1, 15, 3))
+    # Each run's one step runs from its first read to the boundary u = 1.
+    monkeypatch.undo()
+    config = load_config(cfg)
+    exp = config.experiments[0]
+    runs = sequence_records(config.scenario, list(exp.steps), exp.runs, exp.seed)
+    assert steps == [1.0 - sys.history[0].time for sys in runs]
 
 
 # --- CLI surface ---

@@ -183,30 +183,30 @@ def stationary_half_scenario(windows=8):
 
 
 def test_sub_tau_delta_zero_is_exactly_one():
-    est = sub_tau_correlation(stationary_half_scenario(), 0.0, 500, seed=3)
+    est = sub_tau_correlation(stationary_half_scenario().build_trajectory(), 0.0, 500, seed=3)
     assert est.same_fraction == 1.0
     assert est.stderr == 0.0
 
 
 def test_sub_tau_conserved_full_window_lag():
-    est = sub_tau_correlation(stationary_half_scenario(), 1.0, 4000, seed=5)
+    est = sub_tau_correlation(stationary_half_scenario().build_trajectory(), 1.0, 4000, seed=5)
     assert est.same_fraction == 1.0
 
 
 def test_sub_tau_stationary_overlap_value():
     # p = (1/2, 1/2) contiguous, lag 0.1: each label matches on 0.4 of its
     # half, so the same-outcome fraction is 0.8
-    est = sub_tau_correlation(stationary_half_scenario(), 0.1, 30_000, seed=11)
+    est = sub_tau_correlation(stationary_half_scenario().build_trajectory(), 0.1, 30_000, seed=11)
     se = math.sqrt(0.8 * 0.2 / 30_000)
     assert abs(est.same_fraction - 0.8) <= 4 * se
 
 
 def test_sub_tau_guards():
-    sc = stationary_half_scenario(windows=2)
+    traj = stationary_half_scenario(windows=2).build_trajectory()
     with pytest.raises(ValueError, match="delta"):
-        sub_tau_correlation(sc, -0.5, 100, seed=0)
+        sub_tau_correlation(traj, -0.5, 100, seed=0)
     with pytest.raises(ValueError, match="whole base window"):
-        sub_tau_correlation(sc, 1.7, 100, seed=0)
+        sub_tau_correlation(traj, 1.7, 100, seed=0)
 
 
 def test_same_outcome_measure_matches_analytic():
@@ -229,7 +229,7 @@ def test_same_outcome_measure_matches_sampler():
     traj = sc.build_trajectory()
     delta = 0.23
     exact = same_outcome_measure(traj, delta, 5)
-    est = sub_tau_correlation(sc, delta, 40_000, seed=21)
+    est = sub_tau_correlation(traj, delta, 40_000, seed=21)
     assert abs(est.same_fraction - exact) <= 4 * max(est.stderr, 1e-4)
 
 
@@ -359,10 +359,9 @@ def test_random_reads_equal_scattered_reference(kind, conserved):
                 assert got == scattered_sample_born(traj, n, seed, window), (trial, n, window)
             for delta in (0.0, 0.1, float(rng.random()), 1.0, windows - 1.0):
                 want = scattered_sub_tau(traj, delta, n, seed)
-                for source in (sc, traj):
-                    est = sub_tau_correlation(source, delta, n, seed)
-                    assert (est.same_fraction, est.stderr) == want, (trial, n, delta)
-                    assert est.n_pairs == n
+                est = sub_tau_correlation(traj, delta, n, seed)
+                assert (est.same_fraction, est.stderr) == want, (trial, n, delta)
+                assert est.n_pairs == n
 
 
 # The reads are drawn and counted in blocks of _BLOCK; counts on either side
@@ -421,16 +420,6 @@ def test_sub_tau_reports_the_base_span_it_sampled():
     traj = stationary_half_scenario(windows=4).build_trajectory()
     for delta, base_windows in [(0.0, 4), (0.5, 3), (1.0, 3), (2.9, 1)]:
         assert sub_tau_correlation(traj, delta, 10, seed=0).base_windows == base_windows
-
-
-def test_sub_tau_reads_a_built_trajectory():
-    sc = stationary_half_scenario()
-    traj = sc.build_trajectory()
-    assert sub_tau_correlation(traj, 0.3, 1000, seed=4, cset_id="sz") == sub_tau_correlation(
-        sc, 0.3, 1000, seed=4, cset_id="sz"
-    )
-    with pytest.raises(ValueError, match="not 'sx'"):
-        sub_tau_correlation(traj, 0.3, 1000, seed=4, cset_id="sx")
 
 
 def test_offset_window_average_rejects_another_sets_eigenbasis():

@@ -217,7 +217,7 @@ def _random_reads_case() -> str:
             dist = sample_born(traj, n, seed=window + 1, window=window)
             lines.append(f"{name} born window={window} {dist.counts!r}")
         for delta in (0.1, 0.5, 1.0, 2.3):
-            corr = sub_tau_correlation(scenario, delta, n, seed=17)
+            corr = sub_tau_correlation(traj, delta, n, seed=17)
             lines.append(f"{name} sub-tau {corr!r}")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import math
 import re
 import signal
@@ -30,7 +31,14 @@ from qergo.partition import (
     interval_measure,
     periodic_extend,
 )
-from qergo.testing import haar_unitary, sigma_x_set, sigma_z_set
+from qergo.testing import (
+    haar_unitary,
+    random_cset,
+    random_hamiltonian,
+    random_state,
+    sigma_x_set,
+    sigma_z_set,
+)
 
 H0 = Hamiltonian(np.zeros((2, 2)))
 RABI = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
@@ -109,15 +117,42 @@ def test_measure_repeat_with_dynamics_within_residual_interval():
     assert rec2.outcome_index == rec1.outcome_index
 
 
-def test_measure_records_pre_and_post():
+def test_measure_records_time_and_post_state():
     sys = start_qubit(state=(0.6, 0.8), H=RABI)
     rec, after = measure(sys, "sz", 1.4)
     assert rec.time == 1.4
-    assert abs(np.linalg.norm(rec.pre_state.amplitudes) - 1.0) <= 1e-9
     assert after.history == (rec,)
     assert after.current_time == 1.4
     # post state is bitwise a basis column
     assert np.array_equal(rec.post_state.amplitudes, sigma_z_set().basis_vector(rec.outcome_index))
+
+
+def _driven_random_scenario(seed):
+    """A random driven H, a random set with a seeded-random scheduler, d in {2, 3, 4}."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=int(rng.integers(1000)))
+    return Scenario(
+        random_state(rng, d), random_hamiltonian(rng, d), (random_cset(rng, d, id="r"),), {"r": spec}
+    )
+
+
+def test_two_hops_reach_the_state_and_layout_of_one_hop():
+    for seed in range(50):
+        s0 = SystemUnderObservation.from_scenario(_driven_random_scenario(seed))
+        hopped, direct = advance(advance(s0, 0.3), 2.5), advance(s0, 2.5)
+        assert np.array_equal(hopped.state.amplitudes, direct.state.amplitudes), seed
+        assert dump_partition(hopped.partition("r")) == dump_partition(direct.partition("r")), seed
+
+
+def test_hops_reach_the_trajectorys_window_layout():
+    for seed in range(50):
+        scenario = _driven_random_scenario(seed)
+        sys = SystemUnderObservation.from_scenario(scenario)
+        for u in (0.3, 0.7, 1.2, 2.5):
+            sys = advance(sys, u)
+        expect = scenario.build_trajectory("r", 3).partitions[2]
+        assert dump_partition(sys.partition("r")) == dump_partition(expect), seed
 
 
 def test_measure_rebuilds_all_partitions():
@@ -439,3 +474,20 @@ def test_measurement_leaves_every_layout_decision_to_microstate():
     assert not used & rules
     assert imported & rules <= {"build_partition"}
     assert "span_partition" in used
+
+
+def test_every_protocol_step_starts_from_a_span_state():
+    # A snapshot is its span and its clock: the state at u is derived, and
+    # every evolution in the protocol runs from a span's frozen state.
+    source = Path(__file__).resolve().parent.parent / "src" / "qergo" / "measurement.py"
+    calls = [
+        node
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "evolve"
+    ]
+    assert calls
+    for call in calls:
+        first = call.args[0]
+        assert isinstance(first, ast.Attribute) and first.attr == "state", ast.unparse(call)
+        assert ast.unparse(first.value).split(".")[-1] == "span", ast.unparse(call)
+    assert "state" not in {f.name for f in dataclasses.fields(SystemUnderObservation)}

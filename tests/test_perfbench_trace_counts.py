@@ -63,14 +63,32 @@ def test_tracer_counts_every_step_of_a_driven_measurement_sequence(tracing):
         lambda: qergo.measurement.sequential_experiment(scenario, [("sz", 0.5), ("sz", 1.5)], 5, 11),
     )
     assert metrics["measurement.measure.calls"] == 10
-    # Per run: one step into window 0, then one to the boundary u = 1 and
-    # one on into window 1.
-    assert metrics["hilbert.evolve.calls"] == 15
+    # Per run: one step from the collapse in window 0 to the boundary u = 1;
+    # the reads themselves take none.
+    assert metrics["hilbert.evolve.calls"] == 5
     # Window 0's layout is built once, from the state every run starts in;
     # window 1's once per run, from that run's state at u = 1.
     assert metrics["partition.build.calls"] == 1 + 5
     assert metrics["hilbert.born_probabilities.calls"] == 1 + 5
     assert metrics["partition.extend.calls"] == 0
+    assert 0.0 <= err <= MEASURE_TOL
+
+
+def test_tracer_counts_one_step_per_boundary_crossed_by_hops(tracing):
+    scenario = _driven_scenario()
+
+    def run():
+        m = qergo.measurement
+        sys = m.SystemUnderObservation.from_scenario(scenario)
+        for u in (0.2, 0.4, 0.6, 1.3, 2.7):
+            sys = m.advance(sys, u)
+        m.measure(sys, "sz", 2.9)
+
+    metrics, err = _traced(tracing, run)
+    # Hops step only to the boundaries u = 1 and u = 2; the read at 2.9 lays
+    # out window 2 from the state at u = 2 and needs no state at 2.9.
+    assert metrics["hilbert.evolve.calls"] == 2
+    assert metrics["partition.build.calls"] == 1
     assert 0.0 <= err <= MEASURE_TOL
 
 
