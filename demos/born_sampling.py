@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from qergo import SchedulerSpec, born_probabilities, make_state, sample_born, trajectory
+from qergo import QuantumState, SchedulerSpec, born_probabilities, make_state, sample_born, trajectory
 from qergo.testing import random_cset, random_hamiltonian
 
 DIM = 4
@@ -26,7 +26,7 @@ traj = trajectory(
 )
 dist = sample_born(traj, SAMPLES, seed=SEED + 1, window=1)
 
-exact = born_probabilities(traj.states[1], cset)
+exact = born_probabilities(QuantumState(traj.amplitudes[1]), cset)
 print(f"{SAMPLES} uniform reads in window 1, dimension {DIM}")
 print("\nlabel  estimate    stderr      |<O_k|psi>|^2   pulls")
 stderr = dist.stderr

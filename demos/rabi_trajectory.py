@@ -23,8 +23,8 @@ traj = trajectory(psi0, h, sigma_z_set(), SchedulerSpec(kind="two-outcome"), WIN
 
 print("window   measure(label 0)     cos^2(N/2)           deviation")
 worst = 0.0
-for n, part in enumerate(traj.partitions):
-    got = interval_measure(part, 0)
+for n in range(WINDOWS):
+    got = interval_measure(traj.partition(n), 0)
     want = math.cos(n / 2.0) ** 2
     dev = abs(got - want)
     worst = max(worst, dev)

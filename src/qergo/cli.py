@@ -66,7 +66,7 @@ def _cmd_dump_partition(args) -> int:
     if args.window < 0:
         raise ValueError("--window must be non-negative")
     traj = scenario.build_trajectory(args.csco, args.window + 1)
-    sys.stdout.write(dump_partition(traj.partitions[args.window]))
+    sys.stdout.write(dump_partition(traj.partition(args.window)))
     return 0
 
 

@@ -84,25 +84,27 @@ class TrajectoryEvent:
 
 @dataclass(frozen=True, eq=False)
 class JumpTrajectory:
-    """A jump trajectory over whole windows ``(0, windows_covered]``.
+    """A jump trajectory over whole windows ``(0, windows_covered]``, as arrays.
 
     The constant stretches of every window, in time order, live in two
     read-only arrays: ``bounds`` (``float64[S+1]``, from ``0.0`` to
     ``windows_covered``) and ``labels`` (``intp[S]``); stretch ``i`` is
     ``(bounds[i], bounds[i+1]]`` with label index ``labels[i]``.  Window
-    ``N`` owns stretches ``offsets[N]`` to ``offsets[N+1] - 1``, and
-    ``partitions[N]`` is that window's layout, whose arrays are views into
-    ``bounds`` and ``labels``.  ``states[N]`` is the window-start state.
-    ``renorm_events`` counts drift corrections applied during the underlying
-    evolution.
+    ``N`` owns stretches ``offsets[N]`` to ``offsets[N+1] - 1``.
+    ``probabilities[N]`` holds the weights frozen at window ``N``'s start
+    that its layout realizes (a shifted window holds window 0's), and
+    ``amplitudes[N]`` the window-start state; both are ``[W, d]``.
+    :meth:`partition` builds one window's layout on request, as views into
+    these arrays.  ``renorm_events`` counts drift corrections applied during
+    the underlying evolution.
     """
 
     cset: CommutingSet
     bounds: np.ndarray
     labels: np.ndarray
     offsets: np.ndarray
-    partitions: tuple[WindowPartition, ...]
-    states: tuple[QuantumState, ...]
+    probabilities: np.ndarray
+    amplitudes: np.ndarray
     renorm_events: int
 
     @property
@@ -111,7 +113,16 @@ class JumpTrajectory:
 
     @property
     def windows_covered(self) -> int:
-        return len(self.partitions)
+        return self.offsets.size - 1
+
+    def partition(self, n: int) -> WindowPartition:
+        """Window ``n``'s layout, built on each call from views into the arrays."""
+        if not 0 <= n < self.windows_covered:
+            raise ValueError(f"window {n} outside the covered range [0, {self.windows_covered})")
+        i, j = self.offsets[n], self.offsets[n + 1]
+        return WindowPartition(
+            n, float(n), n + 1.0, self.probabilities[n], self.bounds[i:j + 1], self.labels[i:j]
+        )
 
     @property
     def events(self) -> tuple[TrajectoryEvent, ...]:
@@ -208,14 +219,15 @@ class Scenario:
     """A closed-system setup: initial state, generator, observable sets.
 
     ``schedulers`` maps commuting-set ids to layout strategies; sets without
-    an entry get the default contiguous layout.
+    an entry get the default contiguous layout.  How many windows a
+    trajectory covers is the caller's choice, made per
+    :meth:`build_trajectory` call.
     """
 
     state0: QuantumState
     hamiltonian: Hamiltonian
     csets: tuple[CommutingSet, ...]
     schedulers: dict[str, SchedulerSpec]
-    windows: int = 1
 
     def __post_init__(self):
         if not self.csets:
@@ -226,8 +238,6 @@ class Scenario:
         dims = {c.dimension for c in self.csets} | {self.hamiltonian.dimension}
         if dims != {self.state0.dimension}:
             raise ValueError("state, hamiltonian and commuting set dimensions must agree")
-        if self.windows < 1:
-            raise ValueError("windows must be at least 1")
 
     def cset(self, cset_id: str | None = None) -> CommutingSet:
         if cset_id is None:
@@ -242,15 +252,10 @@ class Scenario:
     def scheduler_for(self, cset_id: str) -> SchedulerSpec:
         return self.schedulers.get(cset_id, SchedulerSpec())
 
-    def build_trajectory(self, cset_id: str | None = None, windows: int | None = None) -> JumpTrajectory:
+    def build_trajectory(self, cset_id: str | None, windows: int) -> JumpTrajectory:
+        """The trajectory of set ``cset_id`` (``None`` for the only set) over ``windows`` windows."""
         c = self.cset(cset_id)
-        return trajectory(
-            self.state0,
-            self.hamiltonian,
-            c,
-            self.scheduler_for(c.id),
-            self.windows if windows is None else windows,
-        )
+        return trajectory(self.state0, self.hamiltonian, c, self.scheduler_for(c.id), windows)
 
 
 def shift_is_sound(hamiltonian: Hamiltonian, cset: CommutingSet, window_index: int) -> bool:
@@ -320,9 +325,11 @@ def trajectory(
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
     Per window: lay the window out with :func:`span_partition` from the
-    current state and a :class:`LayoutBase` of ``state0``, then step the
+    current state and a :class:`LayoutBase` of ``state0``, write its weights
+    and the state into row ``n`` of the ``[W, d]`` arrays, then step the
     state to the next integer boundary with ``exp(-iH)``, built once; the
-    layouts end up back to back in the trajectory's arrays.  When every
+    layouts end up back to back in the trajectory's ``bounds`` and
+    ``labels``, and no per-window object is kept.  When every
     member observable commutes with the Hamiltonian the weights are
     constants of motion, and window 0's layout is reused verbatim, shifted
     by the window index, in every window where :func:`shift_is_sound`
@@ -336,29 +343,25 @@ def trajectory(
     if windows > MAX_WINDOWS:
         raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")
     u = hamiltonian.propagator(1.0)
-    psi, base, states, partitions, renorms = state0, LayoutBase(state0), [state0], [], 0
+    psi, base, renorms = state0, LayoutBase(state0), 0
+    probabilities = np.empty((windows, cset.dimension))
+    amplitudes = np.empty((windows, cset.dimension), dtype=np.complex128)
+    bounds, labels = [], []
     for n in range(windows):
-        partitions.append(span_partition(hamiltonian, cset, scheduler, psi, n, base))
+        part = span_partition(hamiltonian, cset, scheduler, psi, n, base)
+        probabilities[n], amplitudes[n] = part.probabilities, psi.amplitudes
+        # Windows share their boundary float: each keeps its lower bounds.
+        bounds.append(part.bounds[:-1])
+        labels.append(part.labels)
         if n + 1 < windows:
             psi = step(u, psi)
             renorms += int(psi.renormalized)
-            states.append(psi)
-    # One pair of arrays for the whole trajectory; windows share their
-    # boundary float, so each partition becomes a view into them.
-    offsets = np.cumsum([0] + [part.labels.size for part in partitions])
-    bounds = np.concatenate([p.bounds[:-1] for p in partitions] + [partitions[-1].bounds[-1:]])
-    labels = np.concatenate([part.labels for part in partitions])
-    for a in (offsets, bounds, labels):
+    bounds.append(part.bounds[-1:])
+    offsets = np.cumsum([0] + [a.size for a in labels])
+    arrays = (np.concatenate(bounds), np.concatenate(labels), offsets, probabilities, amplitudes)
+    for a in arrays:
         a.setflags(write=False)
-    o = offsets.tolist()
-    views = tuple(
-        WindowPartition(
-            part.window_index, part.lo, part.hi, part.probabilities,
-            bounds[o[n]:o[n + 1] + 1], labels[o[n]:o[n + 1]],
-        )
-        for n, part in enumerate(partitions)
-    )
-    return JumpTrajectory(cset, bounds, labels, offsets, views, tuple(states), renorms)
+    return JumpTrajectory(cset, *arrays, renorms)
 
 
 def dump_trajectory(traj: JumpTrajectory) -> str:

@@ -71,7 +71,7 @@ def _run_trajectory(config: ScenarioConfig, exp: TrajectoryExperiment, prefix: s
 def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, prefix: str):
     traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
     dist = sample_born(traj, exp.samples, exp.seed, window=exp.window)
-    exact = traj.partitions[exp.window].probabilities
+    exact = traj.probabilities[exp.window]
     rows = [
         (exp.name, _label_name(traj.cset.labels[k]), dist.estimate(k), dist.stderr[k], float(exact[k]))
         for k in range(traj.cset.dimension)

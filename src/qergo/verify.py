@@ -150,8 +150,8 @@ def _check_window_average_exactness():
         d = 2 + seed % 4
         psi, h, cs = _seeded_system(seed, d)
         traj = trajectory(psi, h, cs, _SCHEDULERS[seed % 3], windows=4)
-        for n, part in enumerate(traj.partitions):
-            pn = born_probabilities(traj.states[n], cs)
+        for n, amplitudes in enumerate(traj.amplitudes):
+            part, pn = traj.partition(n), born_probabilities(QuantumState(amplitudes), cs)
             for k in range(d):
                 dev = abs(window_average_step(part, k) - float(pn[k]))
                 yield dev, f"seed={seed}, window={n}, label={k}"
@@ -164,7 +164,8 @@ def _check_trajectory_tiling():
         if b[0] != 0.0 or b[-1] != 5.0 or not np.all(b[1:] > b[:-1]):
             yield 1.0, f"seed={seed}: stretches do not tile (0, 5] in order"
             return
-        for n, part in enumerate(traj.partitions):
+        for n in range(5):
+            part = traj.partition(n)
             dev = max(abs(float(part.bounds[0]) - n), abs(float(part.bounds[-1]) - (n + 1)))
             yield dev, f"seed={seed}, window={n}"
 
@@ -188,8 +189,8 @@ def _check_long_horizon():
         cases += [(f"d={d}, seed={seed}, H scaled by 4e-11", psi, weak, cs)]
     for i, (name, psi, h, cs) in enumerate(cases):
         traj = trajectory(psi, h, cs, _SCHEDULERS[i % 3], windows=2000)
-        for n, part in enumerate(traj.partitions):
-            pn = born_probabilities(traj.states[n], cs)
+        for n, amplitudes in enumerate(traj.amplitudes):
+            part, pn = traj.partition(n), born_probabilities(QuantumState(amplitudes), cs)
             for k in range(cs.dimension):
                 dev = abs(interval_measure(part, k) - float(pn[k]))
                 yield dev, f"{name}, window={n}, label={k}"
@@ -228,9 +229,9 @@ def _check_conserved_periodicity():
         eigenvalues=((float(w[0]),), (float(w[1]),)),
     )
     traj = trajectory(psi, h, cs, SchedulerSpec(kind="seeded-random", max_subintervals=2, seed=3), windows=30)
-    base = traj.partitions[0]
-    for n, part in enumerate(traj.partitions):
-        ref = periodic_extend(base, n)
+    base = traj.partition(0)
+    for n in range(30):
+        part, ref = traj.partition(n), periodic_extend(base, n)
         if part.labels.size != ref.labels.size:
             dev = 1.0
         else:

@@ -35,7 +35,7 @@ from qergo import (
     window_average_step,
     window_average_value,
 )
-from qergo.hilbert import CommutingSet, Hamiltonian
+from qergo.hilbert import CommutingSet, Hamiltonian, QuantumState
 from qergo.measurement import SystemUnderObservation, measure
 from qergo.partition import periodic_extend
 from qergo.qgrid import (
@@ -130,8 +130,8 @@ def test_criterion_03_window_averages_exact():
         h = random_hamiltonian(rng, d)
         cs = random_cset(rng, d, n_members=1 + i % 2)
         traj = trajectory(psi, h, cs, ALL_SCHEDULERS[i % 3], windows=2)
-        part = traj.partitions[1]
-        state1 = traj.states[1]
+        part = traj.partition(1)
+        state1 = QuantumState(traj.amplitudes[1])
         p = born_probabilities(state1, cs)
         for k in range(d):
             assert abs(window_average_step(part, k) - float(p[k])) <= 1e-9
@@ -156,7 +156,7 @@ def test_criterion_04_random_time_sampling():
         )
         dist = sample_born(traj, n, seed)
         for k in range(d):
-            m = interval_measure(traj.partitions[0], k)
+            m = interval_measure(traj.partition(0), k)
             se = math.sqrt(m * (1.0 - m) / n)
             if se == 0.0:
                 assert dist.estimate(k) == m
@@ -180,10 +180,10 @@ def test_criterion_05_conserved_periodicity():
     )
     psi = random_state(rng, d)
     traj = trajectory(psi, h, cs, ALL_SCHEDULERS[2], windows=1000)
-    base = traj.partitions[0]
+    base = traj.partition(0)
     for n in range(1000):
         ref = periodic_extend(base, n)
-        part = traj.partitions[n]
+        part = traj.partition(n)
         assert len(part.segments) == len(ref.segments)
         for (seg, k), (rseg, rk) in zip(part.segments, ref.segments):
             assert k == rk and seg.lo == rseg.lo and seg.hi == rseg.hi  # bitwise
@@ -196,9 +196,9 @@ def test_criterion_06_rabi_audit():
     traj = trajectory(
         make_state([1.0, 0.0]), h, sigma_z_set(), SchedulerSpec(kind="two-outcome"), windows=100
     )
-    for n, part in enumerate(traj.partitions):
+    for n in range(100):
         want = math.cos(n / 2.0) ** 2
-        assert abs(interval_measure(part, 0) - want) <= 1e-9, n
+        assert abs(interval_measure(traj.partition(n), 0) - want) <= 1e-9, n
 
 
 @criterion(7, 10.0)
@@ -227,9 +227,8 @@ def test_criterion_08_short_lag_agreement():
         hamiltonian=Hamiltonian(np.zeros((2, 2))),
         csets=(sigma_z_set(),),
         schedulers={"sz": SchedulerSpec()},
-        windows=8,
     )
-    traj = scenario.build_trajectory()
+    traj = scenario.build_trajectory(None, 8)
     zero = sub_tau_correlation(traj, 0.0, 1000, seed=8)
     assert zero.same_fraction == 1.0  # piecewise-constant: both reads coincide
 

@@ -325,7 +325,7 @@ def test_cli_dump_partition_matches_library(capsys):
     assert rc == 0
     got = capsys.readouterr().out
     cfg = load_config(CONFIG_DIR / "rabi-born.cfg")
-    part = cfg.scenario.build_trajectory("sz", 3).partitions[2]
+    part = cfg.scenario.build_trajectory("sz", 3).partition(2)
     assert got == dump_partition(part)
 
 

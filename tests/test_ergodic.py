@@ -90,7 +90,7 @@ def test_sample_born_squared_amplitude_equals_linear():
     for u, lab in zip(us, labels):
         from qergo.microstate import microstate_at
 
-        snap = microstate_at(traj.partitions[0], sz, float(u))
+        snap = microstate_at(traj.partition(0), sz, float(u))
         overlaps_sq = np.abs(sz.basis.conj().T @ snap.basis_vector) ** 2
         linear = np.zeros(2)
         linear[lab] = 1.0
@@ -136,7 +136,7 @@ def test_offset_average_integer_alpha_matches_window_average():
     traj = trajectory(s, H, cs, SchedulerSpec(), 4)
     for n in range(3):
         off = offset_window_average(traj, float(n), cs)
-        win = window_average_value(traj.partitions[n], cs)
+        win = window_average_value(traj.partition(n), cs)
         assert abs(off - win) <= 1e-12
 
 
@@ -145,7 +145,7 @@ def test_offset_average_alpha_independent_when_conserved():
     cs = random_cset(rng, 3)
     H = Hamiltonian((cs.basis * np.array([1.0, -0.5, 0.25])) @ cs.basis.conj().T)
     traj = trajectory(random_state(rng, 3), H, cs, SchedulerSpec(), 5)
-    base = window_average_value(traj.partitions[0], cs)
+    base = window_average_value(traj.partition(0), cs)
     for alpha in [0.25, 0.5, 1.7, 3.0]:
         assert abs(offset_window_average(traj, alpha, cs) - base) <= 1e-9
 
@@ -172,37 +172,36 @@ def test_offset_average_deviation_against_dumped_trajectory():
         offset_window_average(traj, 2.5, sz)
 
 
-def stationary_half_scenario(windows=8):
+def stationary_half_trajectory(windows=8):
     return Scenario(
         state0=make_state([1.0, 1.0]),
         hamiltonian=Hamiltonian(np.zeros((2, 2))),
         csets=(sigma_z_set(),),
         schedulers={},
-        windows=windows,
-    )
+    ).build_trajectory(None, windows)
 
 
 def test_sub_tau_delta_zero_is_exactly_one():
-    est = sub_tau_correlation(stationary_half_scenario().build_trajectory(), 0.0, 500, seed=3)
+    est = sub_tau_correlation(stationary_half_trajectory(), 0.0, 500, seed=3)
     assert est.same_fraction == 1.0
     assert est.stderr == 0.0
 
 
 def test_sub_tau_conserved_full_window_lag():
-    est = sub_tau_correlation(stationary_half_scenario().build_trajectory(), 1.0, 4000, seed=5)
+    est = sub_tau_correlation(stationary_half_trajectory(), 1.0, 4000, seed=5)
     assert est.same_fraction == 1.0
 
 
 def test_sub_tau_stationary_overlap_value():
     # p = (1/2, 1/2) contiguous, lag 0.1: each label matches on 0.4 of its
     # half, so the same-outcome fraction is 0.8
-    est = sub_tau_correlation(stationary_half_scenario().build_trajectory(), 0.1, 30_000, seed=11)
+    est = sub_tau_correlation(stationary_half_trajectory(), 0.1, 30_000, seed=11)
     se = math.sqrt(0.8 * 0.2 / 30_000)
     assert abs(est.same_fraction - 0.8) <= 4 * se
 
 
 def test_sub_tau_guards():
-    traj = stationary_half_scenario(windows=2).build_trajectory()
+    traj = stationary_half_trajectory(windows=2)
     with pytest.raises(ValueError, match="delta"):
         sub_tau_correlation(traj, -0.5, 100, seed=0)
     with pytest.raises(ValueError, match="whole base window"):
@@ -210,7 +209,7 @@ def test_sub_tau_guards():
 
 
 def test_same_outcome_measure_matches_analytic():
-    traj = stationary_half_scenario().build_trajectory()
+    traj = stationary_half_trajectory()
     for delta in [0.05, 0.1, 0.25]:
         exact = same_outcome_measure(traj, delta, 6)
         assert exact == pytest.approx(1.0 - 2.0 * delta, abs=1e-12)
@@ -224,9 +223,8 @@ def test_same_outcome_measure_matches_sampler():
         hamiltonian=Hamiltonian(np.zeros((2, 2))),
         csets=(sigma_z_set(),),
         schedulers={"sz": SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=8)},
-        windows=6,
     )
-    traj = sc.build_trajectory()
+    traj = sc.build_trajectory(None, 6)
     delta = 0.23
     exact = same_outcome_measure(traj, delta, 5)
     est = sub_tau_correlation(traj, delta, 40_000, seed=21)
@@ -328,7 +326,7 @@ def scattered_sub_tau(traj, delta, n_pairs, seed):
     return frac, math.sqrt(frac * (1.0 - frac) / n_pairs)
 
 
-def reads_scenario(rng, kind, conserved, d, windows, seed):
+def reads_trajectory(rng, kind, conserved, d, windows, seed):
     cs = random_cset(rng, d)
     if conserved:
         H = Hamiltonian((cs.basis * rng.standard_normal(d)) @ cs.basis.conj().T)
@@ -339,8 +337,7 @@ def reads_scenario(rng, kind, conserved, d, windows, seed):
         hamiltonian=H,
         csets=(cs,),
         schedulers={cs.id: SchedulerSpec(kind=kind, max_subintervals=4, seed=seed)},
-        windows=windows,
-    )
+    ).build_trajectory(None, windows)
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
@@ -350,8 +347,7 @@ def test_random_reads_equal_scattered_reference(kind, conserved):
     for trial in range(3):
         d = int(rng.integers(2, 7))
         windows = int(rng.integers(2, 9))
-        sc = reads_scenario(rng, kind, conserved, d, windows, seed=trial)
-        traj = sc.build_trajectory()
+        traj = reads_trajectory(rng, kind, conserved, d, windows, seed=trial)
         for n in (1, 2, 10**5):
             seed = int(rng.integers(1 << 30))
             for window in (0, windows - 1):
@@ -371,7 +367,7 @@ def test_random_reads_equal_scattered_reference(kind, conserved):
 @pytest.mark.parametrize("conserved", [False, True])
 def test_random_reads_at_block_edges_equal_one_shot_reads(kind, conserved):
     rng = np.random.default_rng(["contiguous", "two-outcome", "seeded-random"].index(kind) + 10 * conserved + 100)
-    traj = reads_scenario(rng, kind, conserved, d=int(rng.integers(2, 7)), windows=5, seed=7).build_trajectory()
+    traj = reads_trajectory(rng, kind, conserved, d=int(rng.integers(2, 7)), windows=5, seed=7)
     for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
         seed = int(rng.integers(1 << 30))
         for window in (0, 4):
@@ -387,7 +383,7 @@ def test_random_reads_at_block_edges_equal_one_shot_reads(kind, conserved):
 @pytest.mark.parametrize("conserved", [False, True])
 def test_sub_tau_blocks_of_a_long_trajectory_equal_one_shot_reads(conserved):
     rng = np.random.default_rng(200 + conserved)
-    traj = reads_scenario(rng, "seeded-random", conserved, d=16, windows=150, seed=9).build_trajectory()
+    traj = reads_trajectory(rng, "seeded-random", conserved, d=16, windows=150, seed=9)
     block = _READS_PER_STRETCH * traj.labels.size
     assert block > _BLOCK
     for n in (block - 1, block, block + 1, 2 * block + 7):
@@ -401,7 +397,7 @@ def test_sub_tau_blocks_of_a_long_trajectory_equal_one_shot_reads(conserved):
 # traced peak stays near a few blocks whatever the read count.
 def test_random_reads_memory_does_not_grow_with_the_read_count():
     rng = np.random.default_rng(13)
-    traj = reads_scenario(rng, "seeded-random", True, d=16, windows=126, seed=3).build_trajectory()
+    traj = reads_trajectory(rng, "seeded-random", True, d=16, windows=126, seed=3)
     n = 4_000_000
     for read in (
         lambda: sample_born(traj, n, seed=5, window=60),
@@ -417,7 +413,7 @@ def test_random_reads_memory_does_not_grow_with_the_read_count():
 
 
 def test_sub_tau_reports_the_base_span_it_sampled():
-    traj = stationary_half_scenario(windows=4).build_trajectory()
+    traj = stationary_half_trajectory(windows=4)
     for delta, base_windows in [(0.0, 4), (0.5, 3), (1.0, 3), (2.9, 1)]:
         assert sub_tau_correlation(traj, delta, 10, seed=0).base_windows == base_windows
 
@@ -437,13 +433,13 @@ def test_offset_window_average_rejects_another_sets_eigenbasis():
 # NaN compares false with everything, so each range check is written to fail
 # on it; an infinite lag or offset fails the upper bound.
 def test_offset_window_average_rejects_a_nan_offset():
-    traj = stationary_half_scenario(windows=3).build_trajectory()
+    traj = stationary_half_trajectory(windows=3)
     with pytest.raises(ValueError, match="falls outside the covered span"):
         offset_window_average(traj, math.nan, traj.cset)
 
 
 def test_same_outcome_measure_rejects_a_non_finite_lag_or_base_span():
-    traj = stationary_half_scenario(windows=3).build_trajectory()
+    traj = stationary_half_trajectory(windows=3)
     with pytest.raises(ValueError, match="delta must be non-negative"):
         same_outcome_measure(traj, math.nan, 2)
     for delta, base_windows in [(math.inf, 2), (0.5, math.nan)]:
@@ -453,7 +449,7 @@ def test_same_outcome_measure_rejects_a_non_finite_lag_or_base_span():
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=repr)
 def test_sub_tau_correlation_rejects_a_non_finite_lag(delta):
-    traj = stationary_half_scenario(windows=3).build_trajectory()
+    traj = stationary_half_trajectory(windows=3)
     message = "delta must be non-negative" if math.isnan(delta) else "whole base window"
     with pytest.raises(ValueError, match=message):
         sub_tau_correlation(traj, delta, 10, 0)

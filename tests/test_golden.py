@@ -210,9 +210,8 @@ def _random_reads_case() -> str:
             hamiltonian=h,
             csets=(cset,),
             schedulers={cset.id: SchedulerSpec(kind="seeded-random", max_subintervals=4, seed=5)},
-            windows=windows,
         )
-        traj = scenario.build_trajectory()
+        traj = scenario.build_trajectory(None, windows)
         for window in (0, windows - 1):
             dist = sample_born(traj, n, seed=window + 1, window=window)
             lines.append(f"{name} born window={window} {dist.counts!r}")

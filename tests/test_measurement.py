@@ -151,7 +151,7 @@ def test_hops_reach_the_trajectorys_window_layout():
         sys = SystemUnderObservation.from_scenario(scenario)
         for u in (0.3, 0.7, 1.2, 2.5):
             sys = advance(sys, u)
-        expect = scenario.build_trajectory("r", 3).partitions[2]
+        expect = scenario.build_trajectory("r", 3).partition(2)
         assert dump_partition(sys.partition("r")) == dump_partition(expect), seed
 
 
@@ -242,7 +242,6 @@ def test_sequential_conserved_repeat_always_agrees():
         hamiltonian=H0,
         csets=(sigma_z_set(),),
         schedulers={},
-        windows=3,
     )
     dist = sequential_experiment(sc, [("sz", 0.5), ("sz", 1.5)], n_runs=300, seed=15)
     for key in dist.counts:
@@ -302,7 +301,7 @@ def test_a_sound_shifted_window_is_the_trajectorys_window(n):
         {"sz": SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=4)},
     )
     got = advance(SystemUnderObservation.from_scenario(sc), n + 0.5).partition("sz")
-    want = sc.build_trajectory("sz", 40).partitions[n]
+    want = sc.build_trajectory("sz", 40).partition(n)
     assert (got.window_index, got.lo, got.hi) == (want.window_index, want.lo, want.hi)
     for name in ("bounds", "labels", "probabilities"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -315,7 +314,6 @@ def test_sequential_order_dependence_against_enumeration():
         hamiltonian=H0,
         csets=(sz, sx),
         schedulers={},
-        windows=4,
     )
     n = 4000
     zx = sequential_experiment(sc, [("sz", 0.5), ("sx", 1.5)], n_runs=n, seed=31)
@@ -340,11 +338,10 @@ def test_sequential_single_step_matches_sample_born():
         hamiltonian=H0,
         csets=(sigma_z_set(),),
         schedulers={},
-        windows=2,
     )
     n = 4000
     dist = sequential_experiment(sc, [("sz", 0.5)], n_runs=n, seed=8)
-    traj = sc.build_trajectory()
+    traj = sc.build_trajectory(None, 2)
     born = sample_born(traj, n, seed=9)
     f_seq = dist.frequency(((0,),))
     se = math.sqrt(0.36 * 0.64 / n)

@@ -1,3 +1,7 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from qergo.hilbert import (
     CONSERVED_TOL,
     CommutingSet,
     Hamiltonian,
+    QuantumState,
     born_probabilities,
     evolve,
     is_conserved,
@@ -13,6 +18,7 @@ from qergo.hilbert import (
 )
 from qergo.microstate import (
     MAX_WINDOWS,
+    JumpTrajectory,
     Scenario,
     apply_value_operator,
     dump_trajectory,
@@ -23,6 +29,7 @@ from qergo.microstate import (
 )
 from qergo.partition import (
     SchedulerSpec,
+    WindowPartition,
     _seeded_random_layout,
     build_partition,
     check_partition,
@@ -153,10 +160,10 @@ def test_trajectory_measures_match_born_per_window():
     cs = random_cset(rng, 4)
     traj = trajectory(s, H, cs, SchedulerSpec(), 5)
     psi = s
-    for n, part in enumerate(traj.partitions):
+    for n in range(5):
         p_born = born_probabilities(psi, cs)
         for k in range(4):
-            assert abs(interval_measure(part, k) - p_born[k]) <= 1e-9
+            assert abs(interval_measure(traj.partition(n), k) - p_born[k]) <= 1e-9
         psi = evolve(psi, H, 1.0)
 
 
@@ -168,8 +175,9 @@ def test_trajectory_conserved_periodicity_exact():
     s = random_state(rng, 3)
     spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=77)
     traj = trajectory(s, H, cs, spec, 50)
-    base = traj.partitions[0]
-    for n, part in enumerate(traj.partitions):
+    base = traj.partition(0)
+    for n in range(50):
+        part = traj.partition(n)
         assert len(part.segments) == len(base.segments)
         for (seg, k), (bseg, bk) in zip(part.segments, base.segments):
             assert k == bk
@@ -179,8 +187,8 @@ def test_trajectory_conserved_periodicity_exact():
 def test_trajectory_rabi_against_closed_form():
     H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
     traj = trajectory(make_state([1.0, 0.0]), H, sigma_z_set(), SchedulerSpec(), 60)
-    for n, part in enumerate(traj.partitions):
-        assert abs(interval_measure(part, 0) - np.cos(n / 2) ** 2) <= 1e-9
+    for n in range(60):
+        assert abs(interval_measure(traj.partition(n), 0) - np.cos(n / 2) ** 2) <= 1e-9
 
 
 def test_trajectory_label_lookup():
@@ -278,8 +286,8 @@ def test_scenario_validation_and_build():
     s = make_state([1.0, 0.0])
     H = Hamiltonian(np.zeros((2, 2)))
     sz = sigma_z_set()
-    sc = Scenario(state0=s, hamiltonian=H, csets=(sz,), schedulers={}, windows=2)
-    traj = sc.build_trajectory()
+    sc = Scenario(state0=s, hamiltonian=H, csets=(sz,), schedulers={})
+    traj = sc.build_trajectory(None, 2)
     assert traj.windows_covered == 2
     assert sc.cset("sz") is sz
     with pytest.raises(ValueError, match="no commuting set"):
@@ -303,15 +311,78 @@ def test_partitions_are_views_into_the_trajectory_arrays():
     assert traj.bounds[0] == 0.0 and traj.bounds[-1] == 7.0
     for a in (traj.bounds, traj.labels, traj.offsets):
         assert not a.flags.writeable
-    for n, part in enumerate(traj.partitions):
+    for n in range(7):
+        part = traj.partition(n)
         i, j = traj.offsets[n], traj.offsets[n + 1]
+        assert (part.window_index, part.lo, part.hi) == (n, float(n), n + 1.0)
         assert np.shares_memory(part.bounds, traj.bounds)
         assert np.shares_memory(part.labels, traj.labels)
+        assert np.shares_memory(part.probabilities, traj.probabilities)
         np.testing.assert_array_equal(part.bounds, traj.bounds[i:j + 1])
         assert part.bounds[0] == n and part.bounds[-1] == n + 1
+    for n in (-1, 7):
+        with pytest.raises(ValueError, match=rf"window {n} outside the covered range \[0, 7\)"):
+            traj.partition(n)
     # events are rebuilt from the arrays on every access
     assert traj.events is not traj.events
     assert [ev.label_index for ev in traj.events] == traj.labels.tolist()
+
+
+def test_a_trajectory_constructs_one_partition_per_window(monkeypatch):
+    count = [0]
+    init = WindowPartition.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        init(self)
+
+    monkeypatch.setattr(WindowPartition, "__post_init__", counted)
+    rng = np.random.default_rng(38)
+    for conserved in (False, True):
+        cs = random_cset(rng, 3)
+        if conserved:
+            h = Hamiltonian((cs.basis * rng.standard_normal(3)) @ cs.basis.conj().T)
+        else:
+            h = random_hamiltonian(rng, 3)
+        count[0] = 0
+        trajectory(random_state(rng, 3), h, cs, SchedulerSpec(), 25)
+        assert count[0] == 25, conserved
+
+
+def test_a_trajectory_is_read_only_arrays():
+    rng = np.random.default_rng(39)
+    d, windows = 5, 9
+    traj = trajectory(
+        random_state(rng, d), random_hamiltonian(rng, d), random_cset(rng, d), SchedulerSpec(), windows
+    )
+    names = [f.name for f in dataclasses.fields(JumpTrajectory)]
+    assert names == ["cset", "bounds", "labels", "offsets", "probabilities", "amplitudes", "renorm_events"]
+    for name in names[1:-1]:
+        a = getattr(traj, name)
+        assert isinstance(a, np.ndarray) and not a.flags.writeable, name
+    assert traj.probabilities.shape == traj.amplitudes.shape == (windows, d)
+    assert traj.windows_covered == windows
+
+
+def test_only_the_partition_accessor_constructs_window_partitions():
+    # The trajectory stores arrays; a window's layout object is made on request.
+    source = Path(__file__).resolve().parent.parent / "src" / "qergo" / "microstate.py"
+    module = ast.parse(source.read_text(encoding="utf-8")).body
+    defs = [(f.name, f) for f in module if isinstance(f, ast.FunctionDef)]
+    defs += [
+        (f"{c.name}.{f.name}", f)
+        for c in module
+        if isinstance(c, ast.ClassDef)
+        for f in c.body
+        if isinstance(f, ast.FunctionDef)
+    ]
+    callers = [
+        name
+        for name, f in defs
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "WindowPartition"
+    ]
+    assert callers == ["JumpTrajectory.partition"]
 
 
 # The per-window loop over the public steps, kept as the reference: build
@@ -339,15 +410,14 @@ def _assert_matches_loop(traj, state0, hamiltonian, cset, scheduler, windows):
     assert np.array_equal(traj.bounds, bounds)
     assert np.array_equal(traj.labels, np.concatenate([p.labels for p in partitions]))
     assert traj.offsets.tolist() == np.cumsum([0] + [p.labels.size for p in partitions]).tolist()
-    assert len(traj.partitions) == len(traj.states) == windows
-    for got, want in zip(traj.partitions, partitions):
+    assert traj.windows_covered == windows
+    for n, want in enumerate(partitions):
+        got = traj.partition(n)
         assert (got.window_index, got.lo, got.hi) == (want.window_index, want.lo, want.hi)
         assert np.array_equal(got.probabilities, want.probabilities)
         assert np.array_equal(got.bounds, want.bounds)
         assert np.array_equal(got.labels, want.labels)
-    for got, want in zip(traj.states, states):
-        assert np.array_equal(got.amplitudes, want.amplitudes)
-        assert got.renormalized == want.renormalized
+    assert np.array_equal(traj.amplitudes, [state.amplitudes for state in states])
     assert traj.renorm_events == renorms
 
 
@@ -366,8 +436,8 @@ def test_trajectory_equals_per_window_loop(kind, d, conserved):
     windows = 150 if d < 16 else 60
     traj = trajectory(s, h, cs, spec, windows)
     _assert_matches_loop(traj, s, h, cs, spec, windows)
-    # a conserved set takes the periodic branch, which shares window 0's weights
-    assert (traj.partitions[-1].probabilities is traj.partitions[0].probabilities) == conserved
+    # a conserved set takes the periodic branch, which repeats window 0's weights
+    assert bool(np.all(traj.probabilities == traj.probabilities[0])) == conserved
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
@@ -433,14 +503,14 @@ def test_nearly_conserved_trajectory_keeps_born_measures_over_a_long_horizon():
     sz, s = sigma_z_set(), make_state([1.0, 1j])
     traj = trajectory(s, h, sz, SchedulerSpec(), 10_000)
     for n in (0, 2_000, 9_999):
-        p = born_probabilities(traj.states[n], sz)
+        p = born_probabilities(QuantumState(traj.amplitudes[n]), sz)
         for k in range(2):
-            assert abs(interval_measure(traj.partitions[n], k) - p[k]) <= 1e-9
+            assert abs(interval_measure(traj.partition(n), k) - p[k]) <= 1e-9
     # Over a horizon too short for the drift to show, window 0 still repeats.
     short = trajectory(s, h, sz, SchedulerSpec(), 3)
-    for n, part in enumerate(short.partitions):
-        assert np.array_equal(part.bounds, short.partitions[0].bounds + n)
-        assert part.probabilities is short.partitions[0].probabilities
+    for n in range(3):
+        assert np.array_equal(short.partition(n).bounds, short.partition(0).bounds + n)
+        assert short.probabilities[n].tobytes() == short.probabilities[0].tobytes()
 
 
 def _weakly_coupled(d):
@@ -463,13 +533,14 @@ def test_a_windows_layout_does_not_depend_on_how_many_windows_follow(kind, d):
     assert all(sound[:6]) and not sound[-1]  # the shift stops being sound in between
     spec = SchedulerSpec(kind=kind, max_subintervals=3, seed=4, offset=0.3)
     short, long = trajectory(s, h, cs, spec, 6), trajectory(s, h, cs, spec, 40)
-    for a, b in zip(short.partitions, long.partitions):
+    for n in range(6):
+        a, b = short.partition(n), long.partition(n)
         for name in ("bounds", "labels", "probabilities"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     for traj in (short, long):
-        base = traj.partitions[0].probabilities
-        for n, part in enumerate(traj.partitions):
-            assert (part.probabilities is base) == sound[n]
+        base = traj.probabilities[0].tobytes()
+        for n, row in enumerate(traj.probabilities):
+            assert (row.tobytes() == base) == sound[n]
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])
@@ -483,7 +554,7 @@ def test_every_partition_of_a_long_trajectory_passes_the_audit(kind):
         SchedulerSpec(kind=kind, max_subintervals=3, seed=4, offset=0.6),
         2000,
     )
-    assert max(check_partition(part) for part in traj.partitions) <= 1e-9
+    assert max(check_partition(traj.partition(n)) for n in range(2000)) <= 1e-9
 
 
 _MISMATCHED = [(3, 2, 2), (2, 3, 2), (2, 2, 3)]
