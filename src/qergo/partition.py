@@ -15,9 +15,12 @@ strategies pin it down:
   (wrapping around the block), matching the classic three-interval layout
   for two outcomes;
 * ``seeded-random`` — each label's mass is split into at most
-  ``max_subintervals`` pieces and the pieces are shuffled, with all draws
-  taken from a PCG64 stream keyed by ``(seed, window_index)`` so any window
-  can be rebuilt independently of the others.
+  ``max_subintervals`` (at most ``MAX_SUBINTERVALS``) pieces and the pieces
+  are shuffled, with all draws taken from numpy's PCG64 stream keyed by
+  ``(seed, window_index)`` so any window can be rebuilt independently of
+  the others.  The stream is read as ``Generator.integers``,
+  ``Generator.random`` and ``Generator.permutation`` read it; the counts
+  and cuts are decoded from its raw words here (see ``_random_layout``).
 
 Partial windows appear after a mid-window state reduction: the remainder
 ``(u0, N+1]`` is re-partitioned with the same machinery, measures scaled by
@@ -27,6 +30,7 @@ the remaining span.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,11 +41,15 @@ from .errors import InvariantViolation
 SCHEDULER_KINDS = ("contiguous", "two-outcome", "seeded-random")
 MEASURE_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
+# Pieces per label stay few enough to allocate, and every piece count is a
+# 32-bit draw (see _random_layout).
+MAX_SUBINTERVALS = 2**16
 
 __all__ = [
     "SCHEDULER_KINDS",
     "MEASURE_TOL",
     "PROB_SUM_TOL",
+    "MAX_SUBINTERVALS",
     "SubInterval",
     "SchedulerSpec",
     "WindowPartition",
@@ -94,8 +102,11 @@ class SchedulerSpec:
     def __post_init__(self):
         if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}; choose from {SCHEDULER_KINDS}")
-        if self.max_subintervals < 1:
-            raise ValueError("max_subintervals must be at least 1")
+        n = self.max_subintervals
+        if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_SUBINTERVALS):
+            raise ValueError(
+                f"max_subintervals must be an integer in [1, {MAX_SUBINTERVALS}], got {n!r}"
+            )
         if not 0.0 <= self.offset <= 1.0:
             raise ValueError(f"offset must lie in [0, 1], got {self.offset}")
         if self.seed < 0:
@@ -196,34 +207,76 @@ def _two_outcome_layout(p: np.ndarray, offset: float) -> tuple[np.ndarray, np.nd
 
 
 _UINT32_END = 2**32
+_LOW32 = _UINT32_END - 1
 
 
 def _seeded_random_layout(
     p: np.ndarray, window_index: int, spec: SchedulerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Keyed per window so partitions can be rebuilt out of order.  Python
-    # floats throughout: `cut - prev` is the double np.diff would give.
+    # Keyed per window so partitions can be rebuilt out of order.
     key = [spec.seed, window_index]
     if 0 <= window_index < _UINT32_END and spec.seed < _UINT32_END:
         # SeedSequence reads a list of such ints as these uint32 words.
         key = np.array(key, dtype=np.uint32)
-    rng = np.random.default_rng(key)
-    integers, random, top = rng.integers, rng.random, spec.max_subintervals + 1
+    return _random_layout(p, np.random.PCG64(key), spec.max_subintervals)
+
+
+def _random_layout(
+    p: np.ndarray, bitgen: np.random.PCG64, max_subintervals: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The layout ``Generator(bitgen)`` draws, decoded from the raw 64-bit words.
+
+    Per positive label, in label order: a piece count ``n`` as
+    ``integers(1, max_subintervals + 1)`` draws it, then ``n - 1`` cuts as
+    ``mass * random(n - 1)``; last, ``permutation`` of the pieces.  One
+    scalar ``integers`` call costs more than decoding its word here, so the
+    words are read with ``random_raw``, each only when numpy would read it,
+    and ``bitgen`` reaches the shuffle in the state numpy's calls leave.
+    ``bitgen`` must not hold a buffered 32-bit half, as a fresh one does not.
+    """
+    raw, excl = bitgen.random_raw, max_subintervals
+    # integers() on a 32-bit range: Lemire's multiply-and-reject on
+    # next_uint32, which takes a word's low half and keeps its upper half
+    # for the next call.  Random cuts read whole words and skip the kept half.
+    threshold = (_LOW32 - (excl - 1)) % excl
+    half = None
     widths: list[float] = []
     labels: list[int] = []
     for k, mass in enumerate(p.tolist()):
         if mass <= 0.0:
             continue
-        n = int(integers(1, top))
-        # rng.uniform(0.0, mass, n - 1) is 0.0 + mass * U: the same doubles.
-        cuts = sorted((mass * random(n - 1)).tolist()) if n > 1 else []
+        n = 1
+        if excl > 1:
+            while True:
+                if half is None:
+                    word = raw()
+                    x, half = word & _LOW32, word >> 32
+                else:
+                    x, half = half, None
+                m = x * excl
+                if m & _LOW32 >= threshold:
+                    break
+            n += m >> 32
+        # random() is (word >> 11) * 2**-53, and mass times it the double
+        # rng.uniform(0.0, mass) gives; `cut - prev` is the one np.diff gives.
+        if n == 1:
+            cuts = [mass]
+        elif n == 2:  # one word, read without building an array
+            cuts = [mass * ((raw() >> 11) * 2.0**-53), mass]
+        else:
+            cuts = sorted([mass * ((w >> 11) * 2.0**-53) for w in raw(n - 1).tolist()])
+            cuts.append(mass)
         prev = 0.0
-        for cut in cuts + [mass]:
+        for cut in cuts:
             if (w := cut - prev) > 0.0:
                 widths.append(w)
                 labels.append(k)
             prev = cut
-    order = rng.permutation(len(widths))
+    if half is not None:  # the half next_uint32 would return next
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, half
+        bitgen.state = state
+    order = np.random.Generator(bitgen).permutation(len(widths))
     return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
 

@@ -474,6 +474,17 @@ def test_scheduler_block_keys(where):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("where", ["csco", "qgrid"])
+def test_scheduler_max_subintervals_is_bounded(where):
+    # Parsed only: a layout at the bound would allocate 2**16 pieces per label.
+    body = "kind = seeded-random\nmax_subintervals = {}\n"
+    assert _parsed_scheduler(where, body.format(2**16)).max_subintervals == 2**16
+    text = _scheduler_text(where, body.format(2**16 + 1))
+    message = f"line {_line(text, 'scheduler {')}: max_subintervals must be an integer in [1, 65536], got 65537"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
+
+
 def test_scales_block_keys():
     def with_scales(body: str) -> str:
         return f"scales {{\n{body}}}\n" + MINIMAL

@@ -624,3 +624,29 @@ def test_seeded_random_layout_equals_uniform_draw_reference():
         assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
         cases += 1
     assert cases >= 2_000
+
+
+def test_seeded_random_layout_equals_uniform_draw_reference_up_to_d_64():
+    # An odd number of positive labels leaves half a count word over for the
+    # shuffle (unless a rejection evens it out); an even number leaves none.
+    rng = np.random.default_rng(1818)
+    parities = {0: 0, 1: 0}
+    for i in range(1_200):
+        d = int(rng.integers(1, 65))
+        p = random_probabilities(rng, d)
+        p[rng.random(d) < rng.random() * 0.6] = 0.0
+        if i % 5 == 2:  # subnormal masses, one of them the smallest
+            tiny = rng.choice(d, size=min(d, 3), replace=False)
+            p[tiny] = 5e-324 * rng.integers(1, 2**20, size=tiny.size)
+            p[tiny[0]] = 5e-324
+        if not p.any():
+            p[0] = 1.0
+        parities[int(np.count_nonzero(p > 0.0)) % 2] += 1
+        seed = int(rng.integers(0, 2**63)) if i % 2 else int(rng.integers(0, 2**32))
+        window = int(rng.integers(0, 2**40)) if i % 4 == 1 else int(rng.integers(0, 5_000))
+        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + i % 9, seed=seed)
+        got = _seeded_random_layout(p, window, spec)
+        want = _uniform_seeded_random_layout(p, window, spec)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+    assert min(parities.values()) >= 400

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qergo.errors import InvariantViolation
 from qergo.partition import (
+    MAX_SUBINTERVALS,
     SCHEDULER_KINDS,
     SchedulerSpec,
     SubInterval,
@@ -19,6 +20,7 @@ from qergo.partition import (
     periodic_extend,
     step_function,
 )
+from qergo.partition import _random_layout
 from qergo.testing import random_probabilities
 
 ALL_KINDS = ["contiguous", "two-outcome", "seeded-random"]
@@ -203,6 +205,21 @@ def test_scheduler_spec_validation():
         SchedulerSpec(offset=1.5)
 
 
+def test_max_subintervals_is_bounded():
+    # No layout is built: one at the bound would allocate 2**16 pieces per label.
+    assert MAX_SUBINTERVALS == 2**16
+    assert SchedulerSpec(kind="seeded-random", max_subintervals=2**16, seed=1).max_subintervals == 2**16
+    # A numpy integer is an integer; its layouts are the ones a Python int gives.
+    p = np.array([0.2, 0.3, 0.5])
+    for n in (1, 3, 7):
+        a = build_partition(p, 5, SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=8))
+        b = build_partition(p, 5, SchedulerSpec(kind="seeded-random", max_subintervals=np.int64(n), seed=8))
+        assert a.bounds.tobytes() == b.bounds.tobytes() and np.array_equal(a.labels, b.labels)
+    for n in (2**16 + 1, 2**40, 0, 2.5):
+        with pytest.raises(ValueError, match=rf"max_subintervals must be an integer in \[1, 65536\], got {n!r}$"):
+            SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=1)
+
+
 def test_span_partition_scales_measures():
     p = build_partition_span([0.25, 0.75], 2.4, 3.0, SchedulerSpec(), window_index=2)
     assert p.lo == 2.4 and p.hi == 3.0
@@ -321,3 +338,143 @@ def test_layout_with_sub_ulp_trailing_weight_ends_on_hi(weights, tail, kind, lo)
     p = build_partition_span(w / w.sum(), lo, hi, spec, window)
     assert p.bounds[-1] == hi
     assert check_partition(p) <= 1e-9
+
+
+# numpy's PCG64: a 128-bit LCG stepped before each output, and the XSL-RR
+# output of the stepped state.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+_MASK64 = 2**64 - 1
+
+
+def _xsl_rr(state: int) -> int:
+    hi, lo = state >> 64, state & _MASK64
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+
+def _pcg64_emitting(word: int, skip: int = 0, seed: int = 0) -> np.random.PCG64:
+    """A PCG64 whose output ``skip + 1`` (counting from 1) is ``word``."""
+    bitgen = np.random.PCG64(seed)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    hi = (0x9E3779B97F4A7C15 * (seed + 1)) & _MASK64  # any high half will do
+    rot = hi >> 58
+    lo = (((word << rot) | (word >> (64 - rot))) & _MASK64) ^ hi  # rotl(word, rot) ^ hi
+    s = (hi << 64) | lo
+    assert _xsl_rr(s) == word
+    for _ in range(skip + 1):
+        s = ((s - inc) * _PCG_MULT_INV) % 2**128
+    state["state"]["state"] = s
+    bitgen.state = state
+    return bitgen
+
+
+def _numpy_layout(p, rng: np.random.Generator, max_subintervals):
+    """The seeded-random layout drawn through numpy's own Generator calls."""
+    widths, labels = [], []
+    for k, mass in enumerate(p.tolist()):
+        if mass <= 0.0:
+            continue
+        n = int(rng.integers(1, max_subintervals + 1))
+        cuts = np.sort(mass * rng.random(n - 1))
+        parts = np.diff(np.concatenate(([0.0], cuts, [mass])))
+        widths.extend(parts[parts > 0.0].tolist())
+        labels.extend([k] * int(np.count_nonzero(parts > 0.0)))
+    order = rng.permutation(len(widths))
+    return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
+
+
+def _rejects(x: int, excl: int) -> bool:
+    """Whether numpy's bounded 32-bit draw throws the value ``x`` away."""
+    return (x * excl) & 0xFFFFFFFF < (2**32 - excl) % excl
+
+
+def _next_outputs(bitgen: np.random.PCG64):
+    """What the generator gives next: its LCG state and any buffered 32-bit half."""
+    state = bitgen.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+def _assert_draw_matches_numpy(p, bitgen, max_subintervals):
+    twin = np.random.PCG64()
+    twin.state = bitgen.state
+    got = _random_layout(p, bitgen, max_subintervals)
+    want = _numpy_layout(p, np.random.Generator(twin), max_subintervals)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+    # Both leave the generator where numpy's calls left it, buffered half
+    # included; a half already read is stale and next_uint32 never reads it.
+    assert _next_outputs(bitgen) == _next_outputs(twin)
+    return got
+
+
+@pytest.mark.parametrize("excl", [3, 5, 6, 7])
+@pytest.mark.parametrize("skip", [0, 1, 3])
+def test_random_draw_rejects_both_halves_of_a_word_as_numpy_does(excl, skip):
+    # A zero word: both halves are rejected, wherever it falls among the
+    # count and cut words of a four-label layout.
+    assert _rejects(0, excl)
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    for seed in range(8):
+        bitgen = _pcg64_emitting(0, skip=skip, seed=seed)
+        probe = np.random.PCG64()
+        probe.state = bitgen.state
+        assert probe.random_raw(skip + 1)[-1] == 0
+        _assert_draw_matches_numpy(p, bitgen, excl)
+
+
+def _scaled_to(leftover: int, excl: int) -> int:
+    """A 32-bit value ``x`` with ``(x * excl) % 2**32 == leftover``."""
+    g = excl & -excl  # excl's power-of-two factor
+    x = (leftover // g) * pow(excl // g, -1, 2**32 // g) % (2**32 // g)
+    assert (x * excl) & 0xFFFFFFFF == leftover
+    return x
+
+
+@pytest.mark.parametrize("excl", [3, 5, 6, 7])
+def test_random_draw_keeps_a_value_on_the_rejection_threshold(excl):
+    # The low half sits on the threshold and is kept; the upper half sits
+    # just below it and is rejected, so the second label's count comes from
+    # the next word.
+    threshold = (2**32 - excl) % excl
+    below = max(t for t in range(threshold) if t % (excl & -excl) == 0)
+    word = (_scaled_to(below, excl) << 32) | _scaled_to(threshold, excl)
+    assert not _rejects(word & 0xFFFFFFFF, excl) and _rejects(word >> 32, excl)
+    p = np.array([0.5, 0.3, 0.2])
+    for seed in range(8):
+        _assert_draw_matches_numpy(p, _pcg64_emitting(word, seed=seed), excl)
+
+
+@pytest.mark.parametrize("excl", [3, 5, 6, 7])
+def test_random_draw_leaves_an_upper_half_for_the_shuffle_after_a_rejection(excl):
+    # One positive label: the zero first word is rejected in both halves,
+    # the count comes from the next word's low half, and its upper half is
+    # the first value the shuffle reads.
+    p = np.array([0.0, 0.0, 1.0, 0.0])
+    for seed in range(8):
+        bitgen = _pcg64_emitting(0, seed=seed)
+        probe = np.random.PCG64()
+        probe.state = bitgen.state
+        np.random.Generator(probe).integers(1, excl + 1)
+        assert probe.state["has_uint32"] == 1
+        _assert_draw_matches_numpy(p, bitgen, excl)
+    # A rejected low half whose upper half is kept: the count is 1 from 0x12345678.
+    p = np.array([1.0])
+    bitgen = _pcg64_emitting(0x1234567800000000)
+    assert _rejects(0, excl) and not _rejects(0x12345678, excl)
+    twin = np.random.PCG64()
+    twin.state = bitgen.state
+    assert np.random.Generator(twin).integers(1, excl + 1) == 1
+    widths, labels = _assert_draw_matches_numpy(p, bitgen, excl)
+    assert widths.tolist() == [1.0] and labels.tolist() == [0]
+
+
+def test_random_draw_with_one_piece_per_label_reads_only_the_shuffle():
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 7, 16):
+        p = random_probabilities(rng, d)
+        bitgen = _pcg64_emitting(0, seed=d)
+        widths, labels = _assert_draw_matches_numpy(p, bitgen, 1)
+        assert sorted(labels.tolist()) == list(range(d))
+        assert widths.tobytes() == p[labels].tobytes()
