@@ -22,6 +22,7 @@ can be branched, replayed, and compared without interference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -86,10 +87,10 @@ class Span:
     lo: float
     base: LayoutBase
     built: dict = field(default_factory=dict, init=False, repr=False)
+    hi: float = field(init=False)
 
-    @property
-    def hi(self) -> float:
-        return float(math.floor(self.lo)) + 1.0
+    def __post_init__(self):
+        object.__setattr__(self, "hi", math.floor(self.lo) + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +137,12 @@ class SystemUnderObservation:
     def partition(self, cset_id: str) -> WindowPartition:
         """The live partition of one set, built from the span on first read."""
         span, sc = self.span, self.scenario
-        if cset_id not in span.built:
-            span.built[cset_id] = span_partition(
+        if (part := span.built.get(cset_id)) is None:
+            part = span.built[cset_id] = span_partition(
                 sc.hamiltonian, sc.cset(cset_id), sc.scheduler_for(cset_id),
                 span.state, span.lo, span.base,
             )
-        return span.built[cset_id]
+        return part
 
     @property
     def partitions(self) -> Mapping[str, WindowPartition]:
@@ -307,8 +308,8 @@ def sequence_records(
     """
     if not sequence:
         raise ValueError("sequence must contain at least one measurement")
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+    if not (isinstance(n_runs, numbers.Integral) and n_runs >= 1):
+        raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
     times = [u for _, u in sequence]
     if not all(math.isfinite(u) for u in times):
         raise ValueError(f"measurement times must be finite, got {times}")
@@ -366,11 +367,15 @@ def format_measurement_log(records_per_run: Sequence[Sequence[MeasurementRecord]
     eigenvalues (colon-joined, repr floats).
     """
     lines = ["run_id,step,u,csco_id,outcome_label,eigenvalues"]
+    tails: dict = {}  # the row text after u, built once per set and outcome
     for run_id, records in enumerate(records_per_run):
         for step, rec in enumerate(records):
-            lab = ":".join(str(i) for i in rec.outcome_label)
-            eig = ":".join(repr(x) for x in rec.outcome_eigenvalues)
-            lines.append(f"{run_id},{step},{rec.time!r},{rec.cset_id},{lab},{eig}")
+            key = (rec.cset_id, rec.outcome_label, rec.outcome_eigenvalues)
+            if (tail := tails.get(key)) is None:
+                lab = ":".join(str(i) for i in rec.outcome_label)
+                eig = ":".join(repr(x) for x in rec.outcome_eigenvalues)
+                tail = tails[key] = f"{rec.cset_id},{lab},{eig}"
+            lines.append(f"{run_id},{step},{rec.time!r},{tail}")
     return "\n".join(lines) + "\n"
 
 

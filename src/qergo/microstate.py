@@ -120,7 +120,7 @@ class JumpTrajectory:
         if not 0 <= n < self.windows_covered:
             raise ValueError(f"window {n} outside the covered range [0, {self.windows_covered})")
         i, j = self.offsets[n], self.offsets[n + 1]
-        return WindowPartition(
+        return WindowPartition._of(
             n, float(n), n + 1.0, self.probabilities[n], self.bounds[i:j + 1], self.labels[i:j]
         )
 
@@ -214,6 +214,10 @@ def apply_value_operator(
     return cset.eigenvalues[k][member] * cset.basis_vector(k)
 
 
+# The layout of every set that a scenario gives no scheduler.
+_DEFAULT_SCHEDULER = SchedulerSpec()
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A closed-system setup: initial state, generator, observable sets.
@@ -232,9 +236,10 @@ class Scenario:
     def __post_init__(self):
         if not self.csets:
             raise ValueError("scenario needs at least one commuting set")
-        ids = [c.id for c in self.csets]
-        if len(set(ids)) != len(ids):
+        by_id = {c.id: c for c in self.csets}
+        if len(by_id) != len(self.csets):
             raise ValueError("commuting set ids must be distinct")
+        object.__setattr__(self, "_by_id", by_id)
         dims = {c.dimension for c in self.csets} | {self.hamiltonian.dimension}
         if dims != {self.state0.dimension}:
             raise ValueError("state, hamiltonian and commuting set dimensions must agree")
@@ -244,13 +249,13 @@ class Scenario:
             if len(self.csets) != 1:
                 raise ValueError("several commuting sets are defined; name one")
             return self.csets[0]
-        for c in self.csets:
-            if c.id == cset_id:
-                return c
-        raise ValueError(f"no commuting set with id {cset_id!r}")
+        try:
+            return self._by_id[cset_id]
+        except (KeyError, TypeError):  # TypeError: an unhashable id names no set either
+            raise ValueError(f"no commuting set with id {cset_id!r}") from None
 
     def scheduler_for(self, cset_id: str) -> SchedulerSpec:
-        return self.schedulers.get(cset_id, SchedulerSpec())
+        return self.schedulers.get(cset_id, _DEFAULT_SCHEDULER)
 
     def build_trajectory(self, cset_id: str | None, windows: int) -> JumpTrajectory:
         """The trajectory of set ``cset_id`` (``None`` for the only set) over ``windows`` windows."""

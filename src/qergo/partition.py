@@ -109,8 +109,8 @@ class SchedulerSpec:
             )
         if not 0.0 <= self.offset <= 1.0:
             raise ValueError(f"offset must lie in [0, 1], got {self.offset}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @cached_property
     def _layouts(self) -> dict:
@@ -157,6 +157,20 @@ class WindowPartition:
         object.__setattr__(self, "bounds", _frozen(self.bounds, float))
         object.__setattr__(self, "labels", _frozen(self.labels, np.intp))
 
+    @classmethod
+    def _of(cls, window_index, lo, hi, probabilities, bounds, labels) -> WindowPartition:
+        """The partition of arrays that are read-only ``float64``/``intp`` already.
+
+        The builders' constructor: ``__init__`` would keep such arrays as they
+        are, so they are stored without its conversions.
+        """
+        part = object.__new__(cls)
+        vars(part).update(
+            window_index=window_index, lo=lo, hi=hi,
+            probabilities=probabilities, bounds=bounds, labels=labels,
+        )
+        return part
+
     @property
     def dimension(self) -> int:
         return self.probabilities.size
@@ -175,7 +189,7 @@ class WindowPartition:
 
 
 def _contiguous_layout(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.flatnonzero(p > 0.0)
+    labels = (p > 0.0).nonzero()[0]
     return p[labels], labels
 
 
@@ -184,9 +198,9 @@ def _two_outcome_layout(p: np.ndarray, offset: float) -> tuple[np.ndarray, np.nd
     # fits); the other labels fill the complement in order, split across the
     # gap when they straddle it.  For two outcomes this is the familiar
     # three-interval picture.
-    p0 = float(p[0])
+    p0, *others = p.tolist()
     off = min(offset, 1.0 - p0)
-    rest = [(k, float(p[k])) for k in range(1, p.size) if p[k] > 0.0]
+    rest = [(k, w) for k, w in enumerate(others, 1) if w > 0.0]
     widths: list[tuple[float, int]] = []
     room = off
     i = 0
@@ -331,8 +345,9 @@ def _validated_probabilities(probabilities) -> np.ndarray:
         raise ValueError("probabilities must form a non-empty 1-d vector")
     # Two reductions decide the common case: every weight positive (so
     # finite, and left alone by the clip below) and the sum within
-    # tolerance.  ``p / total`` is ``p`` bitwise when total is 1.0.
-    if not (p.min() > 0.0 and abs((total := float(p.sum())) - 1.0) <= PROB_SUM_TOL):
+    # tolerance.  They are the ufuncs' own, which p.min() and p.sum() reach
+    # through Python.  ``p / total`` is ``p`` bitwise when total is 1.0.
+    if not (np.minimum.reduce(p) > 0.0 and abs((total := float(np.add.reduce(p))) - 1.0) <= PROB_SUM_TOL):
         if not np.all(np.isfinite(p)):
             raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12):
@@ -366,15 +381,16 @@ def build_partition_span(
     # Lay out in relative coordinates, then map onto (lo, hi].  The final
     # boundary is forced to hi exactly so adjacent windows share floats.
     bounds = np.zeros(widths.size + 1)
-    np.cumsum(widths, out=bounds[1:])
-    bounds *= hi - lo
+    widths.cumsum(out=bounds[1:])
+    if hi - lo != 1.0:  # scaling by 1.0 changes no bit
+        bounds *= hi - lo
     bounds += lo
     bounds[-1] = hi
     # Rounding can carry an interior bound past hi when the last stretches
     # are slivers; clamped to hi, they collapse and _seal drops them.
     if bounds[-2] > hi:
         np.minimum(bounds, hi, out=bounds)
-    return WindowPartition(window_index, lo, hi, p, *_seal(bounds, labels))
+    return WindowPartition._of(window_index, lo, hi, p, *_seal(bounds, labels))
 
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:
@@ -442,7 +458,7 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
     if window_index == 0:
         return base
     n = float(window_index)
-    return WindowPartition(
+    return WindowPartition._of(
         window_index, n, n + 1.0, base.probabilities, *_seal(base.bounds + n, base.labels)
     )
 

@@ -485,6 +485,15 @@ def test_scheduler_max_subintervals_is_bounded(where):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("where", ["csco", "qgrid"])
+def test_scheduler_seed_must_be_non_negative(where):
+    assert _parsed_scheduler(where, "seed = 0\n").seed == 0
+    text = _scheduler_text(where, "kind = seeded-random\nseed = -3\n")
+    message = f"line {_line(text, 'scheduler {')}: seed must be a non-negative integer, got -3"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
+
+
 def test_scales_block_keys():
     def with_scales(body: str) -> str:
         return f"scales {{\n{body}}}\n" + MINIMAL

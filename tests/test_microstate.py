@@ -290,8 +290,9 @@ def test_scenario_validation_and_build():
     traj = sc.build_trajectory(None, 2)
     assert traj.windows_covered == 2
     assert sc.cset("sz") is sz
-    with pytest.raises(ValueError, match="no commuting set"):
-        sc.cset("nope")
+    for missing in ("nope", ["sz"]):
+        with pytest.raises(ValueError, match="no commuting set"):
+            sc.cset(missing)
     with pytest.raises(ValueError, match="distinct"):
         Scenario(state0=s, hamiltonian=H, csets=(sz, sigma_z_set()), schedulers={})
     with pytest.raises(ValueError, match="dimension"):
@@ -329,14 +330,16 @@ def test_partitions_are_views_into_the_trajectory_arrays():
 
 
 def test_a_trajectory_constructs_one_partition_per_window(monkeypatch):
+    # Every builder, the shift and the trajectory's accessor make their
+    # partitions through WindowPartition._of, so it sees every construction.
     count = [0]
-    init = WindowPartition.__post_init__
+    make = WindowPartition._of
 
-    def counted(self):
+    def counted(*args):
         count[0] += 1
-        init(self)
+        return make(*args)
 
-    monkeypatch.setattr(WindowPartition, "__post_init__", counted)
+    monkeypatch.setattr(WindowPartition, "_of", counted)
     rng = np.random.default_rng(38)
     for conserved in (False, True):
         cs = random_cset(rng, 3)
@@ -345,8 +348,11 @@ def test_a_trajectory_constructs_one_partition_per_window(monkeypatch):
         else:
             h = random_hamiltonian(rng, 3)
         count[0] = 0
-        trajectory(random_state(rng, 3), h, cs, SchedulerSpec(), 25)
+        traj = trajectory(random_state(rng, 3), h, cs, SchedulerSpec(), 25)
         assert count[0] == 25, conserved
+        for n in range(25):
+            traj.partition(n)
+        assert count[0] == 50, conserved
 
 
 def test_a_trajectory_is_read_only_arrays():
@@ -380,7 +386,10 @@ def test_only_the_partition_accessor_constructs_window_partitions():
         name
         for name, f in defs
         for node in ast.walk(f)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "WindowPartition"
+        if isinstance(node, ast.Call) and "WindowPartition" in (
+            getattr(node.func, "id", None),  # WindowPartition(...)
+            getattr(getattr(node.func, "value", None), "id", None),  # WindowPartition._of(...)
+        )
     ]
     assert callers == ["JumpTrajectory.partition"]
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ def test_max_subintervals_is_bounded():
     for n in (2**16 + 1, 2**40, 0, 2.5):
         with pytest.raises(ValueError, match=rf"max_subintervals must be an integer in \[1, 65536\], got {n!r}$"):
             SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=1)
+
+
+def test_seed_must_be_a_non_negative_integer():
+    # A fractional seed used to draw the layouts of its integer part, and a
+    # non-integer past 2**32 failed only at the first layout, inside numpy.
+    p = np.array([0.2, 0.3, 0.5])
+    for seed in (1.5, 2**32 + 0.5, float("nan"), float("inf"), -1, -(2**40), "1", None):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=seed)
+    # A numpy integer is an integer, and a seed past 2**32 still builds.
+    for seed in (0, 7, 2**32 + 5):
+        a = build_partition(p, 2, SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=seed))
+        b = build_partition(p, 2, SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=np.uint64(seed)))
+        assert a.bounds.tobytes() == b.bounds.tobytes() and np.array_equal(a.labels, b.labels)
 
 
 def test_span_partition_scales_measures():

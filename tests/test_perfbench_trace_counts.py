@@ -20,7 +20,7 @@ import qergo
 from qergo.hilbert import Hamiltonian, make_state
 from qergo.microstate import Scenario
 from qergo.partition import MEASURE_TOL, SchedulerSpec
-from qergo.testing import sigma_x_set, sigma_z_set
+from qergo.testing import random_cset, random_hamiltonian, random_state, sigma_x_set, sigma_z_set
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -71,6 +71,37 @@ def test_tracer_counts_every_step_of_a_driven_measurement_sequence(tracing):
     assert metrics["partition.build.calls"] == 1 + 5
     assert metrics["hilbert.born_probabilities.calls"] == 1 + 5
     assert metrics["partition.extend.calls"] == 0
+    assert 0.0 <= err <= MEASURE_TOL
+
+
+def test_tracer_counts_every_step_of_a_measure_seq_shaped_run(tracing):
+    # The benchmark's measure-seq in small: d = 4, a driven H, one set per
+    # scheduler, four steps over windows 0-2 with two of them in window 1.
+    rng = np.random.default_rng(44)
+    csets = tuple(random_cset(rng, 4, id=cid) for cid in ("ca", "cb", "cc"))
+    scenario = Scenario(
+        state0=random_state(rng, 4),
+        hamiltonian=random_hamiltonian(rng, 4),
+        csets=csets,
+        schedulers={
+            "cb": SchedulerSpec(kind="two-outcome", offset=0.3),
+            "cc": SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=9),
+        },
+    )
+    steps, runs = [("ca", 0.4), ("cb", 1.3), ("cc", 1.8), ("ca", 2.6)], 7
+    metrics, err = _traced(
+        tracing, lambda: qergo.measurement.sequential_experiment(scenario, steps, runs, 12)
+    )
+    assert metrics["measurement.measure.calls"] == 4 * runs
+    # Per run: one step to u = 1 and one to u = 2; the step inside window 1
+    # reads the remainder and crosses nothing.
+    assert metrics["hilbert.evolve.calls"] == 2 * runs
+    # Window 0's layout of ca is built once, from the state every run starts
+    # in; per run, cb's window 1, cc's remainder of window 1 and ca's window 2.
+    assert metrics["partition.build.calls"] == 1 + 3 * runs
+    assert metrics["hilbert.born_probabilities.calls"] == 1 + 3 * runs
+    assert metrics["partition.extend.calls"] == 0
+    assert metrics["partition.read_ratio"] == 4 * runs / (1 + 3 * runs)
     assert 0.0 <= err <= MEASURE_TOL
 
 
