@@ -41,7 +41,7 @@ block.  See the bundled configs for complete working scenarios.
 from __future__ import annotations
 
 import hashlib
-import math
+import cmath
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -149,9 +149,9 @@ def _at(line: int, make, *args, **kwargs):
         raise ConfigError(str(exc), line) from None
 
 
-def _finite(x: float, entry: _Entry) -> float:
-    """``x``, or a ConfigError at the entry's line when it is inf or nan."""
-    if not math.isfinite(x):
+def _finite(x: complex, entry: _Entry) -> complex:
+    """``x``, or a ConfigError at the entry's line when a part of it is inf or nan."""
+    if not cmath.isfinite(x):
         raise ConfigError(f"{entry.key!r} must be a finite number, got {entry.value!r}", entry.line)
     return x
 
@@ -219,7 +219,7 @@ def _parse_matrix(block: _Block, dimension: int) -> np.ndarray:
             raise ConfigError(
                 f"row has {len(vals)} entries, expected {dimension}", entry.line
             )
-        mat.append(vals)
+        mat.append([_finite(v, entry) for v in vals])
     return np.array(mat, dtype=np.complex128)
 
 

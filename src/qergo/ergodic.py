@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import CommutingSet
 from .microstate import JumpTrajectory
-from .partition import WindowPartition, interval_measure
+from .partition import WindowPartition, _index, interval_measure
 
 __all__ = [
     "EmpiricalDistribution",
@@ -147,9 +147,9 @@ def sample_born(
     the counts are those of one sorted pass, in memory that does not grow
     with ``n_samples``.
     """
-    if n_samples < 1:
+    if _index(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be at least 1")
-    if not 0 <= window < traj.windows_covered:
+    if not 0 <= _index(window, "window") < traj.windows_covered:
         raise ValueError(
             f"window {window} outside the covered range [0, {traj.windows_covered})"
         )
@@ -256,7 +256,7 @@ def sub_tau_correlation(
     """
     if not delta >= 0.0:  # NaN fails too
         raise ValueError("delta must be non-negative")
-    if n_pairs < 1:
+    if _index(n_pairs, "n_pairs") < 1:
         raise ValueError("n_pairs must be at least 1")
     span = traj.windows_covered - delta
     if not span >= 1.0:  # also for an infinite delta, before floor() could overflow

@@ -182,6 +182,8 @@ class CommutingSet:
         b = np.array(self.basis, dtype=np.complex128)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
             raise ValueError(f"basis must be a square matrix, got shape {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("basis entries must be finite")
         d = b.shape[0]
         gram_dev = float(np.max(np.abs(b.conj().T @ b - np.eye(d))))
         if gram_dev > UNITARITY_TOL:
@@ -272,6 +274,8 @@ class Hamiltonian:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"hamiltonian must be a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("hamiltonian entries must be finite")
         # Rounding in H's entries grows with their size, so the tolerance
         # does too; for max |H| <= 1 it is the absolute HERMITICITY_TOL.
         dev = float(np.max(np.abs(m - m.conj().T)))

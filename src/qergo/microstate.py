@@ -30,6 +30,7 @@ from .partition import (
     SchedulerSpec,
     SubInterval,
     WindowPartition,
+    _index,
     active_label,
     build_partition,
     build_partition_span,
@@ -343,7 +344,7 @@ def trajectory(
     and it is the layout the measurement protocol gives that window before
     any collapse.  Mismatched dimensions are rejected in window 0.
     """
-    if windows < 1:
+    if _index(windows, "windows") < 1:
         raise ValueError("windows must be at least 1")
     if windows > MAX_WINDOWS:
         raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")

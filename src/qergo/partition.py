@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -361,6 +362,18 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     return p
 
 
+def _index(x, name: str) -> int:
+    """``x`` as an int if it is an integer, numpy integers included.
+
+    Anything else, such as 1.5, is a ValueError; ``operator.index`` keeps
+    the check cheap enough for every layout build.
+    """
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def build_partition_span(
     probabilities, lo: float, hi: float, scheduler: SchedulerSpec, window_index: int
 ) -> WindowPartition:
@@ -376,6 +389,7 @@ def build_partition_span(
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"span bounds must be finite, got ({lo!r}, {hi!r}]")
+    _index(window_index, "window_index")
     p = _validated_probabilities(probabilities)
     widths, labels = _layout(p, window_index, scheduler)
     # Lay out in relative coordinates, then map onto (lo, hi].  The final
@@ -395,7 +409,7 @@ def build_partition_span(
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:
     """Partition unit window ``(N, N+1]`` according to a probability vector."""
-    if window_index < 0:
+    if _index(window_index, "window_index") < 0:
         raise ValueError("window_index must be non-negative")
     lo = float(window_index)
     return build_partition_span(probabilities, lo, lo + 1.0, scheduler, window_index)
@@ -453,7 +467,7 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
     """
     if base.window_index != 0 or base.lo != 0.0 or base.hi != 1.0:
         raise ValueError("periodic_extend needs a full window-0 partition as its base")
-    if window_index < 0:
+    if _index(window_index, "window_index") < 0:
         raise ValueError("window_index must be non-negative")
     if window_index == 0:
         return base

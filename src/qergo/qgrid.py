@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .partition import SchedulerSpec, WindowPartition, build_partition
 
@@ -55,7 +56,10 @@ class GridWavefunction:
       ratio would leave two half cells sticking out).
 
     ``renorm_center`` records which cell's window the samples are currently
-    normalized over (None for raw input).
+    normalized over (None for raw input).  The construction also stores
+    the two ratios as the ints ``nodes_per_cell`` and ``cells_per_window``,
+    each rounded once, and ``n_cells``, the number of whole cells the
+    samples cover.
     """
 
     samples: np.ndarray
@@ -73,60 +77,53 @@ class GridWavefunction:
             raise ValueError("samples must be finite")
         if not (self.spacing > 0.0 and self.planck_step > 0.0 and self.compton_wavelength > 0.0):
             raise ValueError("spacing, planck_step, and compton_wavelength must be positive")
-        nodes = self.planck_step / self.spacing
-        if abs(nodes - round(nodes)) > 1e-9 or round(nodes) % 2 != 0 or round(nodes) < MIN_NODES_PER_CELL:
+        ratio = self.planck_step / self.spacing
+        nodes = _whole(ratio)
+        if nodes is None or nodes % 2 != 0 or nodes < MIN_NODES_PER_CELL:
             raise ValueError(
-                f"planck_step/spacing must be an even integer >= {MIN_NODES_PER_CELL}, got {nodes!r}"
+                f"planck_step/spacing must be an even integer >= {MIN_NODES_PER_CELL}, got {ratio!r}"
             )
         ratio = self.compton_wavelength / self.planck_step
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1 or round(ratio) % 2 == 0:
+        cells = _whole(ratio)
+        if cells is None or cells % 2 == 0:
             raise ValueError(
                 f"compton_wavelength/planck_step must be an odd positive integer, got {ratio!r}"
             )
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
-
-    @property
-    def nodes_per_cell(self) -> int:
-        return int(round(self.planck_step / self.spacing))
-
-    @property
-    def cells_per_window(self) -> int:
-        return int(round(self.compton_wavelength / self.planck_step))
-
-    @property
-    def n_cells(self) -> int:
-        """Number of whole cells covered by the sample range."""
-        return (self.samples.size - 1) // self.nodes_per_cell
+        object.__setattr__(self, "nodes_per_cell", nodes)
+        object.__setattr__(self, "cells_per_window", cells)
+        object.__setattr__(self, "n_cells", (s.size - 1) // nodes)
 
     def cell_edges(self, k: int) -> tuple[float, float]:
         lo = self.origin + k * self.planck_step
         return lo, lo + self.planck_step
 
 
-def _window_node_range(wf: GridWavefunction, k: int) -> tuple[int, int]:
-    """Sample-node indices [a, b] spanning the window centered on cell k."""
-    half_cells = (wf.cells_per_window - 1) // 2
-    first_cell = k - half_cells
-    last_cell = k + half_cells
-    a = first_cell * wf.nodes_per_cell
-    b = (last_cell + 1) * wf.nodes_per_cell
-    if a < 0 or b > wf.samples.size - 1:
-        raise ValueError(
-            f"window of cell {k} spans cells [{first_cell}, {last_cell}], "
-            f"outside the sampled range of {wf.n_cells} cells"
-        )
-    return a, b
+def _whole(ratio: float) -> int | None:
+    """The integer within 1e-9 of a grid ratio, or None (also for inf and nan)."""
+    n = round(ratio) if math.isfinite(ratio) else None
+    return n if n is not None and abs(ratio - n) <= 1e-9 else None
 
 
-def _integrate(values: np.ndarray, h: float) -> float:
-    """Composite trapezoid with one Richardson step (needs an even panel count)."""
-    n = values.size - 1
+def _integrate(values: np.ndarray, h: float) -> np.ndarray:
+    """Composite trapezoid with one Richardson step along the last axis.
+
+    Needs an even panel count.  A stack of rows gives one float per row,
+    each the one that row gives on its own.
+    """
+    n = values.shape[-1] - 1
     if n < 2 or n % 2 != 0:
         raise ValueError("integration range must contain an even number of panels")
-    t_h = float(np.trapezoid(values, dx=h))
-    t_2h = float(np.trapezoid(values[::2], dx=2.0 * h))
+    t_h = np.trapezoid(values, dx=h, axis=-1)
+    t_2h = np.trapezoid(values[..., ::2], dx=2.0 * h, axis=-1)
     return (4.0 * t_h - t_2h) / 3.0
+
+
+def _density(wf: GridWavefunction, cells: list[int]) -> np.ndarray:
+    """``|psi|^2`` on the sample nodes of consecutive cells, edge nodes included."""
+    n = wf.nodes_per_cell
+    return np.abs(wf.samples[cells[0] * n : (cells[-1] + 1) * n + 1]) ** 2
 
 
 def window_renormalize(wf: GridWavefunction, k: int) -> GridWavefunction:
@@ -137,9 +134,7 @@ def window_renormalize(wf: GridWavefunction, k: int) -> GridWavefunction:
     out.  A window mass below ``MIN_WINDOW_MASS`` is rejected rather than
     amplified into nonsense.
     """
-    a, b = _window_node_range(wf, k)
-    density = np.abs(wf.samples[a : b + 1]) ** 2
-    mass = _integrate(density, wf.spacing)
+    mass = float(_integrate(_density(wf, window_cells(wf, k)), wf.spacing))
     if mass < MIN_WINDOW_MASS:
         raise ValueError(
             f"window mass {mass!r} around cell {k} is below {MIN_WINDOW_MASS}; "
@@ -157,32 +152,42 @@ def planck_cell_probability(wf: GridWavefunction, k: int) -> float:
     """
     if wf.renorm_center is None:
         raise ValueError("wavefunction is not window-renormalized; call window_renormalize first")
-    half_cells = (wf.cells_per_window - 1) // 2
-    if abs(k - wf.renorm_center) > half_cells:
+    if k not in window_cells(wf, wf.renorm_center):
         raise ValueError(
             f"cell {k} lies outside the renormalization window around cell {wf.renorm_center}"
         )
-    a = k * wf.nodes_per_cell
-    b = a + wf.nodes_per_cell
-    density = np.abs(wf.samples[a : b + 1]) ** 2
-    return _integrate(density, wf.spacing)
+    return float(_integrate(_density(wf, [k]), wf.spacing))
 
 
 def window_cells(wf: GridWavefunction, k_center: int) -> list[int]:
-    """Cell indices tiling the window centered on ``k_center``, left to right."""
+    """Cell indices tiling the window centered on ``k_center``, left to right.
+
+    The one place a window's cells are decided and checked against the
+    sampled range.
+    """
     half_cells = (wf.cells_per_window - 1) // 2
-    _window_node_range(wf, k_center)  # bounds check
-    return list(range(k_center - half_cells, k_center + half_cells + 1))
+    first, last = k_center - half_cells, k_center + half_cells
+    if first < 0 or last >= wf.n_cells:
+        raise ValueError(
+            f"window of cell {k_center} spans cells [{first}, {last}], "
+            f"outside the sampled range of {wf.n_cells} cells"
+        )
+    return list(range(first, last + 1))
 
 
-def cell_probabilities(wf: GridWavefunction, k_center: int | None = None) -> np.ndarray:
-    """Probability vector over the window's cells, in cell order."""
-    center = wf.renorm_center if k_center is None else k_center
-    if center is None:
-        raise ValueError("no renormalization center given or stored")
-    if wf.renorm_center != center:
-        wf = window_renormalize(wf, center)
-    return np.array([planck_cell_probability(wf, k) for k in window_cells(wf, center)])
+def cell_probabilities(wf: GridWavefunction, k_center: int) -> np.ndarray:
+    """Probability vector over the window's cells, in cell order.
+
+    Renormalizes over the window centered on ``k_center`` if needed.  All
+    cells are integrated in one quadrature pass, one row of ``n + 1`` nodes
+    per cell (neighbouring rows share their edge node); each mass is the
+    float :func:`planck_cell_probability` gives for that cell.
+    """
+    if wf.renorm_center != k_center:
+        wf = window_renormalize(wf, k_center)
+    n = wf.nodes_per_cell
+    rows = sliding_window_view(_density(wf, window_cells(wf, k_center)), n + 1)[::n]
+    return _integrate(rows, wf.spacing)
 
 
 def position_partition(

@@ -312,6 +312,45 @@ def test_cli_non_finite_number_exit_2(tmp_path, capsys, config, entry, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("windows", [1, 3])
+def test_cli_non_finite_matrix_row_exit_2(tmp_path, capsys, windows):
+    # With one window such a Hamiltonian used to run to status = ok.
+    text = (CONFIG_DIR / "minimal.cfg").read_text()
+    text = text.replace("    row = 0, 0\n", "    row = 1e999, 0\n", 1)
+    text = text.replace("windows = 1", f"windows = {windows}")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["run", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    line = text.splitlines().index("    row = 1e999, 0") + 1
+    assert f"line {line}: 'row' must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_overflowing_grid_ratio_exit_3(tmp_path, capsys):
+    # compton_wavelength / planck_step = 1e310 overflows to inf, which used
+    # to escape from round() as an OverflowError traceback with exit 1.
+    spacing = 1e-10 / 16
+    (tmp_path / "grid.txt").write_text("".join(f"{i * spacing!r} 1.0 0.0\n" for i in range(65)))
+    text = (CONFIG_DIR / "qgrid-gaussian.cfg").read_text()
+    for old, new in [
+        ("gaussian-grid.txt", "grid.txt"),
+        ("planck_step = 1.0", "planck_step = 1e-10"),
+        ("compton_wavelength = 9.0", "compton_wavelength = 1e300"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    rc = main(["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == 3
+    assert "compton_wavelength/planck_step must be an odd positive integer, got inf" in (
+        capsys.readouterr().err
+    )
+    assert (tmp_path / "o" / FAILURE_MARKER).exists()
+
+
 def test_cli_missing_file_exit_4(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.cfg")])
     assert rc == 4

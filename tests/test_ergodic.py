@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -453,3 +454,26 @@ def test_sub_tau_correlation_rejects_a_non_finite_lag(delta):
     message = "delta must be non-negative" if math.isnan(delta) else "whole base window"
     with pytest.raises(ValueError, match=message):
         sub_tau_correlation(traj, delta, 10, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, float("nan"), np.float64(1.0), "1"], ids=repr)
+def test_counts_and_window_must_be_integers(bad):
+    # sample_born used to read a "window 1.5" on (1.5, 2.5]; a fractional
+    # n_samples or n_pairs failed with a TypeError inside numpy.
+    H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    traj = trajectory(make_state([1.0, 0.0]), H, sigma_z_set(), SchedulerSpec(), 4)
+    def message(name):
+        return rf"^{name} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message("window")):
+        sample_born(traj, 100, 3, window=bad)
+    with pytest.raises(ValueError, match=message("n_samples")):
+        sample_born(traj, bad, 3)
+    with pytest.raises(ValueError, match=message("n_pairs")):
+        sub_tau_correlation(traj, 0.25, bad, 3)
+
+
+def test_numpy_integer_counts_and_window_are_accepted():
+    H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    traj = trajectory(make_state([1.0, 0.0]), H, sigma_z_set(), SchedulerSpec(), 4)
+    assert sample_born(traj, np.int64(100), 3, window=np.int32(2)).counts == sample_born(traj, 100, 3, window=2).counts
+    assert sub_tau_correlation(traj, 0.25, np.int64(50), 3) == sub_tau_correlation(traj, 0.25, 50, 3)

@@ -273,3 +273,26 @@ def test_make_state_divides_ordinary_vectors_by_their_plain_norm():
         nrm = np.linalg.norm(vec)
         assert s.input_norm == nrm
         assert np.array_equal(s.amplitudes, vec / nrm)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+def test_hamiltonian_rejects_non_finite_entries(bad, where):
+    # A NaN deviation never exceeds the Hermiticity tolerance, and inf - inf
+    # is NaN, so these matrices used to pass that check.
+    m = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    m[where] = bad
+    m[where[::-1]] = np.conj(bad)
+    with pytest.raises(ValueError, match="hamiltonian entries must be finite"):
+        Hamiltonian(m)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_commuting_set_rejects_non_finite_basis_entries(bad):
+    basis = np.eye(2, dtype=complex)
+    basis[1, 0] = bad
+    with pytest.raises(ValueError, match="basis entries must be finite"):
+        CommutingSet("sz", basis, ((0,), (1,)), ((1.0,), (-1.0,)))

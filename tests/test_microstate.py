@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,18 @@ def test_trajectory_guards():
         trajectory(s, H, sigma_z_set(), SchedulerSpec(), 0)
     with pytest.raises(ValueError, match="MAX_WINDOWS"):
         trajectory(s, H, sigma_z_set(), SchedulerSpec(), MAX_WINDOWS + 1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), np.float64(2.0), "3"], ids=repr)
+def test_trajectory_window_count_must_be_an_integer(bad):
+    # 2.5 used to fail with a TypeError inside numpy's allocation.
+    s = make_state([1.0, 0.0])
+    H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match=rf"^windows must be an integer, got {re.escape(repr(bad))}$"):
+        trajectory(s, H, sigma_z_set(), SchedulerSpec(), bad)
+    want = trajectory(s, H, sigma_z_set(), SchedulerSpec(), 3)
+    got = trajectory(s, H, sigma_z_set(), SchedulerSpec(), np.int64(3))
+    assert got.bounds.tobytes() == want.bounds.tobytes() and np.array_equal(got.labels, want.labels)
 
 
 def test_dump_trajectory_format():

@@ -235,6 +235,38 @@ def test_seed_must_be_a_non_negative_integer():
         assert a.bounds.tobytes() == b.bounds.tobytes() and np.array_equal(a.labels, b.labels)
 
 
+NON_INTEGERS = [1.5, 2.0, float("nan"), float("inf"), np.float64(1.0), "1", None]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_window_index_must_be_an_integer(bad):
+    # A fractional index used to lay out a "window 1.5" on (1.5, 2.5] with
+    # window 1's seeded labels, and periodic_extend shifted by it alike.
+    p = np.array([0.2, 0.3, 0.5])
+    spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=7)
+    message = rf"^window_index must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        build_partition(p, bad, spec)
+    with pytest.raises(ValueError, match=message):
+        build_partition_span(p, 1.25, 2.0, spec, window_index=bad)
+    with pytest.raises(ValueError, match=message):
+        periodic_extend(build_partition(p, 0, spec), bad)
+
+
+def test_numpy_integer_window_indices_build_the_same_layouts():
+    p = np.array([0.2, 0.3, 0.5])
+    spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=7)
+    base = build_partition(p, 0, spec)
+    for n in (np.int64(3), np.uint32(3), np.intp(3)):
+        for got, want in [
+            (build_partition(p, n, spec), build_partition(p, 3, spec)),
+            (build_partition_span(p, 3.5, 4.0, spec, n), build_partition_span(p, 3.5, 4.0, spec, 3)),
+            (periodic_extend(base, n), periodic_extend(base, 3)),
+        ]:
+            assert got.bounds.tobytes() == want.bounds.tobytes()
+            assert np.array_equal(got.labels, want.labels) and got.window_index == 3
+
+
 def test_span_partition_scales_measures():
     p = build_partition_span([0.25, 0.75], 2.4, 3.0, SchedulerSpec(), window_index=2)
     assert p.lo == 2.4 and p.hi == 3.0

@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,24 @@ def test_grid_structure_validation():
                          planck_step=2.0, compton_wavelength=1.0)
 
 
+@pytest.mark.parametrize(
+    "spacing, planck_step, compton_wavelength, message",
+    [
+        (1e-10 / 16, 1e-10, 1e300, "compton_wavelength/planck_step must be an odd positive integer, got inf"),
+        (1.0 / 32.0, 1.0, math.inf, "compton_wavelength/planck_step must be an odd positive integer, got inf"),
+        (1e-300, 1e10, 1e10, "planck_step/spacing must be an even integer >= 16, got inf"),
+        (1.0 / 32.0, math.inf, math.inf, "planck_step/spacing must be an even integer >= 16, got inf"),
+        (math.inf, math.inf, math.inf, "planck_step/spacing must be an even integer >= 16, got nan"),
+    ],
+)
+def test_overflowing_grid_ratio_is_a_value_error(spacing, planck_step, compton_wavelength, message):
+    # round(inf) raises OverflowError and round(nan) a ValueError about
+    # converting NaN; neither may escape from the structure checks.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridWavefunction(samples=np.full(65, 1.0 + 0.0j), origin=0.0, spacing=spacing,
+                         planck_step=planck_step, compton_wavelength=compton_wavelength)
+
+
 def test_parse_and_load_grid(tmp_path):
     xs = np.arange(0.0, 3.0 + 1e-12, 1.0 / 32.0)
     vals = np.exp(-((xs - 1.5) ** 2))
@@ -326,3 +347,72 @@ GRID_TEXTS = [
 @pytest.mark.parametrize("text", GRID_TEXTS, ids=repr)
 def test_parse_grid_text_equals_line_loop_on_edge_cases(text):
     assert grid_outcome(parse_grid_text, text) == grid_outcome(reference_parse_grid_text, text)
+
+
+def reference_integrate(values, h):
+    """Trapezoid with one Richardson step over one 1-d range, as Python floats."""
+    t_h = float(np.trapezoid(values, dx=h))
+    t_2h = float(np.trapezoid(values[::2], dx=2.0 * h))
+    return (4.0 * t_h - t_2h) / 3.0
+
+
+def reference_cell_probabilities(wf, k_center):
+    """The per-cell quadrature that cell_probabilities' one pass replaced.
+
+    Returns the renormalized samples and one integration call per cell.
+    """
+    n = int(round(wf.planck_step / wf.spacing))
+    half = (int(round(wf.compton_wavelength / wf.planck_step)) - 1) // 2
+    a, b = (k_center - half) * n, (k_center + half + 1) * n
+    mass = reference_integrate(np.abs(wf.samples[a : b + 1]) ** 2, wf.spacing)
+    samples = wf.samples * (1.0 / math.sqrt(mass))
+    cells = range(k_center - half, k_center + half + 1)
+    masses = [reference_integrate(np.abs(samples[k * n : (k + 1) * n + 1]) ** 2, wf.spacing) for k in cells]
+    return samples, np.array(masses)
+
+
+def _random_grid(rng, nodes, cells):
+    """A grid of ``cells``-cell windows, ``nodes`` nodes per cell, with spare cells around."""
+    planck_step = float(rng.uniform(0.1, 10.0))
+    n_cells = cells + int(rng.integers(0, 4))
+    size = n_cells * nodes + 1 + int(rng.integers(0, nodes))
+    scale = math.exp(rng.uniform(-50.0, 50.0))
+    samples = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    wf = GridWavefunction(samples=samples, origin=float(rng.uniform(-5.0, 5.0)),
+                          spacing=planck_step / nodes, planck_step=planck_step,
+                          compton_wavelength=cells * planck_step)
+    half = (cells - 1) // 2
+    return wf, int(rng.integers(half, n_cells - half))
+
+
+def test_one_pass_cell_masses_equal_the_per_cell_quadrature_bit_for_bit():
+    # numpy's pairwise sum works in blocks of 128 elements, so rows of up to
+    # 256 panels are covered, and amplitudes span e^-50 to e^50.
+    rng = np.random.default_rng(20)
+    shapes = [(16, 1), (16, 101), (256, 1), (256, 101), (128, 3), (130, 5)]
+    shapes += [(2 * int(rng.integers(8, 129)), 2 * int(rng.integers(0, 51)) + 1) for _ in range(294)]
+    for nodes, cells in shapes:
+        wf, k = _random_grid(rng, nodes, cells)
+        samples, want = reference_cell_probabilities(wf, k)
+        got = cell_probabilities(wf, k)
+        assert got.dtype == np.float64 and got.shape == (cells,)
+        assert got.tobytes() == want.tobytes(), (nodes, cells)
+        wf_n = window_renormalize(wf, k)
+        assert wf_n.samples.tobytes() == samples.tobytes()
+        assert cell_probabilities(wf_n, k).tobytes() == want.tobytes()
+        for j in {0, cells // 2, cells - 1}:
+            pr = planck_cell_probability(wf_n, k - (cells - 1) // 2 + j)
+            assert type(pr) is float and pr == want[j]
+
+
+def test_cell_probabilities_is_one_pass_with_no_center_default():
+    source = Path(__file__).resolve().parent.parent / "src" / "qergo" / "qgrid.py"
+    module = ast.parse(source.read_text(encoding="utf-8"))
+    names = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
+    assert "_window_node_range" not in names
+    fn = names["cell_probabilities"]
+    assert not fn.args.defaults and not fn.args.kw_defaults
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, loops)]
+    calls = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "planck_cell_probability" not in calls
