@@ -14,10 +14,8 @@ from .errors import ConfigError, InvariantViolation, QergoError
 from .hilbert import (
     CommutingSet,
     Hamiltonian,
-    PhysicalScales,
     QuantumState,
     born_probabilities,
-    commutator_norm,
     evolve,
     expectation,
     is_conserved,

@@ -50,7 +50,7 @@ from typing import ClassVar, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .hilbert import CommutingSet, Hamiltonian, PhysicalScales, make_state
+from .hilbert import CommutingSet, Hamiltonian, make_state
 from .microstate import Scenario
 from .partition import SCHEDULER_KINDS, SchedulerSpec
 
@@ -354,7 +354,6 @@ class ScenarioConfig:
     blocks; every experiment reads from it.
     """
 
-    scales: PhysicalScales | None
     scenario: Scenario
     experiments: tuple[Experiment, ...]
     output_dir: str
@@ -415,13 +414,10 @@ def _parse_experiment(block: _Block, ordinal: int, cset_ids: set[str]) -> Experi
 def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
     """Parse and validate scenario text into ready-to-run objects."""
     root = _parse_tree(text)
-    _reject_unknown(root, {"output_dir"}, {"scales", "system", "csco", "experiment"})
+    _reject_unknown(root, {"output_dir"}, {"system", "csco", "experiment"})
 
     out_entry = root.one("output_dir", required=False)
     output_dir = out_entry.value if out_entry else "out"
-
-    scales_block = root.one("scales", required=False, block=True)
-    scales = None if scales_block is None else _parse_fields(scales_block, PhysicalScales)
 
     system = root.one("system", block=True)
     _reject_unknown(system, {"dimension", "state"}, {"hamiltonian"})
@@ -463,7 +459,6 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ScenarioConfig:
         experiments.append(exp)
 
     return ScenarioConfig(
-        scales=scales,
         scenario=Scenario(state0, hamiltonian, tuple(csets), schedulers),
         experiments=tuple(experiments),
         output_dir=output_dir,

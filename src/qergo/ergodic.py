@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import CommutingSet
 from .microstate import JumpTrajectory
-from .partition import WindowPartition, _index, interval_measure
+from .partition import WindowPartition, _index, _seed, interval_measure
 
 __all__ = [
     "EmpiricalDistribution",
@@ -47,8 +47,9 @@ def _uniform_blocks(seed: int, n: int, block: int):
 
     ``Generator.random`` takes one double per element from its stream, so the
     blocks, in order, are that one bulk draw; each is a fresh writable array.
+    The seed is checked once, before the first draw.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     for start in range(0, n, block):
         yield rng.random(min(block, n - start))
 
@@ -147,9 +148,9 @@ def sample_born(
     the counts are those of one sorted pass, in memory that does not grow
     with ``n_samples``.
     """
-    if _index(n_samples, "n_samples") < 1:
+    if (n_samples := _index(n_samples, "n_samples")) < 1:
         raise ValueError("n_samples must be at least 1")
-    if not 0 <= _index(window, "window") < traj.windows_covered:
+    if not 0 <= (window := _index(window, "window")) < traj.windows_covered:
         raise ValueError(
             f"window {window} outside the covered range [0, {traj.windows_covered})"
         )
@@ -219,6 +220,7 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
     """
     if not delta >= 0.0:  # NaN fails too
         raise ValueError("delta must be non-negative")
+    base_windows = _index(base_windows, "base_windows")
     if not (base_windows >= 1 and base_windows + delta <= traj.windows_covered):
         raise ValueError("base span plus delta must fit inside the covered windows")
     if delta == 0.0:
@@ -256,7 +258,7 @@ def sub_tau_correlation(
     """
     if not delta >= 0.0:  # NaN fails too
         raise ValueError("delta must be non-negative")
-    if _index(n_pairs, "n_pairs") < 1:
+    if (n_pairs := _index(n_pairs, "n_pairs")) < 1:
         raise ValueError("n_pairs must be at least 1")
     span = traj.windows_covered - delta
     if not span >= 1.0:  # also for an infinite delta, before floor() could overflow

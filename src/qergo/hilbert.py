@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * Times are dimensionless window units ``u = t / tau``; window ``N`` is the
-  half-open interval ``(N, N + 1]``.  :class:`PhysicalScales` converts
-  laboratory seconds to window units at the I/O boundary only.
+  half-open interval ``(N, N + 1]``.
 * Hamiltonian matrices are dimensionless as well (energy times ``tau/hbar``),
   so propagation over ``du`` window units applies ``exp(-i H du)``.
 * A maximal set of commuting observables is stored as a single orthonormal
@@ -30,7 +29,6 @@ __all__ = [
     "HERMITICITY_TOL",
     "UNITARITY_TOL",
     "CONSERVED_TOL",
-    "PhysicalScales",
     "QuantumState",
     "CommutingSet",
     "Hamiltonian",
@@ -38,7 +36,6 @@ __all__ = [
     "evolve",
     "born_probabilities",
     "expectation",
-    "commutator_norm",
     "off_diagonal_norm",
     "is_conserved",
 ]
@@ -55,33 +52,6 @@ _MIN_PLAIN_NORM = 1e-150
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Laboratory scales attached to the dimensionless picture.
-
-    ``tau`` is the window length in seconds (for a particle of mass m it
-    would be h/(m c^2)); ``hbar`` is kept configurable so natural-unit
-    setups stay exact.
-    """
-
-    tau: float
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (self.tau > 0.0) or not np.isfinite(self.tau):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not (self.hbar > 0.0) or not np.isfinite(self.hbar):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-
-    def to_windows(self, t_seconds: float) -> float:
-        """Convert a laboratory time in seconds to window units."""
-        return t_seconds / self.tau
-
-    def to_seconds(self, u: float) -> float:
-        """Convert a time in window units to laboratory seconds."""
-        return u * self.tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +228,6 @@ class CommutingSet:
             raise ValueError(f"member index {member} out of range ({self.n_members} members)")
         return self._member_columns[member]
 
-    def observable_matrix(self, member: int = 0) -> np.ndarray:
-        """Dense matrix of one member observable, sum_k w_k |k><k|."""
-        w = self.member_values(member)
-        return (self.basis * w) @ self._adjoint
-
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
@@ -365,15 +330,6 @@ def expectation(state: QuantumState, cset: CommutingSet, member: int = 0) -> flo
     w = cset.member_values(member)
     p = born_probabilities(state, cset)
     return float(p @ w)
-
-
-def commutator_norm(a: CommutingSet, b: CommutingSet, member_a: int = 0, member_b: int = 0) -> float:
-    """Max-abs entry of the commutator [A, B] of two member observables."""
-    ma = a.observable_matrix(member_a)
-    mb = b.observable_matrix(member_b)
-    if ma.shape != mb.shape:
-        raise ValueError("commutator requires observables of equal dimension")
-    return float(np.max(np.abs(ma @ mb - mb @ ma)))
 
 
 # Most off-diagonal norms one Hamiltonian keeps for reuse.

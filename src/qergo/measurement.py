@@ -22,7 +22,6 @@ can be branched, replayed, and compared without interference.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -31,7 +30,7 @@ import numpy as np
 
 from .hilbert import CommutingSet, QuantumState, evolve
 from .microstate import LayoutBase, Scenario, span_partition
-from .partition import WindowPartition, active_label
+from .partition import WindowPartition, _integer, _seed, active_label
 # Unused here: every layout goes through span_partition.  The name stays bound
 # because perfbench's tracer test expects to rebind measurement.build_partition.
 from .partition import build_partition  # noqa: F401
@@ -308,7 +307,7 @@ def sequence_records(
     """
     if not sequence:
         raise ValueError("sequence must contain at least one measurement")
-    if not (isinstance(n_runs, numbers.Integral) and n_runs >= 1):
+    if (n := _integer(n_runs)) is None or n < 1:
         raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
     times = [u for _, u in sequence]
     if not all(math.isfinite(u) for u in times):
@@ -325,10 +324,10 @@ def sequence_records(
     for cid in ids:
         scenario.cset(cid)  # validate ids up front
     sys0 = SystemUnderObservation.from_scenario(scenario)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
 
     def runs():
-        for _ in range(n_runs):
+        for _ in range(n):
             sys = sys0
             prev = 0.0
             for i, (cid, w) in enumerate(zip(ids, windows)):

@@ -135,16 +135,8 @@ class JumpTrajectory:
             for n, lo, hi, k in zip(windows, b, b[1:], self.labels.tolist())
         )
 
-    def label_at(self, u: float) -> int:
-        """Active label index at time ``u``."""
-        if not 0.0 < u <= self.windows_covered:
-            raise ValueError(
-                f"time {u!r} outside the covered span (0, {self.windows_covered}]"
-            )
-        return int(self.labels[self.bounds[1:].searchsorted(u)])
-
     def labels_at(self, us: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`label_at` for sampling experiments."""
+        """Active label index at each time in ``us``, for sampling experiments."""
         us = np.asarray(us, dtype=float)
         if us.size and not (us.min() > 0.0 and us.max() <= self.windows_covered):  # NaN fails too
             raise ValueError("sample times must lie in (0, windows_covered]")
@@ -344,7 +336,7 @@ def trajectory(
     and it is the layout the measurement protocol gives that window before
     any collapse.  Mismatched dimensions are rejected in window 0.
     """
-    if _index(windows, "windows") < 1:
+    if (windows := _index(windows, "windows")) < 1:
         raise ValueError("windows must be at least 1")
     if windows > MAX_WINDOWS:
         raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")

@@ -30,7 +30,6 @@ the remaining span.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,13 +75,35 @@ class SubInterval:
         if not (self.hi > self.lo):
             raise ValueError(f"need hi > lo, got ({self.lo!r}, {self.hi!r}]")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
-    def contains(self, u: float) -> bool:
-        """Membership test honouring the half-open convention."""
-        return self.lo < u <= self.hi
+def _integer(x) -> int | None:
+    """``x`` as an int if it is an integer, numpy integers included, else None.
+
+    The one place that decides what counts as an integer: a bool does not,
+    nor does 1.5 or 2.0.  ``operator.index`` keeps the check cheap enough
+    for every layout build.
+    """
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
+def _index(x, name: str) -> int:
+    """``x`` as an int (see :func:`_integer`); anything else is a ValueError."""
+    if (n := _integer(x)) is None:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
+def _seed(seed) -> int:
+    """``seed`` as an int if it is a non-negative integer; anything else is a ValueError.
+
+    Every caller that draws from a seed checks it once, before its first draw.
+    """
+    if (n := _integer(seed)) is None or n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -104,14 +125,14 @@ class SchedulerSpec:
         if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}; choose from {SCHEDULER_KINDS}")
         n = self.max_subintervals
-        if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_SUBINTERVALS):
+        if (k := _integer(n)) is None or not 1 <= k <= MAX_SUBINTERVALS:
             raise ValueError(
                 f"max_subintervals must be an integer in [1, {MAX_SUBINTERVALS}], got {n!r}"
             )
         if not 0.0 <= self.offset <= 1.0:
             raise ValueError(f"offset must lie in [0, 1], got {self.offset}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "max_subintervals", k)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @cached_property
     def _layouts(self) -> dict:
@@ -362,18 +383,6 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     return p
 
 
-def _index(x, name: str) -> int:
-    """``x`` as an int if it is an integer, numpy integers included.
-
-    Anything else, such as 1.5, is a ValueError; ``operator.index`` keeps
-    the check cheap enough for every layout build.
-    """
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
-
-
 def build_partition_span(
     probabilities, lo: float, hi: float, scheduler: SchedulerSpec, window_index: int
 ) -> WindowPartition:
@@ -389,7 +398,7 @@ def build_partition_span(
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"span bounds must be finite, got ({lo!r}, {hi!r}]")
-    _index(window_index, "window_index")
+    window_index = _index(window_index, "window_index")
     p = _validated_probabilities(probabilities)
     widths, labels = _layout(p, window_index, scheduler)
     # Lay out in relative coordinates, then map onto (lo, hi].  The final
@@ -409,7 +418,7 @@ def build_partition_span(
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:
     """Partition unit window ``(N, N+1]`` according to a probability vector."""
-    if _index(window_index, "window_index") < 0:
+    if (window_index := _index(window_index, "window_index")) < 0:
         raise ValueError("window_index must be non-negative")
     lo = float(window_index)
     return build_partition_span(probabilities, lo, lo + 1.0, scheduler, window_index)
@@ -467,7 +476,7 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
     """
     if base.window_index != 0 or base.lo != 0.0 or base.hi != 1.0:
         raise ValueError("periodic_extend needs a full window-0 partition as its base")
-    if _index(window_index, "window_index") < 0:
+    if (window_index := _index(window_index, "window_index")) < 0:
         raise ValueError("window_index must be non-negative")
     if window_index == 0:
         return base

@@ -33,7 +33,6 @@ __all__ = [
     "window_cells",
     "cell_probabilities",
     "position_partition",
-    "cell_for_label",
     "parse_grid_text",
     "load_grid",
     "format_cell_probabilities",
@@ -75,6 +74,8 @@ class GridWavefunction:
             raise ValueError("samples must form a 1-d array with at least two nodes")
         if not np.all(np.isfinite(s.view(np.float64))):
             raise ValueError("samples must be finite")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin!r}")
         if not (self.spacing > 0.0 and self.planck_step > 0.0 and self.compton_wavelength > 0.0):
             raise ValueError("spacing, planck_step, and compton_wavelength must be positive")
         ratio = self.planck_step / self.spacing
@@ -200,18 +201,10 @@ def position_partition(
 
     Renormalizes over the window centered on ``k_center`` if needed, then
     hands the cell-probability vector to :func:`~qergo.partition.build_partition`.
-    Partition label ``j`` stands for the j-th cell of the window;
-    :func:`cell_for_label` maps back to absolute cell indices.
+    Partition label ``j`` stands for the j-th cell of the window, that is
+    cell ``window_cells(wf, k_center)[j]``.
     """
     return build_partition(cell_probabilities(wf, k_center), window_index, scheduler)
-
-
-def cell_for_label(wf: GridWavefunction, k_center: int, label: int) -> int:
-    """Absolute cell index behind a position-partition label."""
-    cells = window_cells(wf, k_center)
-    if not 0 <= label < len(cells):
-        raise ValueError(f"label {label} out of range for a {len(cells)}-cell window")
-    return cells[label]
 
 
 def parse_grid_text(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +253,7 @@ def parse_grid_text(text: str) -> tuple[np.ndarray, np.ndarray]:
 def load_grid(
     path, planck_step: float, compton_wavelength: float
 ) -> GridWavefunction:
-    """Load a sampled wavefunction from a text file and attach the scales.
+    """Load a sampled wavefunction from a text file and attach the two lengths.
 
     Verifies the sample positions are uniformly spaced (relative tolerance
     1e-9) and increasing.

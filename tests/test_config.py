@@ -494,23 +494,12 @@ def test_scheduler_seed_must_be_non_negative(where):
         parse_config_text(text)
 
 
-def test_scales_block_keys():
-    def with_scales(body: str) -> str:
-        return f"scales {{\n{body}}}\n" + MINIMAL
-
-    scales = parse_config_text(with_scales("tau = 2.5\nhbar = 3\n")).scales
-    assert (scales.tau, scales.hbar) == (2.5, 3.0)
-    assert parse_config_text(with_scales("tau = 2.5\n")).scales.hbar == 1.0
-    assert parse_config_text(MINIMAL).scales is None
-    with pytest.raises(ConfigError, match=re.escape("line 1: block 'scales' is missing key 'tau'")):
-        parse_config_text(with_scales("hbar = 3\n"))
-    for key in ("kind", "bogus"):
-        with pytest.raises(ConfigError, match=f"^line 3: unknown key '{key}'"):
-            parse_config_text(with_scales(f"tau = 1\n{key} = 1\n"))
-    with pytest.raises(ConfigError, match=re.escape("line 2: 'tau' expects a number, got 'x1'")):
-        parse_config_text(with_scales("tau = x1\n"))
-    with pytest.raises(ConfigError, match=r"^line 1: tau must be positive"):
-        parse_config_text(with_scales("tau = -1\n"))
+def test_scales_block_is_an_unknown_block():
+    # Every computation is in units of tau, so no block converts to seconds.
+    text = MINIMAL + "scales {\n  tau = 8.1e-21\n}\n"
+    message = f"line {_line(text, 'scales {')}: unknown block 'scales' in block '<root>'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
 
 
 def test_readme_config_examples_parse():
@@ -522,7 +511,7 @@ def test_readme_config_examples_parse():
 
 
 def _every_block_kind() -> str:
-    """MINIMAL plus a scales block, a csco scheduler and one experiment of each kind."""
+    """MINIMAL plus a csco scheduler and one experiment of each kind."""
     head = MINIMAL[: MINIMAL.index("experiment {")].replace(
         "  labels = (0), (1)\n", "  labels = (0), (1)\n  scheduler {\n  }\n", 1
     )
@@ -531,7 +520,7 @@ def _every_block_kind() -> str:
         body = "".join(f"  {k} = {v}\n" for k, v in required.items())
         extra = "  scheduler {\n  }\n" if kind == "qgrid" else ""
         experiments.append(f"experiment {{\n  kind = {kind}\n{body}{extra}}}\n")
-    return "scales {\n  tau = 1\n}\n" + head + "".join(experiments)
+    return head + "".join(experiments)
 
 
 EVERY_BLOCK_KIND = _every_block_kind()
@@ -539,7 +528,6 @@ EVERY_BLOCK_KIND = _every_block_kind()
 # (case, opener of the block the item goes into, which such opener); None is the root.
 BLOCK_KINDS = [
     ("root", None, 0),
-    ("scales", "scales {", 0),
     ("system", "system {", 0),
     ("hamiltonian", "hamiltonian {", 0),
     ("csco", "csco {", 0),
@@ -552,7 +540,7 @@ BLOCK_KINDS = [
 def test_every_block_kind_parses_as_written():
     cfg = parse_config_text(EVERY_BLOCK_KIND)
     assert [type(e).kind for e in cfg.experiments] == KIND_IDS
-    assert cfg.scales is not None and cfg.experiments[-1].scheduler == SchedulerSpec()
+    assert cfg.experiments[-1].scheduler == SchedulerSpec()
 
 
 @pytest.mark.parametrize("item,what", [("bogus = 1", "key"), ("bogus {\n}", "block")])

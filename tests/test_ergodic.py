@@ -271,7 +271,8 @@ def scalar_same_outcome_measure(traj, delta, base_windows):
         if b <= a:
             continue
         mid = 0.5 * (a + b)
-        if traj.label_at(mid) == traj.label_at(mid + delta):
+        before, after = traj.labels_at(np.array([mid, mid + delta]))
+        if before == after:
             matched.append(b - a)
     return float(math.fsum(matched)) / base_windows
 
@@ -443,9 +444,10 @@ def test_same_outcome_measure_rejects_a_non_finite_lag_or_base_span():
     traj = stationary_half_trajectory(windows=3)
     with pytest.raises(ValueError, match="delta must be non-negative"):
         same_outcome_measure(traj, math.nan, 2)
-    for delta, base_windows in [(math.inf, 2), (0.5, math.nan)]:
-        with pytest.raises(ValueError, match="must fit inside the covered windows"):
-            same_outcome_measure(traj, delta, base_windows)
+    with pytest.raises(ValueError, match="must fit inside the covered windows"):
+        same_outcome_measure(traj, math.inf, 2)
+    with pytest.raises(ValueError, match="base_windows must be an integer, got nan"):
+        same_outcome_measure(traj, 0.5, math.nan)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=repr)
@@ -456,10 +458,11 @@ def test_sub_tau_correlation_rejects_a_non_finite_lag(delta):
         sub_tau_correlation(traj, delta, 10, 0)
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, float("nan"), np.float64(1.0), "1"], ids=repr)
+@pytest.mark.parametrize("bad", [1.5, 2.0, float("nan"), np.float64(1.0), "1", True], ids=repr)
 def test_counts_and_window_must_be_integers(bad):
     # sample_born used to read a "window 1.5" on (1.5, 2.5]; a fractional
-    # n_samples or n_pairs failed with a TypeError inside numpy.
+    # n_samples or n_pairs failed with a TypeError inside numpy.  True was
+    # taken for 1: window 1, or a distribution with total=True.
     H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
     traj = trajectory(make_state([1.0, 0.0]), H, sigma_z_set(), SchedulerSpec(), 4)
     def message(name):
@@ -477,3 +480,44 @@ def test_numpy_integer_counts_and_window_are_accepted():
     traj = trajectory(make_state([1.0, 0.0]), H, sigma_z_set(), SchedulerSpec(), 4)
     assert sample_born(traj, np.int64(100), 3, window=np.int32(2)).counts == sample_born(traj, 100, 3, window=2).counts
     assert sub_tau_correlation(traj, 0.25, np.int64(50), 3) == sub_tau_correlation(traj, 0.25, 50, 3)
+
+
+def test_every_seeded_draw_refuses_a_seed_that_is_not_a_non_negative_integer(monkeypatch):
+    # sample_born and sub_tau_correlation handed the seed to numpy, which
+    # said "SeedSequence expects int ..." for 1.5, "expected non-negative
+    # integer" for -1, and drew seed 1's reads for True; sequence_records too.
+    import qergo.ergodic as ergodic
+    from qergo.measurement import sequence_records
+
+    traj = stationary_half_trajectory(windows=3)
+    scenario = Scenario(make_state([1.0, 1.0]), Hamiltonian(np.zeros((2, 2))), (sigma_z_set(),), {})
+    for seed in (1.5, -1, True):
+        message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            sample_born(traj, 10, seed)
+        with pytest.raises(ValueError, match=message):
+            sub_tau_correlation(traj, 0.25, 10, seed)
+        with pytest.raises(ValueError, match=message):
+            sequence_records(scenario, [("sz", 0.5)], 2, seed)
+    # A numpy integer is a seed, drawing what the Python int draws.
+    assert sample_born(traj, 50, np.int64(7)).counts == sample_born(traj, 50, 7).counts
+    # The seed is checked once per call, not once per block of reads.
+    checks = []
+    monkeypatch.setattr(ergodic, "_BLOCK", 4)
+    monkeypatch.setattr(ergodic, "_seed", lambda s: checks.append(s) or s)
+    sample_born(traj, 10, 3)
+    assert checks == [3]
+    sub_tau_correlation(traj, 0.25, 300, 4)  # 4 blocks of at most 16 reads per stretch
+    assert checks == [3, 4]
+
+
+def test_same_outcome_measure_refuses_a_fractional_base_span():
+    # base_windows = 1.5 was accepted, and the measure over (0, 1.5] returned.
+    traj = trajectory(
+        make_state([0.6, 0.8]), Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]])),
+        sigma_z_set(), SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=2), 3,
+    )
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match=rf"^base_windows must be an integer, got {bad!r}$"):
+            same_outcome_measure(traj, 0.1, bad)
+    assert same_outcome_measure(traj, 0.1, np.int64(2)) == same_outcome_measure(traj, 0.1, 2)

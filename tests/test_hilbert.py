@@ -7,17 +7,15 @@ from qergo.hilbert import (
     HERMITICITY_TOL,
     CommutingSet,
     Hamiltonian,
-    PhysicalScales,
     QuantumState,
     born_probabilities,
-    commutator_norm,
     evolve,
     expectation,
     is_conserved,
     make_state,
     off_diagonal_norm,
 )
-from qergo.testing import haar_unitary, random_cset, random_hamiltonian, random_state, sigma_x_set, sigma_z_set
+from qergo.testing import haar_unitary, random_cset, random_hamiltonian, random_state, sigma_z_set
 
 
 def test_make_state_already_normalized():
@@ -53,15 +51,6 @@ def test_quantum_state_amplitudes_read_only():
     s = make_state([1.0, 0.0])
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.5
-
-
-def test_physical_scales_round_trip():
-    sc = PhysicalScales(tau=8.1e-21)
-    assert sc.to_windows(sc.to_seconds(3.25)) == pytest.approx(3.25, abs=0, rel=1e-15)
-    with pytest.raises(ValueError):
-        PhysicalScales(tau=0.0)
-    with pytest.raises(ValueError):
-        PhysicalScales(tau=1.0, hbar=-1.0)
 
 
 def test_evolve_zero_hamiltonian_is_identity():
@@ -159,19 +148,9 @@ def test_expectation_matches_matrix_sandwich():
         s = random_state(rng, d)
         cs = random_cset(rng, d)
         direct = expectation(s, cs)
-        m = cs.observable_matrix(0)
+        m = (cs.basis * cs.member_values(0)) @ cs.basis.conj().T
         sandwich = float(np.real(np.vdot(s.amplitudes, m @ s.amplitudes)))
         assert abs(direct - sandwich) < 1e-10
-
-
-def test_commutator_norm_cases():
-    sz, sx = sigma_z_set(), sigma_x_set()
-    assert commutator_norm(sz, sz) == 0.0
-    assert commutator_norm(sz, sx) == pytest.approx(2.0, abs=1e-12)
-    both = CommutingSet(
-        id="zz", basis=np.eye(2), labels=((0,), (1,)), eigenvalues=((3.0,), (7.0,))
-    )
-    assert commutator_norm(sz, both) <= 1e-10
 
 
 def test_conserved_detection():

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from qergo import ConfigError, parse_config_text
-from qergo.hilbert import CommutingSet, Hamiltonian, PhysicalScales, QuantumState, make_state
+from qergo.hilbert import CommutingSet, Hamiltonian, QuantumState, make_state
 from qergo.partition import SchedulerSpec
 from qergo.qgrid import GridWavefunction
 
 HOSTILE = [math.nan, math.inf, -math.inf, 1e999]  # 1e999 overflows to inf
 
 
-def _grid(spacing=1.0 / 32.0, planck_step=1.0, compton_wavelength=1.0):
-    return GridWavefunction(samples=np.ones(65, dtype=complex), origin=0.0, spacing=spacing,
+def _grid(origin=0.0, spacing=1.0 / 32.0, planck_step=1.0, compton_wavelength=1.0):
+    return GridWavefunction(samples=np.ones(65, dtype=complex), origin=origin, spacing=spacing,
                             planck_step=planck_step, compton_wavelength=compton_wavelength)
 
 
@@ -32,9 +32,8 @@ MODEL_INPUTS = {
     "CommutingSet eigenvalues": lambda x: CommutingSet("s", np.eye(2), ((0,), (1,)), ((1.0,), (x,))),
     "QuantumState": lambda x: QuantumState(np.array([x, 0.0])),
     "make_state": lambda x: make_state([x, 1.0]),
-    "PhysicalScales.tau": lambda x: PhysicalScales(tau=x),
-    "PhysicalScales.hbar": lambda x: PhysicalScales(tau=1.0, hbar=x),
     "SchedulerSpec.offset": lambda x: SchedulerSpec(kind="two-outcome", offset=x),
+    "GridWavefunction.origin": lambda x: _grid(origin=x),
     "GridWavefunction.spacing": lambda x: _grid(spacing=x),
     "GridWavefunction.planck_step": lambda x: _grid(planck_step=x),
     "GridWavefunction.compton_wavelength": lambda x: _grid(compton_wavelength=x),
@@ -51,10 +50,6 @@ def test_model_constructors_refuse_hostile_numbers(make, bad):
 
 # Every key that holds a number, in every block that has one.
 FULL = """
-scales {
-  tau = 2.0
-  hbar = 1.0
-}
 system {
   dimension = 2
   state = 0.6, 0.8
@@ -134,7 +129,7 @@ def test_the_full_config_parses_and_names_every_number_key():
     assert len(cfg.experiments) == 6
     keys = {FULL.splitlines()[i].split("=")[0].strip() for i in NUMBER_LINES}
     assert keys == {
-        "tau", "hbar", "dimension", "state", "row", "labels", "eigenvalues", "max_subintervals",
+        "dimension", "state", "row", "labels", "eigenvalues", "max_subintervals",
         "seed", "offset", "windows", "window", "samples", "alpha", "member", "delta", "pairs",
         "runs", "step", "planck_step", "compton_wavelength", "center_cell", "window_index",
     }
@@ -149,3 +144,4 @@ def test_config_refuses_hostile_numbers_at_their_line(at, bad):
     with pytest.raises(ConfigError) as info:
         parse_config_text("\n".join(lines))
     assert info.value.line == at + 1, str(info.value)
+

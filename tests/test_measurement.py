@@ -393,7 +393,7 @@ def test_sequence_records_rejects_non_finite_times(sequence):
 def test_sequence_records_rejects_a_non_integer_run_count_at_call_time():
     # 2.5 and nan passed `n_runs < 1` and failed in range() at the first run.
     scenario = Scenario(make_state([1.0, 0.0]), RABI, (sigma_z_set(),), {})
-    for n_runs in (2.5, math.nan, math.inf, 0, -1, 3.0, "3", None):
+    for n_runs in (2.5, math.nan, math.inf, 0, -1, 3.0, "3", None, True):
         with pytest.raises(ValueError, match=rf"^n_runs must be an integer of at least 1, got {re.escape(repr(n_runs))}$"):
             sequence_records(scenario, [("sz", 0.5)], n_runs, 0)
     # numpy integers are integers, and give the runs a Python int gives.

@@ -197,13 +197,10 @@ def test_trajectory_label_lookup():
         make_state([0.6, 0.8]), Hamiltonian(np.zeros((2, 2))), sigma_z_set(), SchedulerSpec(), 3
     )
     # contiguous stationary layout: label 0 on (n, n+0.36], label 1 after
-    assert traj.label_at(0.2) == 0
-    assert traj.label_at(0.36) == 0
-    assert traj.label_at(0.37) == 1
-    assert traj.label_at(2.9) == 1
+    np.testing.assert_array_equal(traj.labels_at(np.array([0.2, 0.36, 0.37, 2.9])), [0, 0, 1, 1])
     np.testing.assert_array_equal(traj.labels_at(np.array([0.2, 1.5, 3.0])), [0, 1, 1])
-    with pytest.raises(ValueError, match="outside"):
-        traj.label_at(0.0)
+    with pytest.raises(ValueError, match="windows_covered"):
+        traj.labels_at(np.array([0.0]))
     with pytest.raises(ValueError, match="windows_covered"):
         traj.labels_at(np.array([0.5, 3.5]))
 
@@ -270,9 +267,10 @@ def test_trajectory_guards():
         trajectory(s, H, sigma_z_set(), SchedulerSpec(), MAX_WINDOWS + 1)
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), np.float64(2.0), "3"], ids=repr)
+@pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), np.float64(2.0), "3", True], ids=repr)
 def test_trajectory_window_count_must_be_an_integer(bad):
-    # 2.5 used to fail with a TypeError inside numpy's allocation.
+    # 2.5 used to fail with a TypeError inside numpy's allocation, and so
+    # did True, which passed the integer check unconverted.
     s = make_state([1.0, 0.0])
     H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError, match=rf"^windows must be an integer, got {re.escape(repr(bad))}$"):

@@ -216,7 +216,7 @@ def test_max_subintervals_is_bounded():
         a = build_partition(p, 5, SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=8))
         b = build_partition(p, 5, SchedulerSpec(kind="seeded-random", max_subintervals=np.int64(n), seed=8))
         assert a.bounds.tobytes() == b.bounds.tobytes() and np.array_equal(a.labels, b.labels)
-    for n in (2**16 + 1, 2**40, 0, 2.5):
+    for n in (2**16 + 1, 2**40, 0, 2.5, True):
         with pytest.raises(ValueError, match=rf"max_subintervals must be an integer in \[1, 65536\], got {n!r}$"):
             SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=1)
 
@@ -225,7 +225,7 @@ def test_seed_must_be_a_non_negative_integer():
     # A fractional seed used to draw the layouts of its integer part, and a
     # non-integer past 2**32 failed only at the first layout, inside numpy.
     p = np.array([0.2, 0.3, 0.5])
-    for seed in (1.5, 2**32 + 0.5, float("nan"), float("inf"), -1, -(2**40), "1", None):
+    for seed in (1.5, 2**32 + 0.5, float("nan"), float("inf"), -1, -(2**40), "1", None, True):
         with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
             SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=seed)
     # A numpy integer is an integer, and a seed past 2**32 still builds.
@@ -235,13 +235,14 @@ def test_seed_must_be_a_non_negative_integer():
         assert a.bounds.tobytes() == b.bounds.tobytes() and np.array_equal(a.labels, b.labels)
 
 
-NON_INTEGERS = [1.5, 2.0, float("nan"), float("inf"), np.float64(1.0), "1", None]
+NON_INTEGERS = [1.5, 2.0, float("nan"), float("inf"), np.float64(1.0), "1", None, True]
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
 def test_window_index_must_be_an_integer(bad):
     # A fractional index used to lay out a "window 1.5" on (1.5, 2.5] with
-    # window 1's seeded labels, and periodic_extend shifted by it alike.
+    # window 1's seeded labels, and periodic_extend shifted by it alike;
+    # True built window 1.
     p = np.array([0.2, 0.3, 0.5])
     spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=7)
     message = rf"^window_index must be an integer, got {re.escape(repr(bad))}$"
@@ -313,7 +314,7 @@ def test_subinterval_contract():
     with pytest.raises(ValueError):
         SubInterval(1.0, 1.0)
     iv = SubInterval(0.5, 1.5)
-    assert iv.contains(1.5) and not iv.contains(0.5)
+    assert (iv.lo, iv.hi) == (0.5, 1.5)
 
 
 @settings(max_examples=60, deadline=None)

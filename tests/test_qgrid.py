@@ -9,7 +9,6 @@ import pytest
 from qergo.partition import SchedulerSpec, check_partition, interval_measure
 from qergo.qgrid import (
     GridWavefunction,
-    cell_for_label,
     cell_probabilities,
     format_cell_probabilities,
     load_grid,
@@ -124,10 +123,8 @@ def test_position_partition_closure():
     pr = cell_probabilities(wf, 10)
     for j in range(pr.size):
         assert abs(interval_measure(part, j) - float(pr[j])) <= 1e-9
-    assert cell_for_label(wf, 10, 0) == 6
-    assert cell_for_label(wf, 10, pr.size - 1) == 14
-    with pytest.raises(ValueError, match="label"):
-        cell_for_label(wf, 10, pr.size)
+    # Label j is the j-th cell of the window.
+    assert window_cells(wf, 10) == list(range(6, 6 + pr.size))
 
 
 def test_position_partition_single_cell_window():
@@ -147,7 +144,7 @@ def test_position_partition_single_cell_window():
 def test_uniform_cells_give_equal_intervals():
     wf = make_grid(lambda xs: np.full(xs.size, 1.0, dtype=complex))
     part = position_partition(wf, 10, 0, SchedulerSpec())
-    lengths = [seg.length for seg, _ in part.segments]
+    lengths = [seg.hi - seg.lo for seg, _ in part.segments]
     assert len(lengths) == 9
     assert np.allclose(lengths, 1.0 / 9.0, atol=1e-12)
 
