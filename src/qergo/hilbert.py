@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .partition import _index
+
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -224,7 +226,7 @@ class CommutingSet:
 
     def member_values(self, member: int) -> np.ndarray:
         """Read-only eigenvalues of one member observable, one per basis column."""
-        if not 0 <= member < self.n_members:
+        if not 0 <= (member := _index(member, "member")) < self.n_members:
             raise ValueError(f"member index {member} out of range ({self.n_members} members)")
         return self._member_columns[member]
 

@@ -202,9 +202,10 @@ def apply_value_operator(
     annihilates it and the zero vector comes back.
     """
     k = cset.label_index(label)
+    value = cset.member_values(member)[k]
     if active_label(partition, u) != k:
         return np.zeros(cset.dimension, dtype=np.complex128)
-    return cset.eigenvalues[k][member] * cset.basis_vector(k)
+    return value * cset.basis_vector(k)
 
 
 # The layout of every set that a scenario gives no scheduler.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .partition import SchedulerSpec, WindowPartition, build_partition
+from .partition import SchedulerSpec, WindowPartition, _index, build_partition
 
 MIN_WINDOW_MASS = 1e-300
 MIN_NODES_PER_CELL = 16
@@ -166,6 +166,7 @@ def window_cells(wf: GridWavefunction, k_center: int) -> list[int]:
     The one place a window's cells are decided and checked against the
     sampled range.
     """
+    k_center = _index(k_center, "k_center")
     half_cells = (wf.cells_per_window - 1) // 2
     first, last = k_center - half_cells, k_center + half_cells
     if first < 0 or last >= wf.n_cells:

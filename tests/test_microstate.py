@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qergo.ergodic import window_average_value
 from qergo.hilbert import (
     CONSERVED_TOL,
     CommutingSet,
@@ -13,6 +14,7 @@ from qergo.hilbert import (
     QuantumState,
     born_probabilities,
     evolve,
+    expectation,
     is_conserved,
     make_state,
     off_diagonal_norm,
@@ -112,6 +114,28 @@ def test_value_function_equals_step_weighted_sum():
 def test_value_function_member_range():
     with pytest.raises(ValueError, match="member"):
         value_function(two_outcome_partition(), valued_set(), 1, 0.5)
+
+
+# Every reader of a member index, on a two-member set: member 1 exists there,
+# so a bool that stood in for it would go unnoticed.
+MEMBER_READERS = {
+    "member_values": lambda p, cs, m: cs.member_values(m),
+    "expectation": lambda p, cs, m: expectation(make_state([0.6, 0.8]), cs, m),
+    "value_function": lambda p, cs, m: value_function(p, cs, m, 0.5),
+    "window_average_value": lambda p, cs, m: window_average_value(p, cs, m),
+    "apply_value_operator-label0": lambda p, cs, m: apply_value_operator(p, cs, (0, 0), 0.5, m),
+    "apply_value_operator-label1": lambda p, cs, m: apply_value_operator(p, cs, (1, 1), 0.5, m),
+}
+
+
+@pytest.mark.parametrize("member", [0.5, True])
+@pytest.mark.parametrize("reader", sorted(MEMBER_READERS))
+def test_member_must_be_an_integer(reader, member):
+    cs = CommutingSet(
+        id="pair", basis=np.eye(2), labels=((0, 0), (1, 1)), eigenvalues=((2.0, 5.0), (-3.0, 7.0))
+    )
+    with pytest.raises(ValueError, match=re.escape(f"member must be an integer, got {member!r}")):
+        MEMBER_READERS[reader](two_outcome_partition(), cs, member)
 
 
 def test_apply_value_operator_active_and_annihilated():

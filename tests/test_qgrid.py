@@ -160,6 +160,30 @@ def test_window_bounds_checked():
         planck_cell_probability(wf, 10)
 
 
+K_CENTER_READERS = {
+    "window_cells": window_cells,
+    "cell_probabilities": cell_probabilities,
+    "position_partition": lambda wf, k: position_partition(wf, k, 0, SchedulerSpec()),
+    "format_cell_probabilities": format_cell_probabilities,
+}
+
+
+@pytest.mark.parametrize("k_center", [1.5, True])
+@pytest.mark.parametrize("reader", sorted(K_CENTER_READERS))
+def test_k_center_must_be_an_integer(reader, k_center):
+    # Three one-cell windows: k_center = 1 is a valid center, so a bool that
+    # stood in for it would go unnoticed.
+    wf = GridWavefunction(
+        samples=np.ones(97, dtype=complex),
+        origin=0.0,
+        spacing=1.0 / 32.0,
+        planck_step=1.0,
+        compton_wavelength=1.0,
+    )
+    with pytest.raises(ValueError, match=re.escape(f"k_center must be an integer, got {k_center!r}")):
+        K_CENTER_READERS[reader](wf, k_center)
+
+
 def test_vanishing_window_mass_rejected():
     wf = make_grid(lambda xs: np.zeros(xs.size, dtype=complex))
     with pytest.raises(ValueError, match="mass"):
