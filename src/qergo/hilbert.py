@@ -327,6 +327,17 @@ def born_probabilities(state: QuantumState, cset: CommutingSet) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
+def _born_rows(amplitudes: np.ndarray, cset: CommutingSet) -> np.ndarray:
+    """:func:`born_probabilities` of each row of ``amplitudes`` (``[W, d]``), bit for bit.
+
+    A stacked matmul takes each row's product as ``born_probabilities``
+    does; one gemm (``amplitudes @ basis.conj()``) does not round the same.
+    Left out of ``__all__``, as :func:`step` is.
+    """
+    adjoint = np.broadcast_to(cset._adjoint, (len(amplitudes), *cset._adjoint.shape))
+    return np.abs((adjoint @ amplitudes[:, :, None])[:, :, 0]) ** 2
+
+
 def expectation(state: QuantumState, cset: CommutingSet, member: int = 0) -> float:
     """Quantum expectation of one member observable in ``state``."""
     w = cset.member_values(member)

@@ -21,6 +21,7 @@ from .hilbert import (
     CommutingSet,
     Hamiltonian,
     QuantumState,
+    _born_rows,
     born_probabilities,
     off_diagonal_norm,
     step,
@@ -30,6 +31,7 @@ from .partition import (
     SchedulerSpec,
     SubInterval,
     WindowPartition,
+    _draw_layouts,
     _index,
     active_label,
     build_partition,
@@ -118,7 +120,7 @@ class JumpTrajectory:
 
     def partition(self, n: int) -> WindowPartition:
         """Window ``n``'s layout, built on each call from views into the arrays."""
-        if not 0 <= n < self.windows_covered:
+        if not 0 <= (n := _index(n, "window")) < self.windows_covered:
             raise ValueError(f"window {n} outside the covered range [0, {self.windows_covered})")
         i, j = self.offsets[n], self.offsets[n + 1]
         return WindowPartition._of(
@@ -313,6 +315,9 @@ def span_partition(
 # keeps every window's measures well within MEASURE_TOL.
 MAX_WINDOWS = 10_000
 
+# Windows a trajectory steps, and draws the seeded-random layouts of, at a time.
+_CHUNK = 64
+
 
 def trajectory(
     state0: QuantumState,
@@ -323,38 +328,55 @@ def trajectory(
 ) -> JumpTrajectory:
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
-    Per window: lay the window out with :func:`span_partition` from the
-    current state and a :class:`LayoutBase` of ``state0``, write its weights
-    and the state into row ``n`` of the ``[W, d]`` arrays, then step the
-    state to the next integer boundary with ``exp(-iH)``, built once; the
-    layouts end up back to back in the trajectory's ``bounds`` and
-    ``labels``, and no per-window object is kept.  When every
+    Works through ``_CHUNK`` windows at a time.  It first steps the state
+    to each of their starts with ``exp(-iH)``, built once, writing each
+    window-start state into row ``n`` of a ``[W, d]`` array; a
+    seeded-random chunk then draws the layouts of the windows it will
+    build in one batch (see :func:`_draw_layouts`).  Then each window is
+    laid out with :func:`span_partition` from its state and a
+    :class:`LayoutBase` of ``state0``, and its weights written into row
+    ``n``; the layouts end up back to back in the trajectory's ``bounds``
+    and ``labels``, and no per-window object is kept.  When every
     member observable commutes with the Hamiltonian the weights are
     constants of motion, and window 0's layout is reused verbatim, shifted
     by the window index, in every window where :func:`shift_is_sound`
     holds: the layout freedom is resolved in favour of exact periodicity.
     So a window's layout does not depend on how many windows are asked for,
     and it is the layout the measurement protocol gives that window before
-    any collapse.  Mismatched dimensions are rejected in window 0.
+    any collapse.  Mismatched dimensions are rejected before any step.
     """
     if (windows := _index(windows, "windows")) < 1:
         raise ValueError("windows must be at least 1")
     if windows > MAX_WINDOWS:
         raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")
+    if not state0.dimension == hamiltonian.dimension == cset.dimension:
+        raise ValueError(
+            f"dimension mismatch: state {state0.dimension}, "
+            f"hamiltonian {hamiltonian.dimension}, basis {cset.dimension}"
+        )
     u = hamiltonian.propagator(1.0)
     psi, base, renorms = state0, LayoutBase(state0), 0
     probabilities = np.empty((windows, cset.dimension))
     amplitudes = np.empty((windows, cset.dimension), dtype=np.complex128)
     bounds, labels = [], []
-    for n in range(windows):
-        part = span_partition(hamiltonian, cset, scheduler, psi, n, base)
-        probabilities[n], amplitudes[n] = part.probabilities, psi.amplitudes
-        # Windows share their boundary float: each keeps its lower bounds.
-        bounds.append(part.bounds[:-1])
-        labels.append(part.labels)
-        if n + 1 < windows:
-            psi = step(u, psi)
-            renorms += int(psi.renormalized)
+    for start in range(0, windows, _CHUNK):
+        chunk, states = range(start, min(start + _CHUNK, windows)), []
+        for n in chunk:
+            states.append(psi)
+            amplitudes[n] = psi.amplitudes
+            if n + 1 < windows:
+                psi = step(u, psi)
+                renorms += int(psi.renormalized)
+        if scheduler.kind == "seeded-random":
+            built = [n for n in chunk if not shift_is_sound(hamiltonian, cset, n)]
+            if built:
+                _draw_layouts(_born_rows(amplitudes[built], cset), built, scheduler)
+        for n, state in zip(chunk, states):
+            part = span_partition(hamiltonian, cset, scheduler, state, n, base)
+            probabilities[n] = part.probabilities
+            # Windows share their boundary float: each keeps its lower bounds.
+            bounds.append(part.bounds[:-1])
+            labels.append(part.labels)
     bounds.append(part.bounds[-1:])
     offsets = np.cumsum([0] + [a.size for a in labels])
     arrays = (np.concatenate(bounds), np.concatenate(labels), offsets, probabilities, amplitudes)

@@ -20,7 +20,8 @@ strategies pin it down:
   ``(seed, window_index)`` so any window can be rebuilt independently of
   the others.  The stream is read as ``Generator.integers``,
   ``Generator.random`` and ``Generator.permutation`` read it; the counts
-  and cuts are decoded from its raw words here (see ``_random_layout``).
+  and cuts are decoded from its raw words here (see ``_random_layout``,
+  and ``_random_layouts`` for many windows at once).
 
 Partial windows appear after a mid-window state reduction: the remainder
 ``(u0, N+1]`` is re-partitioned with the same machinery, measures scaled by
@@ -143,6 +144,14 @@ class SchedulerSpec:
         """
         return {}
 
+    @cached_property
+    def _drawn(self) -> dict:
+        """The last batch of seeded-random layouts not yet read, keyed as ``_layouts``.
+
+        See :func:`_draw_layouts`.
+        """
+        return {}
+
 
 def _frozen(a, dtype) -> np.ndarray:
     """``a`` as a read-only array; copied only when the caller could still write it."""
@@ -246,15 +255,19 @@ _UINT32_END = 2**32
 _LOW32 = _UINT32_END - 1
 
 
-def _seeded_random_layout(
-    p: np.ndarray, window_index: int, spec: SchedulerSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    # Keyed per window so partitions can be rebuilt out of order.
+def _bitgen(spec: SchedulerSpec, window_index: int) -> np.random.PCG64:
+    """One window's seeded-random stream, keyed so windows can be rebuilt out of order."""
     key = [spec.seed, window_index]
     if 0 <= window_index < _UINT32_END and spec.seed < _UINT32_END:
         # SeedSequence reads a list of such ints as these uint32 words.
         key = np.array(key, dtype=np.uint32)
-    return _random_layout(p, np.random.PCG64(key), spec.max_subintervals)
+    return np.random.PCG64(key)
+
+
+def _seeded_random_layout(
+    p: np.ndarray, window_index: int, spec: SchedulerSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    return _random_layout(p, _bitgen(spec, window_index), spec.max_subintervals)
 
 
 def _random_layout(
@@ -316,6 +329,91 @@ def _random_layout(
     return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
 
+# A batched draw reads at most d * max_subintervals words per window; a batch
+# that could read more than this many (256 KiB) is left to _random_layout.
+_BATCH_WORDS = 2**15
+
+
+def _random_layouts(p: np.ndarray, bitgens: list, max_subintervals: int) -> list:
+    """:func:`_random_layout` of each row of ``p`` with its own fresh generator, decoded together.
+
+    Every weight must be positive, so every row reads its words in the same
+    roles: one count word per pair of labels (its low half for the first
+    label, its upper half for the second), then each label's cut words.
+    Each generator gives one block that covers the most words a row can
+    read; the counts are walked a pair of labels at a time across all rows,
+    and the cuts gathered, sorted and differenced as arrays.  Each
+    generator is then wound back to where numpy's calls leave it, kept half
+    included, and only ``permutation`` runs per row.  A row whose bounded
+    draw rejects a word would read other words, and gets None.
+    """
+    rows, d = p.shape
+    excl, at = max_subintervals, np.arange(rows)
+    words = (d + 1) // 2 + d * (excl - 1) if excl > 1 else 0
+    raw = np.array([g.random_raw(words) for g in bitgens])
+    pieces = np.ones((rows, d), dtype=np.intp)
+    read = np.zeros(rows, dtype=np.intp)  # cut words before the current pair's count word
+    rejected = np.zeros(rows, dtype=bool)
+    if excl > 1:
+        threshold, halves = (_LOW32 - (excl - 1)) % excl, np.array([0, 32], dtype=np.uint64)
+        for k in range(0, d, 2):
+            last = raw[at, k // 2 + read]
+            m = (last[:, None] >> halves[: d - k] & _LOW32) * excl
+            rejected |= (m & _LOW32 < threshold).any(axis=1)
+            more = (m >> 32).astype(np.intp)
+            pieces[:, k:k + 2] += more
+            read += more.sum(axis=1)
+    extra, j, mass = pieces - 1, np.arange(excl - 1), p[:, :, None]
+    first = np.arange(d) // 2 + 1 + extra.cumsum(axis=1) - extra  # each label's first cut word
+    u = (raw[at[:, None, None], first[:, :, None] + j] >> 11) * 2.0**-53
+    # Unused slots hold mass, so after the sort they difference to zero and drop out.
+    cuts = np.concatenate((np.where(j < extra[:, :, None], mass * u, mass), mass), axis=2)
+    cuts.sort(axis=2)
+    width = np.diff(cuts, axis=2, prepend=0.0)
+    keep = width > 0.0
+    ends = keep.sum(axis=(1, 2)).cumsum().tolist()
+    all_widths, all_labels = width[keep], keep.nonzero()[1]
+    layouts = []
+    for i, g in enumerate(bitgens):
+        if rejected[i]:
+            layouts.append(None)
+            continue
+        if words:
+            g.advance(int((d + 1) // 2 + read[i]) - words)
+            if d % 2:  # the half next_uint32 would return next
+                state = g.state
+                state["has_uint32"], state["uinteger"] = 1, int(last[i] >> 32)
+                g.state = state
+        lo = ends[i - 1] if i else 0
+        order = np.random.Generator(g).permutation(ends[i] - lo)
+        layouts.append((all_widths[lo:ends[i]][order], all_labels[lo:ends[i]][order]))
+    return layouts
+
+
+def _draw_layouts(weights: np.ndarray, windows: list, spec: SchedulerSpec):
+    """Draw the seeded-random layouts of many windows in one batch, for :func:`_layout` to take.
+
+    Row ``i`` of ``weights`` holds the weights ``build_partition`` will be
+    given for window ``windows[i]``.  Left to the scalar path: rows the
+    validation would rescale or reject, rows with a zero weight, keys
+    already memoized, rows whose draw rejects a word, and batches that
+    could read more than ``_BATCH_WORDS`` words.  The spec keeps the rest until its next
+    batch, and :func:`_layout` takes each one on first read.
+    """
+    drawn, memo, excl = spec._drawn, spec._layouts, spec.max_subintervals
+    drawn.clear()
+    # The rows _validated_probabilities passes on its fast path, divided as it divides them.
+    total = np.add.reduce(weights, axis=1)
+    ok = (np.minimum.reduce(weights, axis=1) > 0.0) & (abs(total - 1.0) <= PROB_SUM_TOL)
+    p = weights[ok] / total[ok, None]
+    keys = [(row.tobytes(), n) for row, n in zip(p, np.asarray(windows)[ok].tolist())]
+    new = [i for i, key in enumerate(keys) if key not in memo]
+    if not new or len(new) * p.shape[1] * excl > _BATCH_WORDS:
+        return
+    layouts = _random_layouts(p[new], [_bitgen(spec, keys[i][1]) for i in new], excl)
+    drawn.update((keys[i], layout) for i, layout in zip(new, layouts) if layout is not None)
+
+
 # Most seeded-random layouts one spec keeps for reuse.
 _LAYOUT_MEMO_SIZE = 128
 
@@ -328,7 +426,9 @@ def _layout(
     A seeded-random layout depends only on the exact weights and the window,
     and the same weights recur, e.g. after every collapse onto one basis
     column; the spec keeps up to ``_LAYOUT_MEMO_SIZE`` drawn layouts
-    (read-only) and returns them again for the same key.
+    (read-only) and returns them again for the same key.  A layout not kept
+    is taken from the spec's last batch (see :func:`_draw_layouts`) if it
+    is there, and drawn by :func:`_random_layout` if not.
     """
     if spec.kind == "contiguous":
         return _contiguous_layout(p)
@@ -337,7 +437,7 @@ def _layout(
     memo, key = spec._layouts, (p.tobytes(), window_index)
     layout = memo.get(key)
     if layout is None:
-        layout = _seeded_random_layout(p, window_index, spec)
+        layout = spec._drawn.pop(key, None) or _seeded_random_layout(p, window_index, spec)
         for a in layout:
             a.setflags(write=False)
         if len(memo) < _LAYOUT_MEMO_SIZE:
@@ -431,9 +531,11 @@ def _check_inside(partition: WindowPartition, u: float):
         )
 
 
-def _check_label(partition: WindowPartition, label: int):
-    if not 0 <= label < partition.dimension:
+def _check_label(partition: WindowPartition, label) -> int:
+    """``label`` as an int if the partition has it; anything else is a ValueError."""
+    if not 0 <= (label := _index(label, "label")) < partition.dimension:
         raise ValueError(f"label index {label} out of range for dimension {partition.dimension}")
+    return label
 
 
 def active_label(partition: WindowPartition, u: float) -> int:
@@ -454,14 +556,14 @@ def step_function(partition: WindowPartition, label: int, u: float) -> int:
     genuinely testable properties rather than tautologies.
     """
     _check_inside(partition, u)
-    _check_label(partition, label)
+    label = _check_label(partition, label)
     b, mine = partition.bounds, partition.labels == label
     return int(np.any((b[:-1][mine] < u) & (u <= b[1:][mine])))
 
 
 def interval_measure(partition: WindowPartition, label: int) -> float:
     """Total length owned by a label (the realized probability mass)."""
-    _check_label(partition, label)
+    label = _check_label(partition, label)
     b = partition.bounds
     return float(math.fsum((b[1:] - b[:-1])[partition.labels == label]))
 

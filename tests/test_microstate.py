@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qergo import partition
 from qergo.ergodic import window_average_value
 from qergo.hilbert import (
     CONSERVED_TOL,
@@ -618,6 +619,33 @@ def test_trajectory_rejects_mismatched_dimensions(dims, windows):
             random_state(rng, ds), random_hamiltonian(rng, dh), random_cset(rng, dc),
             SchedulerSpec(), windows,
         )
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None], ids=repr)
+def test_trajectory_window_must_be_an_integer(bad):
+    # 1.5 used to raise numpy's bare IndexError, and True a TypeError.
+    traj = trajectory(
+        make_state([0.6, 0.8]), Hamiltonian(np.zeros((2, 2))), sigma_z_set(), SchedulerSpec(), 3
+    )
+    with pytest.raises(ValueError, match=rf"^window must be an integer, got {re.escape(repr(bad))}$"):
+        traj.partition(bad)
+    assert traj.partition(np.int64(2)).window_index == 2
+
+
+@pytest.mark.parametrize("excl", [4, 16])
+def test_driven_seeded_random_trajectory_draws_no_layout_on_the_scalar_path(excl, monkeypatch):
+    # Every window's layout comes from a batch; a batch key that missed
+    # would send its window to the scalar draw.  A fresh spec's loop, which
+    # draws every layout on the scalar path, is the reference.
+    rng = np.random.default_rng(excl)
+    s, h, cs = random_state(rng, 16), random_hamiltonian(rng, 16), random_cset(rng, 16)
+    scalar = []
+    draw = partition._random_layout
+    monkeypatch.setattr(partition, "_random_layout", lambda *args: scalar.append(args) or draw(*args))
+    traj = trajectory(s, h, cs, SchedulerSpec(kind="seeded-random", max_subintervals=excl, seed=6), 200)
+    assert scalar == []
+    monkeypatch.undo()
+    _assert_matches_loop(traj, s, h, cs, SchedulerSpec(kind="seeded-random", max_subintervals=excl, seed=6), 200)
 
 
 def test_labels_at_rejects_a_nan_time():

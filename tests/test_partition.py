@@ -21,7 +21,8 @@ from qergo.partition import (
     periodic_extend,
     step_function,
 )
-from qergo.partition import _random_layout
+from qergo.ergodic import window_average_step
+from qergo.partition import _bitgen, _draw_layouts, _random_layout, _random_layouts
 from qergo.testing import random_probabilities
 
 ALL_KINDS = ["contiguous", "two-outcome", "seeded-random"]
@@ -252,6 +253,22 @@ def test_window_index_must_be_an_integer(bad):
         build_partition_span(p, 1.25, 2.0, spec, window_index=bad)
     with pytest.raises(ValueError, match=message):
         periodic_extend(build_partition(p, 0, spec), bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_label_must_be_an_integer(bad):
+    # Label 0.5 used to read as a label that owns nothing (measure 0.0,
+    # indicator 0), and True as label 1.
+    p = build_partition([0.2, 0.3, 0.5], 0, SchedulerSpec())
+    message = rf"^label must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        interval_measure(p, bad)
+    with pytest.raises(ValueError, match=message):
+        step_function(p, bad, 0.5)
+    with pytest.raises(ValueError, match=message):
+        window_average_step(p, bad)
+    assert interval_measure(p, np.int64(2)) == interval_measure(p, 2)
+    assert step_function(p, np.uint8(2), 0.9) == step_function(p, 2, 0.9) == 1
 
 
 def test_numpy_integer_window_indices_build_the_same_layouts():
@@ -526,3 +543,82 @@ def test_random_draw_with_one_piece_per_label_reads_only_the_shuffle():
         widths, labels = _assert_draw_matches_numpy(p, bitgen, 1)
         assert sorted(labels.tolist()) == list(range(d))
         assert widths.tobytes() == p[labels].tobytes()
+
+
+def _assert_batch_matches_scalar(p, bitgens, max_subintervals):
+    """Each row's batched draw equals ``_random_layout``'s from a twin generator.
+
+    Both leave their generators in one state, kept half included.  A row
+    the batch gives up on (None) is left to the scalar draw.
+    """
+    twins = []
+    for bitgen in bitgens:
+        twins.append(np.random.PCG64())
+        twins[-1].state = bitgen.state
+    got = _random_layouts(p, bitgens, max_subintervals)
+    assert len(got) == len(bitgens)
+    for row, layout, bitgen, twin in zip(p, got, bitgens, twins):
+        if layout is not None:
+            want = _random_layout(row, twin, max_subintervals)
+            assert layout[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(layout[1], want[1]) and layout[1].dtype == want[1].dtype
+            assert _next_outputs(bitgen) == _next_outputs(twin)
+    return got
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 15, 16, 64])
+@pytest.mark.parametrize("excl", [1, 2, 3, 4, 5, 7, 16])
+def test_batched_draw_equals_the_scalar_draw(d, excl):
+    # With d odd and excl > 1 the last count word's upper half is kept, and
+    # the shuffle reads it first.
+    rng = np.random.default_rng(100 * d + excl)
+    p = np.array([random_probabilities(rng, d) for _ in range(6)])
+    bitgens = [np.random.PCG64(int(s)) for s in rng.integers(2**63, size=6)]
+    assert None not in _assert_batch_matches_scalar(p, bitgens, excl)
+
+
+@pytest.mark.parametrize("excl", [3, 5, 6, 7])
+@pytest.mark.parametrize("skip", [0, 1, 3])
+def test_batched_draw_gives_up_only_on_a_rejected_count_word(excl, skip):
+    # Word skip + 1 is zero: rejected where it is read as a count, a zero
+    # cut (a piece of no width, dropped) where it is read as a cut.
+    p = np.array([[0.1, 0.2, 0.3, 0.4]] * 8)
+    got = _assert_batch_matches_scalar(p, [_pcg64_emitting(0, skip, seed) for seed in range(8)], excl)
+    # The first word is always a count; a later one is a cut in some rows.
+    assert (got == [None] * 8) == (skip == 0)
+    # A value on the threshold is kept and one below it rejected.
+    threshold = (2**32 - excl) % excl
+    below = max(t for t in range(threshold) if t % (excl & -excl) == 0)
+    word = (_scaled_to(below, excl) << 32) | _scaled_to(threshold, excl)
+    p = np.array([[0.5, 0.3, 0.2]])
+    assert _assert_batch_matches_scalar(p, [_pcg64_emitting(word)], excl) == [None]
+    assert None not in _assert_batch_matches_scalar(p[:, :1] / p[0, 0], [_pcg64_emitting(word)], excl)
+
+
+def test_batched_draws_are_the_layouts_build_partition_gives():
+    # A seed past 2**32 and windows past it key their streams by a list.
+    # Rows with a zero weight, rows off the probability simplex and keys
+    # already kept are left to the scalar draw; the rest are each taken once.
+    rng = np.random.default_rng(12)
+    spec, fresh = (SchedulerSpec(kind="seeded-random", max_subintervals=5, seed=s) for s in (2**32 + 9,) * 2)
+    weights = np.array([random_probabilities(rng, 7) for _ in range(6)])
+    weights[2, 3], weights[3] = 0.0, weights[3] * 1.01
+    weights[2] /= weights[2].sum()
+    windows = [0, 3, 2**32, 2**32 - 1, 2**32 + 1, 2**40]
+    kept = build_partition(weights[5], windows[5], spec)
+    _draw_layouts(weights, windows, spec)
+    assert sorted(n for _, n in spec._drawn) == [0, 3, 2**32 + 1]
+    for w, n in zip(weights, windows):
+        if w.sum() < 1.005:
+            got, want = build_partition(w, n, spec), build_partition(w, n, fresh)
+            assert got.bounds.tobytes() == want.bounds.tobytes()
+            assert np.array_equal(got.labels, want.labels)
+    assert not spec._drawn
+    assert build_partition(weights[5], windows[5], spec).bounds.tobytes() == kept.bounds.tobytes()
+    # A block of more than 2**15 words is left to the scalar draw.
+    big = SchedulerSpec(kind="seeded-random", max_subintervals=MAX_SUBINTERVALS, seed=1)
+    _draw_layouts(weights[:1], [0], big)
+    assert not big._drawn
+    # Keys and streams agree with the scalar draw's: one per (seed, window).
+    for n in (0, 2**32 - 1, 2**32):
+        assert _bitgen(spec, n).random_raw() == _bitgen(fresh, n).random_raw()

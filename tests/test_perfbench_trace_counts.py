@@ -5,9 +5,10 @@ evolutions through ``evolve``, layouts through the partition builders,
 measurements through ``measure``.  A lean path that skipped one of them
 would make its work vanish from the per-layer metrics instead of making it
 cheaper.  These tests install the tracer in-process around a small driven
-measurement sequence, a small driven trajectory and a weakly coupled one that
-shifts only its early windows, and check the counts that the call structure
-fixes, and that every partition they returned passes its audit.
+measurement sequence, small driven trajectories (one with seeded-random
+layouts drawn in batches) and a weakly coupled one that shifts only its early
+windows, and check the counts that the call structure fixes, and that every
+partition they returned passes its audit.
 """
 
 import importlib.util
@@ -132,6 +133,21 @@ def test_tracer_counts_every_window_of_a_driven_trajectory(tracing):
     assert metrics["partition.build.calls"] == 6
     assert metrics["partition.extend.calls"] == 0
     assert metrics["microstate.events"] == metrics["partition.segments"] > 0
+    assert 0.0 <= err <= MEASURE_TOL
+
+
+def test_tracer_counts_every_window_of_a_driven_seeded_random_trajectory(tracing):
+    # The layouts are drawn a chunk of windows at a time, and each window is
+    # still built once, from its own Born weights.
+    rng = np.random.default_rng(16)
+    state, h, cset = random_state(rng, 16), random_hamiltonian(rng, 16), random_cset(rng, 16)
+    spec = SchedulerSpec(kind="seeded-random", max_subintervals=4, seed=3)
+    metrics, err = _traced(
+        tracing, lambda: qergo.microstate.trajectory(state, h, cset, spec, 70)
+    )
+    assert metrics["partition.build.calls"] == 70
+    assert metrics["hilbert.born_probabilities.calls"] == 70
+    assert metrics["partition.extend.calls"] == 0
     assert 0.0 <= err <= MEASURE_TOL
 
 
