@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hilbert import CommutingSet, Hamiltonian, make_state
-from .microstate import Scenario
+from .microstate import JumpTrajectory, Scenario
 from .partition import SCHEDULER_KINDS, SchedulerSpec
 
 __all__ = [
@@ -351,7 +351,8 @@ class ScenarioConfig:
     """A fully validated scenario file, ready to run.
 
     ``scenario`` is the one :class:`Scenario` of the ``system`` and ``csco``
-    blocks; every experiment reads from it.
+    blocks; every experiment reads from it, and experiments that read the
+    same trajectory share it (see :meth:`trajectory_for`).
     """
 
     scenario: Scenario
@@ -359,6 +360,43 @@ class ScenarioConfig:
     output_dir: str
     base_dir: Path
     sha256: str
+    # (set id, windows) -> the experiments that read that trajectory, in order.
+    _readers: dict = field(init=False, repr=False)
+    # (set id, windows) -> (position of its next reader in _readers, trajectory).
+    _held: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        readers = {}
+        for exp in self.experiments:
+            if hasattr(exp, "windows"):  # the kinds that read a trajectory
+                readers.setdefault(self._key(exp), []).append(exp)
+        object.__setattr__(self, "_readers", {k: tuple(v) for k, v in readers.items()})
+
+    def _key(self, exp) -> tuple[str, int]:
+        return self.scenario.cset(exp.cset_id).id, exp.windows
+
+    def trajectory_for(self, exp: Experiment) -> JumpTrajectory:
+        """The trajectory ``exp`` reads, shared with its config's other readers.
+
+        Experiments that name the same set (``None`` resolved to the only
+        one) over the same windows read one trajectory: the first reader's
+        read builds it, and it is held for the next reader only, so it is
+        dropped after the last and a trajectory read once is never held.
+        Every reader gets the same read-only object, the one a rebuild
+        would give.  A read out of turn (out of order, or a second read)
+        builds the trajectory again.
+        """
+        key = self._key(exp)
+        readers = self._readers.get(key, ())
+        held = self._held.pop(key, None)
+        if held is not None and readers[held[0]] is exp:
+            turn, traj = held
+        else:
+            turn = next((i for i, r in enumerate(readers) if r is exp), len(readers))
+            traj = self.scenario.build_trajectory(*key)
+        if turn + 1 < len(readers):
+            self._held[key] = (turn + 1, traj)
+        return traj
 
 
 def _parse_steps(block: _Block, cset_ids: set[str]) -> tuple[tuple[str, float], ...]:

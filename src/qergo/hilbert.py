@@ -278,11 +278,13 @@ class Hamiltonian:
 def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumState:
     """Propagate ``state`` forward by ``du`` window units.
 
-    Backward evolution is rejected.  If accumulated rounding pushes the
-    propagated norm off 1 by more than ``NORM_TOL`` the vector is rescaled
-    and the returned state carries ``renormalized=True``; callers that need
-    bit-level determinism audits can count those flags.
+    Backward and non-finite evolution are rejected.  If accumulated
+    rounding pushes the propagated norm off 1 by more than ``NORM_TOL`` the
+    vector is rescaled and the returned state carries ``renormalized=True``;
+    callers that need bit-level determinism audits can count those flags.
     """
+    if not math.isfinite(du):
+        raise ValueError(f"duration du must be finite, got {du!r}")
     if du < 0:
         raise ValueError(f"cannot evolve backward (du = {du})")
     if hamiltonian.dimension != state.dimension:

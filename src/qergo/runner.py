@@ -64,12 +64,12 @@ def _label_name(label: tuple[int, ...]) -> str:
 
 
 def _run_trajectory(config: ScenarioConfig, exp: TrajectoryExperiment, prefix: str):
-    traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
+    traj = config.trajectory_for(exp)
     return [(f"{prefix}.csv", dump_trajectory(traj))], traj.renorm_events
 
 
 def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, prefix: str):
-    traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
+    traj = config.trajectory_for(exp)
     dist = sample_born(traj, exp.samples, exp.seed, window=exp.window)
     exact = traj.probabilities[exp.window]
     rows = [
@@ -81,7 +81,7 @@ def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, pref
 
 def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, prefix: str):
     scenario = config.scenario
-    traj = scenario.build_trajectory(exp.cset_id, exp.windows)
+    traj = config.trajectory_for(exp)
     est = offset_window_average(traj, exp.alpha, traj.cset, exp.member)
     at_alpha = evolve(scenario.state0, scenario.hamiltonian, exp.alpha)
     exact = expectation(at_alpha, traj.cset, exp.member)
@@ -90,7 +90,7 @@ def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, pr
 
 
 def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
-    traj = config.scenario.build_trajectory(exp.cset_id, exp.windows)
+    traj = config.trajectory_for(exp)
     corr = sub_tau_correlation(traj, exp.delta, exp.pairs, exp.seed)
     exact = same_outcome_measure(traj, exp.delta, corr.base_windows)
     rows = [(exp.name, f"lag-{exp.delta!r}", corr.same_fraction, corr.stderr, exact)]

@@ -1,6 +1,7 @@
 """Runner artifacts, reproducibility, exit codes, dump-partition."""
 
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,47 @@ def test_each_experiment_builds_its_trajectory_once(tmp_path, monkeypatch):
     run_scenario(CONFIG_DIR / "subtau.cfg", out_dir=tmp_path)
     # one sub-tau block over 8 windows, one offset-average block over 4
     assert built == [8, 4]
+
+
+def _record_builds(monkeypatch) -> list:
+    """(windows, weak reference) of every trajectory built from now on, in order."""
+    import qergo.microstate as microstate
+
+    built = []
+    original = microstate.trajectory
+
+    def recording(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        built.append((args[4], weakref.ref(traj)))
+        return traj
+
+    monkeypatch.setattr(microstate, "trajectory", recording)
+    return built
+
+
+def test_experiments_reading_the_same_trajectory_share_one_build(tmp_path, monkeypatch):
+    built = _record_builds(monkeypatch)
+    run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=tmp_path)
+    # The trajectory block reads 8 windows of sz; the born-sampling and
+    # offset-average blocks both read 3, and share one build.  The bytes are
+    # pinned by test_golden.
+    assert [windows for windows, _ in built] == [8, 3]
+
+
+def test_a_shared_trajectory_is_held_until_its_last_reader_only(monkeypatch):
+    built = _record_builds(monkeypatch)
+    config = load_config(CONFIG_DIR / "rabi-born.cfg")
+    whole, born, offset = config.experiments
+    run_experiment(config, whole, 0)
+    assert built[0][1]() is None  # read once: never held
+    first = run_experiment(config, born, 1)
+    assert len(built) == 2 and built[1][1]() is not None  # held for the offset block
+    last = run_experiment(config, offset, 2)
+    assert len(built) == 2 and built[1][1]() is None  # released after its last reader
+    # Reads out of turn build again and give the same artifacts.
+    assert run_experiment(config, offset, 2) == last
+    assert run_experiment(config, born, 1) == first
+    assert len(built) == 4 and built[2][1]() is None and built[3][1]() is not None
 
 
 def test_config_scenario_is_built_once(tmp_path, monkeypatch):

@@ -362,6 +362,21 @@ def test_random_reads_equal_scattered_reference(kind, conserved):
                 assert est.n_pairs == n
 
 
+# Sub-tau compares labels narrowed to the smallest unsigned type that holds
+# d - 1: one byte up to d = 256, two from d = 257.  Contiguous layouts put
+# label d - 1 last in a window and label 0 first in the next, so the lag of
+# 0.002 (about half a stretch) pairs them across every window boundary, which
+# a label wrapped into one byte would count as the same outcome.
+@pytest.mark.parametrize("d", [256, 257])
+def test_sub_tau_reads_at_the_label_dtype_boundary_equal_scattered_reference(d):
+    rng = np.random.default_rng(d)
+    traj = reads_trajectory(rng, "contiguous", False, d, windows=3, seed=0)
+    for delta in (0.002, 0.1, float(rng.random())):
+        seed = int(rng.integers(1 << 30))
+        est = sub_tau_correlation(traj, delta, 5000, seed)
+        assert (est.same_fraction, est.stderr) == scattered_sub_tau(traj, delta, 5000, seed), delta
+
+
 # The reads are drawn and counted in blocks of _BLOCK; counts on either side
 # of a block edge, and several blocks with a ragged last one, must give the
 # one-shot results bit for bit.

@@ -78,6 +78,16 @@ def test_evolve_rejects_backward_and_mismatch():
         evolve(make_state([1.0, 0.0, 0.0]), H, 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("du", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_evolve_refuses_a_non_finite_duration(du):
+    # Refused before any numpy call, so no overflow or invalid-value warning
+    # comes first and the message names the duration, not the state.
+    H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="du must be finite"):
+        evolve(make_state([1.0, 0.0]), H, du)
+
+
 def test_evolve_unitarity_random():
     rng = np.random.default_rng(11)
     for _ in range(100):

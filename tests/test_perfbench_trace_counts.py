@@ -6,9 +6,10 @@ measurements through ``measure``.  A lean path that skipped one of them
 would make its work vanish from the per-layer metrics instead of making it
 cheaper.  These tests install the tracer in-process around a small driven
 measurement sequence, small driven trajectories (one with seeded-random
-layouts drawn in batches) and a weakly coupled one that shifts only its early
-windows, and check the counts that the call structure fixes, and that every
-partition they returned passes its audit.
+layouts drawn in batches), a weakly coupled one that shifts only its early
+windows and a small reads-conserved-shaped run whose blocks share a
+trajectory, and check the counts that the call structure fixes, and that
+every partition they returned passes its audit.
 """
 
 import importlib.util
@@ -192,4 +193,80 @@ def test_tracer_counts_each_bases_window_0_layout_once(tracing):
     metrics, err = _traced(tracing, run)
     assert metrics["partition.build.calls"] == 3
     assert metrics["partition.extend.calls"] == 7
+    assert 0.0 <= err <= MEASURE_TOL
+
+
+_READS_CONSERVED_CONFIG = """
+system {
+  dimension = 4
+  state = 0.5, 0.5i, -0.5, 0.5
+  hamiltonian {
+    row = 0.3, 0, 0, 0
+    row = 0, -0.2, 0, 0
+    row = 0, 0, 0.7, 0
+    row = 0, 0, 0, 0.1
+  }
+}
+
+csco {
+  id = h
+  basis {
+    row = 1, 0, 0, 0
+    row = 0, 1, 0, 0
+    row = 0, 0, 1, 0
+    row = 0, 0, 0, 1
+  }
+  labels = (0), (1), (2), (3)
+  eigenvalues = (1), (2), (3), (4)
+  scheduler {
+    kind = seeded-random
+    max_subintervals = 4
+    seed = 5
+  }
+}
+
+experiment {
+  kind = born-sampling
+  id = born
+  csco = h
+  windows = 6
+  window = 3
+  samples = 1000
+  seed = 1
+}
+
+experiment {
+  kind = sub-tau
+  id = lag
+  csco = h
+  windows = 5
+  delta = 0.1
+  pairs = 2000
+  seed = 2
+}
+
+experiment {
+  kind = offset-average
+  id = offset
+  csco = h
+  windows = 6
+  alpha = 2.5
+}
+"""
+
+
+def test_tracer_counts_one_trajectory_per_shared_key_of_a_reads_conserved_shaped_run(tracing, tmp_path):
+    # The benchmark's reads-conserved in small: H is diagonal in the set's
+    # basis, so each trajectory builds window 0 and shifts it into the rest.
+    # born and offset read the same 6 windows and share one trajectory.
+    config = tmp_path / "reads.cfg"
+    config.write_text(_READS_CONSERVED_CONFIG)
+    metrics, err = _traced(
+        tracing, lambda: qergo.runner.run_scenario(config, out_dir=tmp_path / "out")
+    )
+    assert metrics["microstate.trajectory.calls"] == 2
+    assert metrics["microstate.trajectory.distinct_ratio"] == 1.0
+    assert metrics["partition.build.calls"] == 2
+    assert metrics["partition.extend.calls"] == (6 - 1) + (5 - 1)
+    assert metrics["ergodic.reads"] == 1000 + 2 * 2000
     assert 0.0 <= err <= MEASURE_TOL
