@@ -50,8 +50,9 @@ def _uniform_blocks(seed: int, n: int, block: int):
     """Yield the ``n`` doubles of ``default_rng(seed).random(n)`` in blocks of ``block``.
 
     ``Generator.random`` takes one double per element from its stream, so the
-    blocks, in order, are that one bulk draw; each is a fresh writable array.
-    The seed is checked once, before the first draw.
+    blocks, in order, are that one bulk draw; each is a fresh writable array,
+    which the caller should release before asking for the next one.  The
+    seed is checked once, before the first draw.
     """
     rng = np.random.default_rng(_seed(seed))
     for start in range(0, n, block):
@@ -171,6 +172,7 @@ def sample_born(
         np.subtract(window + 1.0, u, out=u)
         u.sort()
         tallies += np.diff(u.searchsorted(edges, side="right"))
+        del u  # before the next block is drawn
     counts = np.bincount(
         traj.labels[first:stop], weights=tallies, minlength=traj.cset.dimension
     )
@@ -283,6 +285,7 @@ def sub_tau_correlation(
         u += delta
         after = np.repeat(labels, traj.stretch_counts(u))
         n_same += int(np.count_nonzero(before == after))
+        del u, before, after  # before the next block is drawn
     frac = n_same / n_pairs
     stderr = math.sqrt(frac * (1.0 - frac) / n_pairs)
     return CorrelationEstimate(

@@ -162,7 +162,7 @@ class CommutingSet:
             raise ValueError(
                 f"basis columns are not orthonormal: max |B*B - I| = {gram_dev:.3e}"
             )
-        labels = tuple(tuple(int(i) for i in lab) for lab in self.labels)
+        labels = tuple(tuple(_index(i, "label") for i in lab) for lab in self.labels)
         eigs = tuple(tuple(float(x) for x in ev) for ev in self.eigenvalues)
         if len(labels) != d or len(eigs) != d:
             raise ValueError("need exactly one label and one eigenvalue tuple per basis column")
@@ -192,7 +192,7 @@ class CommutingSet:
 
     def label_index(self, label) -> int:
         """Column index for a multi-index label (a bare int means a 1-tuple)."""
-        key = (int(label),) if np.isscalar(label) else tuple(int(i) for i in label)
+        key = tuple(_index(i, "label") for i in ((label,) if np.isscalar(label) else label))
         try:
             return self._label_lookup[key]
         except KeyError:

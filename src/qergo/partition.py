@@ -18,10 +18,10 @@ strategies pin it down:
   ``max_subintervals`` (at most ``MAX_SUBINTERVALS``) pieces and the pieces
   are shuffled, with all draws taken from numpy's PCG64 stream keyed by
   ``(seed, window_index)`` so any window can be rebuilt independently of
-  the others.  The stream is read as ``Generator.integers``,
-  ``Generator.random`` and ``Generator.permutation`` read it; the counts
-  and cuts are decoded from its raw words here (see ``_random_layout``,
-  and ``_random_layouts`` for many windows at once).
+  the others.  ``_seeded_random_layout`` defines the layout by numpy's own
+  ``Generator.integers``, ``Generator.random`` and ``Generator.permutation``
+  calls; ``_random_layouts`` decodes the same layouts for many windows at
+  once from the stream's raw words.
 
 Partial windows appear after a mid-window state reduction: the remainder
 ``(u0, N+1]`` is re-partitioned with the same machinery, measures scaled by
@@ -43,7 +43,7 @@ SCHEDULER_KINDS = ("contiguous", "two-outcome", "seeded-random")
 MEASURE_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
 # Pieces per label stay few enough to allocate, and every piece count is a
-# 32-bit draw (see _random_layout).
+# 32-bit draw (see _random_layouts).
 MAX_SUBINTERVALS = 2**16
 
 __all__ = [
@@ -267,76 +267,41 @@ def _bitgen(spec: SchedulerSpec, window_index: int) -> np.random.PCG64:
 def _seeded_random_layout(
     p: np.ndarray, window_index: int, spec: SchedulerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    return _random_layout(p, _bitgen(spec, window_index), spec.max_subintervals)
+    """One window's seeded-random layout: the definition, in numpy's own ``Generator`` calls.
 
-
-def _random_layout(
-    p: np.ndarray, bitgen: np.random.PCG64, max_subintervals: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The layout ``Generator(bitgen)`` draws, decoded from the raw 64-bit words.
-
-    Per positive label, in label order: a piece count ``n`` as
-    ``integers(1, max_subintervals + 1)`` draws it, then ``n - 1`` cuts as
-    ``mass * random(n - 1)``; last, ``permutation`` of the pieces.  One
-    scalar ``integers`` call costs more than decoding its word here, so the
-    words are read with ``random_raw``, each only when numpy would read it,
-    and ``bitgen`` reaches the shuffle in the state numpy's calls leave.
-    ``bitgen`` must not hold a buffered 32-bit half, as a fresh one does not.
+    Per positive label, in label order: a piece count ``n`` from
+    ``integers(1, max_subintervals + 1)`` and ``n - 1`` sorted cuts
+    ``mass * random(n - 1)``; each piece of positive width is kept.  Last,
+    ``permutation`` shuffles the pieces.
     """
-    raw, excl = bitgen.random_raw, max_subintervals
-    # integers() on a 32-bit range: Lemire's multiply-and-reject on
-    # next_uint32, which takes a word's low half and keeps its upper half
-    # for the next call.  Random cuts read whole words and skip the kept half.
-    threshold = (_LOW32 - (excl - 1)) % excl
-    half = None
+    rng = np.random.Generator(_bitgen(spec, window_index))
     widths: list[float] = []
     labels: list[int] = []
     for k, mass in enumerate(p.tolist()):
         if mass <= 0.0:
             continue
-        n = 1
-        if excl > 1:
-            while True:
-                if half is None:
-                    word = raw()
-                    x, half = word & _LOW32, word >> 32
-                else:
-                    x, half = half, None
-                m = x * excl
-                if m & _LOW32 >= threshold:
-                    break
-            n += m >> 32
-        # random() is (word >> 11) * 2**-53, and mass times it the double
-        # rng.uniform(0.0, mass) gives; `cut - prev` is the one np.diff gives.
-        if n == 1:
-            cuts = [mass]
-        elif n == 2:  # one word, read without building an array
-            cuts = [mass * ((raw() >> 11) * 2.0**-53), mass]
-        else:
-            cuts = sorted([mass * ((w >> 11) * 2.0**-53) for w in raw(n - 1).tolist()])
-            cuts.append(mass)
+        n = int(rng.integers(1, spec.max_subintervals + 1))
         prev = 0.0
-        for cut in cuts:
+        for cut in [*sorted((mass * rng.random(n - 1)).tolist()), mass]:
             if (w := cut - prev) > 0.0:
                 widths.append(w)
                 labels.append(k)
             prev = cut
-    if half is not None:  # the half next_uint32 would return next
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = 1, half
-        bitgen.state = state
-    order = np.random.Generator(bitgen).permutation(len(widths))
+    order = rng.permutation(len(widths))
     return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
 
 # A batched draw reads at most d * max_subintervals words per window; a batch
-# that could read more than this many (256 KiB) is left to _random_layout.
+# that could read more than this many (256 KiB) is left to _seeded_random_layout.
 _BATCH_WORDS = 2**15
 
 
 def _random_layouts(p: np.ndarray, bitgens: list, max_subintervals: int) -> list:
-    """:func:`_random_layout` of each row of ``p`` with its own fresh generator, decoded together.
+    """:func:`_seeded_random_layout` of each row of ``p`` with its own fresh generator, decoded together.
 
+    The one decoder of raw 64-bit words: a count is ``integers``' Lemire
+    multiply-and-reject on a 32-bit half of a word, a cut is
+    ``(word >> 11) * 2**-53`` times the mass, as ``random`` gives it.
     Every weight must be positive, so every row reads its words in the same
     roles: one count word per pair of labels (its low half for the first
     label, its upper half for the second), then each label's cut words.
@@ -394,11 +359,11 @@ def _draw_layouts(weights: np.ndarray, windows: list, spec: SchedulerSpec):
     """Draw the seeded-random layouts of many windows in one batch, for :func:`_layout` to take.
 
     Row ``i`` of ``weights`` holds the weights ``build_partition`` will be
-    given for window ``windows[i]``.  Left to the scalar path: rows the
-    validation would rescale or reject, rows with a zero weight, keys
-    already memoized, rows whose draw rejects a word, and batches that
-    could read more than ``_BATCH_WORDS`` words.  The spec keeps the rest until its next
-    batch, and :func:`_layout` takes each one on first read.
+    given for window ``windows[i]``.  Left to :func:`_seeded_random_layout`:
+    rows the validation would rescale or reject, rows with a zero weight,
+    keys already memoized, rows whose draw rejects a word, and batches that
+    could read more than ``_BATCH_WORDS`` words.  The spec keeps the rest
+    until its next batch, and :func:`_layout` takes each one on first read.
     """
     drawn, memo, excl = spec._drawn, spec._layouts, spec.max_subintervals
     drawn.clear()
@@ -428,7 +393,7 @@ def _layout(
     column; the spec keeps up to ``_LAYOUT_MEMO_SIZE`` drawn layouts
     (read-only) and returns them again for the same key.  A layout not kept
     is taken from the spec's last batch (see :func:`_draw_layouts`) if it
-    is there, and drawn by :func:`_random_layout` if not.
+    is there, and drawn by :func:`_seeded_random_layout`, the definition, if not.
     """
     if spec.kind == "contiguous":
         return _contiguous_layout(p)

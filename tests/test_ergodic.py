@@ -429,6 +429,26 @@ def test_random_reads_memory_does_not_grow_with_the_read_count():
         assert peak < 4 * 2**20, peak
 
 
+# Each block is released before the next is drawn, so the traced peak is
+# one block of doubles plus what is read from it, not two blocks.
+def test_random_reads_hold_one_block_at_a_time():
+    rng = np.random.default_rng(14)
+    traj = reads_trajectory(rng, "seeded-random", False, d=4, windows=20, seed=4)
+    assert _READS_PER_STRETCH * traj.labels.size < _BLOCK
+    n, block_bytes = 4 * _BLOCK, 8 * _BLOCK
+    for read in (
+        lambda: sample_born(traj, n, seed=5, window=10),
+        lambda: sub_tau_correlation(traj, 0.1, n, seed=6),
+    ):
+        tracemalloc.start()
+        try:
+            read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block_bytes < peak < 1.5 * block_bytes, peak
+
+
 def test_sub_tau_reports_the_base_span_it_sampled():
     traj = stationary_half_trajectory(windows=4)
     for delta, base_windows in [(0.0, 4), (0.5, 3), (1.0, 3), (2.9, 1)]:

@@ -30,6 +30,7 @@ MODEL_INPUTS = {
     "Hamiltonian imaginary part": lambda x: Hamiltonian(np.array([[0.0, complex(0.5, x)], [complex(0.5, -x), 0.0]])),
     "CommutingSet basis": lambda x: CommutingSet("s", np.array([[1.0, 0.0], [x, 1.0]]), ((0,), (1,)), ((1.0,), (-1.0,))),
     "CommutingSet eigenvalues": lambda x: CommutingSet("s", np.eye(2), ((0,), (1,)), ((1.0,), (x,))),
+    "CommutingSet labels": lambda x: CommutingSet("s", np.eye(2), ((0,), (x,)), ((1.0,), (-1.0,))),
     "QuantumState": lambda x: QuantumState(np.array([x, 0.0])),
     "make_state": lambda x: make_state([x, 1.0]),
     "SchedulerSpec.offset": lambda x: SchedulerSpec(kind="two-outcome", offset=x),

@@ -34,7 +34,6 @@ from qergo.microstate import (
 from qergo.partition import (
     SchedulerSpec,
     WindowPartition,
-    _seeded_random_layout,
     build_partition,
     check_partition,
     interval_measure,
@@ -137,6 +136,20 @@ def test_member_must_be_an_integer(reader, member):
     )
     with pytest.raises(ValueError, match=re.escape(f"member must be an integer, got {member!r}")):
         MEMBER_READERS[reader](two_outcome_partition(), cs, member)
+
+
+@pytest.mark.parametrize("label", [0.5, 1.9, True, "1"], ids=repr)
+def test_commuting_set_label_must_be_an_integer(label):
+    # int() would turn each of these into a label the set has, 0 or 1.
+    refused = re.escape(f"label must be an integer, got {label!r}")
+    with pytest.raises(ValueError, match=refused):
+        CommutingSet("x", np.eye(2), ((0,), (label,)), ((1.0,), (-1.0,)))
+    cs = valued_set()
+    for key in (label, (label,)):
+        with pytest.raises(ValueError, match=refused):
+            cs.label_index(key)
+        with pytest.raises(ValueError, match=refused):
+            apply_value_operator(two_outcome_partition(), cs, key, 0.5)
 
 
 def test_apply_value_operator_active_and_annihilated():
@@ -500,47 +513,6 @@ def test_trajectory_equals_loop_when_every_step_renormalizes(kind, monkeypatch):
     _assert_matches_loop(traj, *args, spec, windows)
 
 
-# The seeded-random layout before it moved to Python floats, kept as the
-# reference: the same stream must give the same widths and labels.
-def _array_seeded_random_layout(p, window_index, spec):
-    rng = np.random.default_rng([spec.seed, window_index])
-    widths, labels = [], []
-    for k in range(p.size):
-        mass = float(p[k])
-        if mass <= 0.0:
-            continue
-        n = int(rng.integers(1, spec.max_subintervals + 1))
-        if n == 1:
-            parts = [mass]
-        else:
-            cuts = np.sort(rng.uniform(0.0, mass, size=n - 1))
-            parts = np.diff(np.concatenate(([0.0], cuts, [mass])))
-            parts = parts[parts > 0.0].tolist()
-        widths.extend(parts)
-        labels.extend([k] * len(parts))
-    order = rng.permutation(len(widths))
-    return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
-
-
-def test_seeded_random_layout_equals_array_reference():
-    rng = np.random.default_rng(404)
-    pairs = 0
-    for seed in range(100):
-        d = 1 + seed % 8
-        p = random_probabilities(rng, d)
-        p[rng.random(d) < 0.3] = 0.0  # zero-mass labels draw nothing
-        if seed % 10 == 3:  # a subnormal mass: its cuts coincide, widths of 0 are dropped
-            p[0] = 5e-324
-        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + seed % 5, seed=seed)
-        for window in range(100):
-            got = _seeded_random_layout(p, window, spec)
-            want = _array_seeded_random_layout(p, window, spec)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
-            pairs += 1
-    assert pairs >= 10_000
-
-
 def test_nearly_conserved_trajectory_keeps_born_measures_over_a_long_horizon():
     # Off-diagonal coupling 9e-11 passes is_conserved, but over 10k windows
     # the weights drift by 9e-7; shifting window 0 would freeze them at 0.5.
@@ -640,8 +612,8 @@ def test_driven_seeded_random_trajectory_draws_no_layout_on_the_scalar_path(excl
     rng = np.random.default_rng(excl)
     s, h, cs = random_state(rng, 16), random_hamiltonian(rng, 16), random_cset(rng, 16)
     scalar = []
-    draw = partition._random_layout
-    monkeypatch.setattr(partition, "_random_layout", lambda *args: scalar.append(args) or draw(*args))
+    draw = partition._seeded_random_layout
+    monkeypatch.setattr(partition, "_seeded_random_layout", lambda *args: scalar.append(args) or draw(*args))
     traj = trajectory(s, h, cs, SchedulerSpec(kind="seeded-random", max_subintervals=excl, seed=6), 200)
     assert scalar == []
     monkeypatch.undo()
@@ -654,71 +626,3 @@ def test_labels_at_rejects_a_nan_time():
     )
     with pytest.raises(ValueError, match=r"sample times must lie in \(0, windows_covered\]"):
         traj.labels_at([0.5, float("nan")])
-
-
-# The seeded-random layout as it drew before seeding from uint32 words and
-# scaling rng.random, kept as the reference for the stream it must reproduce.
-def _uniform_seeded_random_layout(p, window_index, spec):
-    rng = np.random.default_rng([spec.seed, window_index])
-    integers, uniform, top = rng.integers, rng.uniform, spec.max_subintervals + 1
-    widths, labels = [], []
-    for k, mass in enumerate(p.tolist()):
-        if mass <= 0.0:
-            continue
-        n = int(integers(1, top))
-        cuts = sorted(uniform(0.0, mass, n - 1).tolist()) if n > 1 else []
-        prev = 0.0
-        for cut in cuts + [mass]:
-            if (w := cut - prev) > 0.0:
-                widths.append(w)
-                labels.append(k)
-            prev = cut
-    order = rng.permutation(len(widths))
-    return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
-
-
-def test_seeded_random_layout_equals_uniform_draw_reference():
-    rng = np.random.default_rng(1212)
-    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3]
-    cases = 0
-    for i in range(2_400):
-        d = 1 + i % 16
-        p = random_probabilities(rng, d)
-        p[rng.random(d) < 0.25] = 0.0  # zero-mass labels draw nothing
-        if i % 50 == 7:
-            p[0] = 5e-324
-        seed = seeds[i % len(seeds)] if i % 3 == 0 else int(rng.integers(0, 2**63))
-        window = (0, 1, 2**32 - 1, 2**32, 2**35)[i % 5] if i % 7 == 0 else int(rng.integers(0, 10_000))
-        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + i % 6, seed=seed)
-        got = _seeded_random_layout(p, window, spec)
-        want = _uniform_seeded_random_layout(p, window, spec)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
-        cases += 1
-    assert cases >= 2_000
-
-
-def test_seeded_random_layout_equals_uniform_draw_reference_up_to_d_64():
-    # An odd number of positive labels leaves half a count word over for the
-    # shuffle (unless a rejection evens it out); an even number leaves none.
-    rng = np.random.default_rng(1818)
-    parities = {0: 0, 1: 0}
-    for i in range(1_200):
-        d = int(rng.integers(1, 65))
-        p = random_probabilities(rng, d)
-        p[rng.random(d) < rng.random() * 0.6] = 0.0
-        if i % 5 == 2:  # subnormal masses, one of them the smallest
-            tiny = rng.choice(d, size=min(d, 3), replace=False)
-            p[tiny] = 5e-324 * rng.integers(1, 2**20, size=tiny.size)
-            p[tiny[0]] = 5e-324
-        if not p.any():
-            p[0] = 1.0
-        parities[int(np.count_nonzero(p > 0.0)) % 2] += 1
-        seed = int(rng.integers(0, 2**63)) if i % 2 else int(rng.integers(0, 2**32))
-        window = int(rng.integers(0, 2**40)) if i % 4 == 1 else int(rng.integers(0, 5_000))
-        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + i % 9, seed=seed)
-        got = _seeded_random_layout(p, window, spec)
-        want = _uniform_seeded_random_layout(p, window, spec)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
-    assert min(parities.values()) >= 400

@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,14 @@ from qergo.partition import (
     step_function,
 )
 from qergo.ergodic import window_average_step
-from qergo.partition import _bitgen, _draw_layouts, _random_layout, _random_layouts
+from qergo.partition import (
+    _bitgen,
+    _draw_layouts,
+    _layout,
+    _random_layouts,
+    _seeded_random_layout,
+    _validated_probabilities,
+)
 from qergo.testing import random_probabilities
 
 ALL_KINDS = ["contiguous", "two-outcome", "seeded-random"]
@@ -450,43 +459,75 @@ def _numpy_layout(p, rng: np.random.Generator, max_subintervals):
     return np.array(widths)[order], np.array(labels, dtype=np.intp)[order]
 
 
-def _rejects(x: int, excl: int) -> bool:
-    """Whether numpy's bounded 32-bit draw throws the value ``x`` away."""
-    return (x * excl) & 0xFFFFFFFF < (2**32 - excl) % excl
+def _assert_layout_is_numpys(p, window, spec):
+    # default_rng([seed, window]) keys the stream independently of _bitgen.
+    got = _seeded_random_layout(p, window, spec)
+    want = _numpy_layout(p, np.random.default_rng([spec.seed, window]), spec.max_subintervals)
+    assert got[0].tobytes() == want[0].tobytes() and got[0].dtype == want[0].dtype
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+
+
+def test_seeded_random_layout_equals_array_reference():
+    rng = np.random.default_rng(404)
+    pairs = 0
+    for seed in range(100):
+        d = 1 + seed % 8
+        p = random_probabilities(rng, d)
+        p[rng.random(d) < 0.3] = 0.0  # zero-mass labels draw nothing
+        if seed % 10 == 3:  # a subnormal mass: its cuts coincide, widths of 0 are dropped
+            p[0] = 5e-324
+        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + seed % 5, seed=seed)
+        for window in range(100):
+            _assert_layout_is_numpys(p, window, spec)
+            pairs += 1
+    assert pairs >= 10_000
+
+
+def test_seeded_random_layout_equals_uniform_draw_reference():
+    rng = np.random.default_rng(1212)
+    seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3]
+    cases = 0
+    for i in range(2_400):
+        d = 1 + i % 16
+        p = random_probabilities(rng, d)
+        p[rng.random(d) < 0.25] = 0.0  # zero-mass labels draw nothing
+        if i % 50 == 7:
+            p[0] = 5e-324
+        seed = seeds[i % len(seeds)] if i % 3 == 0 else int(rng.integers(0, 2**63))
+        window = (0, 1, 2**32 - 1, 2**32, 2**35)[i % 5] if i % 7 == 0 else int(rng.integers(0, 10_000))
+        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + i % 6, seed=seed)
+        _assert_layout_is_numpys(p, window, spec)
+        cases += 1
+    assert cases >= 2_000
+
+
+def test_seeded_random_layout_equals_uniform_draw_reference_up_to_d_64():
+    # An odd number of positive labels leaves half a count word over for the
+    # shuffle (unless a rejection evens it out); an even number leaves none.
+    rng = np.random.default_rng(1818)
+    parities = {0: 0, 1: 0}
+    for i in range(1_200):
+        d = int(rng.integers(1, 65))
+        p = random_probabilities(rng, d)
+        p[rng.random(d) < rng.random() * 0.6] = 0.0
+        if i % 5 == 2:  # subnormal masses, one of them the smallest
+            tiny = rng.choice(d, size=min(d, 3), replace=False)
+            p[tiny] = 5e-324 * rng.integers(1, 2**20, size=tiny.size)
+            p[tiny[0]] = 5e-324
+        if not p.any():
+            p[0] = 1.0
+        parities[int(np.count_nonzero(p > 0.0)) % 2] += 1
+        seed = int(rng.integers(0, 2**63)) if i % 2 else int(rng.integers(0, 2**32))
+        window = int(rng.integers(0, 2**40)) if i % 4 == 1 else int(rng.integers(0, 5_000))
+        spec = SchedulerSpec(kind="seeded-random", max_subintervals=1 + i % 9, seed=seed)
+        _assert_layout_is_numpys(p, window, spec)
+    assert min(parities.values()) >= 400
 
 
 def _next_outputs(bitgen: np.random.PCG64):
     """What the generator gives next: its LCG state and any buffered 32-bit half."""
     state = bitgen.state
     return state["state"], state["uinteger"] if state["has_uint32"] else None
-
-
-def _assert_draw_matches_numpy(p, bitgen, max_subintervals):
-    twin = np.random.PCG64()
-    twin.state = bitgen.state
-    got = _random_layout(p, bitgen, max_subintervals)
-    want = _numpy_layout(p, np.random.Generator(twin), max_subintervals)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
-    # Both leave the generator where numpy's calls left it, buffered half
-    # included; a half already read is stale and next_uint32 never reads it.
-    assert _next_outputs(bitgen) == _next_outputs(twin)
-    return got
-
-
-@pytest.mark.parametrize("excl", [3, 5, 6, 7])
-@pytest.mark.parametrize("skip", [0, 1, 3])
-def test_random_draw_rejects_both_halves_of_a_word_as_numpy_does(excl, skip):
-    # A zero word: both halves are rejected, wherever it falls among the
-    # count and cut words of a four-label layout.
-    assert _rejects(0, excl)
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    for seed in range(8):
-        bitgen = _pcg64_emitting(0, skip=skip, seed=seed)
-        probe = np.random.PCG64()
-        probe.state = bitgen.state
-        assert probe.random_raw(skip + 1)[-1] == 0
-        _assert_draw_matches_numpy(p, bitgen, excl)
 
 
 def _scaled_to(leftover: int, excl: int) -> int:
@@ -497,8 +538,68 @@ def _scaled_to(leftover: int, excl: int) -> int:
     return x
 
 
+def _rejects(x: int, excl: int) -> bool:
+    """Whether numpy's bounded 32-bit draw throws the value ``x`` away."""
+    return (x * excl) & 0xFFFFFFFF < (2**32 - excl) % excl
+
+
+def _assert_draw_matches_numpy(p, bitgen, max_subintervals, monkeypatch):
+    """A window whose stream is ``bitgen``'s gets numpy's layout, batched or not.
+
+    ``_bitgen`` is patched to hand out copies of ``bitgen``.  The definition
+    equals numpy's calls on a twin and leaves its generator where they left
+    the twin, kept half included.  After a batch (which may give the window
+    up to the definition) ``_layout`` gives the same, and so does
+    ``build_partition``.
+    """
+    handed = []
+
+    def crafted(spec, window_index):
+        handed.append(np.random.PCG64())
+        handed[-1].state = bitgen.state
+        return handed[-1]
+
+    monkeypatch.setattr("qergo.partition._bitgen", crafted)
+    twin = np.random.PCG64()
+    twin.state = bitgen.state
+    spec, batched = (SchedulerSpec(kind="seeded-random", max_subintervals=max_subintervals) for _ in "ab")
+    q = _validated_probabilities(p)
+    got = _seeded_random_layout(q, 0, spec)
+    want = _numpy_layout(q, np.random.Generator(twin), max_subintervals)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+    # A half already read is stale and next_uint32 never reads it.
+    assert _next_outputs(handed[-1]) == _next_outputs(twin)
+    _draw_layouts(p[None], [0], batched)
+    layout = _layout(q, 0, batched)
+    assert layout[0].tobytes() == got[0].tobytes() and np.array_equal(layout[1], got[1])
+    assert _next_outputs(handed[-1]) == _next_outputs(twin)
+    batched._layouts.clear()
+    _draw_layouts(p[None], [0], batched)
+    one, other = build_partition(p, 0, spec), build_partition(p, 0, batched)
+    assert one.bounds.tobytes() == other.bounds.tobytes()
+    assert np.array_equal(one.labels, other.labels)
+    assert _next_outputs(handed[-1]) == _next_outputs(twin)
+    return got
+
+
 @pytest.mark.parametrize("excl", [3, 5, 6, 7])
-def test_random_draw_keeps_a_value_on_the_rejection_threshold(excl):
+@pytest.mark.parametrize("skip", [0, 1, 3])
+def test_random_draw_rejects_both_halves_of_a_word_as_numpy_does(excl, skip, monkeypatch):
+    # A zero word: both halves are rejected, wherever it falls among the
+    # count and cut words of a four-label layout.
+    assert _rejects(0, excl)
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    for seed in range(8):
+        bitgen = _pcg64_emitting(0, skip=skip, seed=seed)
+        probe = np.random.PCG64()
+        probe.state = bitgen.state
+        assert probe.random_raw(skip + 1)[-1] == 0
+        _assert_draw_matches_numpy(p, bitgen, excl, monkeypatch)
+
+
+@pytest.mark.parametrize("excl", [3, 5, 6, 7])
+def test_random_draw_keeps_a_value_on_the_rejection_threshold(excl, monkeypatch):
     # The low half sits on the threshold and is kept; the upper half sits
     # just below it and is rejected, so the second label's count comes from
     # the next word.
@@ -508,11 +609,11 @@ def test_random_draw_keeps_a_value_on_the_rejection_threshold(excl):
     assert not _rejects(word & 0xFFFFFFFF, excl) and _rejects(word >> 32, excl)
     p = np.array([0.5, 0.3, 0.2])
     for seed in range(8):
-        _assert_draw_matches_numpy(p, _pcg64_emitting(word, seed=seed), excl)
+        _assert_draw_matches_numpy(p, _pcg64_emitting(word, seed=seed), excl, monkeypatch)
 
 
 @pytest.mark.parametrize("excl", [3, 5, 6, 7])
-def test_random_draw_leaves_an_upper_half_for_the_shuffle_after_a_rejection(excl):
+def test_random_draw_leaves_an_upper_half_for_the_shuffle_after_a_rejection(excl, monkeypatch):
     # One positive label: the zero first word is rejected in both halves,
     # the count comes from the next word's low half, and its upper half is
     # the first value the shuffle reads.
@@ -523,7 +624,7 @@ def test_random_draw_leaves_an_upper_half_for_the_shuffle_after_a_rejection(excl
         probe.state = bitgen.state
         np.random.Generator(probe).integers(1, excl + 1)
         assert probe.state["has_uint32"] == 1
-        _assert_draw_matches_numpy(p, bitgen, excl)
+        _assert_draw_matches_numpy(p, bitgen, excl, monkeypatch)
     # A rejected low half whose upper half is kept: the count is 1 from 0x12345678.
     p = np.array([1.0])
     bitgen = _pcg64_emitting(0x1234567800000000)
@@ -531,22 +632,22 @@ def test_random_draw_leaves_an_upper_half_for_the_shuffle_after_a_rejection(excl
     twin = np.random.PCG64()
     twin.state = bitgen.state
     assert np.random.Generator(twin).integers(1, excl + 1) == 1
-    widths, labels = _assert_draw_matches_numpy(p, bitgen, excl)
+    widths, labels = _assert_draw_matches_numpy(p, bitgen, excl, monkeypatch)
     assert widths.tolist() == [1.0] and labels.tolist() == [0]
 
 
-def test_random_draw_with_one_piece_per_label_reads_only_the_shuffle():
+def test_random_draw_with_one_piece_per_label_reads_only_the_shuffle(monkeypatch):
     rng = np.random.default_rng(31)
     for d in (1, 2, 7, 16):
         p = random_probabilities(rng, d)
         bitgen = _pcg64_emitting(0, seed=d)
-        widths, labels = _assert_draw_matches_numpy(p, bitgen, 1)
+        widths, labels = _assert_draw_matches_numpy(p, bitgen, 1, monkeypatch)
         assert sorted(labels.tolist()) == list(range(d))
         assert widths.tobytes() == p[labels].tobytes()
 
 
 def _assert_batch_matches_scalar(p, bitgens, max_subintervals):
-    """Each row's batched draw equals ``_random_layout``'s from a twin generator.
+    """Each row's batched draw equals numpy's calls on a twin generator.
 
     Both leave their generators in one state, kept half included.  A row
     the batch gives up on (None) is left to the scalar draw.
@@ -559,7 +660,7 @@ def _assert_batch_matches_scalar(p, bitgens, max_subintervals):
     assert len(got) == len(bitgens)
     for row, layout, bitgen, twin in zip(p, got, bitgens, twins):
         if layout is not None:
-            want = _random_layout(row, twin, max_subintervals)
+            want = _numpy_layout(row, np.random.Generator(twin), max_subintervals)
             assert layout[0].tobytes() == want[0].tobytes()
             assert np.array_equal(layout[1], want[1]) and layout[1].dtype == want[1].dtype
             assert _next_outputs(bitgen) == _next_outputs(twin)
@@ -593,6 +694,32 @@ def test_batched_draw_gives_up_only_on_a_rejected_count_word(excl, skip):
     p = np.array([[0.5, 0.3, 0.2]])
     assert _assert_batch_matches_scalar(p, [_pcg64_emitting(word)], excl) == [None]
     assert None not in _assert_batch_matches_scalar(p[:, :1] / p[0, 0], [_pcg64_emitting(word)], excl)
+
+
+def test_raw_words_are_read_only_by_the_batched_decoder():
+    # A generator's raw words, its advance and its buffered 32-bit half are
+    # touched in _random_layouts alone; every other draw is numpy's calls.
+    src = Path(__file__).resolve().parent.parent / "src" / "qergo"
+    outside, inside = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decoder = set()
+        if path.name == "partition.py":
+            f = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_random_layouts")
+            decoder = {id(node) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("random_raw", "advance"):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and node.value in ("random_raw", "has_uint32"):
+                name = node.value
+            else:
+                continue
+            if id(node) in decoder:
+                inside.add(name)
+            else:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+    assert inside == {"random_raw", "advance", "has_uint32"}
 
 
 def test_batched_draws_are_the_layouts_build_partition_gives():
