@@ -297,10 +297,11 @@ def format_statistics(rows: list[tuple[str, str, float, float, float]]) -> str:
     """Render statistics records as CSV text.
 
     Each input row is (experiment id, label, estimate, stderr, exact value);
-    the deviation column is derived.  Floats use repr for bit-stable dumps.
+    the deviation column is derived.  Numbers are written as the repr of
+    their float, numpy scalars included, for bit-stable dumps.
     """
     lines = ["experiment,label,estimate,stderr,exact,deviation"]
-    for exp_id, label, est, se, exact in rows:
-        dev = abs(est - exact)
-        lines.append(f"{exp_id},{label},{est!r},{se!r},{exact!r},{dev!r}")
+    for exp_id, label, *numbers in rows:
+        est, se, exact = map(float, numbers)
+        lines.append(f"{exp_id},{label},{est!r},{se!r},{exact!r},{abs(est - exact)!r}")
     return "\n".join(lines) + "\n"

@@ -191,8 +191,8 @@ class CommutingSet:
         return {lab: k for k, lab in enumerate(self.labels)}
 
     def label_index(self, label) -> int:
-        """Column index for a multi-index label (a bare int means a 1-tuple)."""
-        key = tuple(_index(i, "label") for i in ((label,) if np.isscalar(label) else label))
+        """Column index for a multi-index label (a bare or 0-d integer means a 1-tuple)."""
+        key = tuple(_index(i, "label") for i in ((label,) if np.ndim(label) == 0 else label))
         try:
             return self._label_lookup[key]
         except KeyError:

@@ -158,7 +158,7 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     boundary still belongs to the old one).  While ``u_target`` stays in
     the current window the span, and so every partition built so far,
     carries over unchanged.  A non-finite ``u_target`` is rejected before
-    any evolution.
+    any evolution; the clock is kept as ``float(u_target)``.
     """
     if not math.isfinite(u_target):
         raise ValueError(f"cannot advance to a non-finite time {u_target!r}")
@@ -168,6 +168,7 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
         )
     if u_target == sys.current_time:
         return sys
+    u_target = float(u_target)
     h, span, renorms = sys.scenario.hamiltonian, sys.span, sys.renorm_events
     while u_target > span.hi:
         state = evolve(span.state, h, span.hi - span.lo)
@@ -191,6 +192,8 @@ def measure(
     exactly on a window boundary starts the next window fresh instead (the
     remainder is empty).  A second measurement at the instant of the
     previous one is rejected: the span after a collapse is open at ``u``.
+    The record, the span and the clock keep ``float(u)``, so a numpy time
+    is logged as a plain float.
     """
     last = sys.history[-1] if sys.history else None
     if last is not None and last.time == u == sys.current_time:
@@ -198,7 +201,7 @@ def measure(
             f"cannot measure {cset_id!r} at u = {u!r}: {last.cset_id!r} was measured at "
             "that instant, and the span after a collapse excludes its start"
         )
-    here = advance(sys, u)
+    here, u = advance(sys, u), float(u)
     c = here.cset(cset_id)  # raises for unknown ids before any state change
     idx = active_label(here.partition(cset_id), u)
     post = c.eigenstates[idx]

@@ -33,6 +33,7 @@ from .partition import (
     WindowPartition,
     _draw_layouts,
     _index,
+    _stretch_table,
     active_label,
     build_partition,
     build_partition_span,
@@ -390,18 +391,13 @@ def dump_trajectory(traj: JumpTrajectory) -> str:
 
     Columns: window, label (colon-joined multi-index), lo, hi, eigenvalues
     (colon-joined, repr floats).  Rows are in time order; floats use repr
-    so a dump/parse round trip is bit-exact.  Each window is formatted as
-    one string, its bounds repr'd once and the label and eigenvalue text
-    taken per label; the window strings are joined at the end.
+    so a dump/parse round trip is bit-exact.  The label and eigenvalue text
+    is built once per label, and :func:`~qergo.partition._stretch_table`
+    formats the rows a block at a time straight from the trajectory's
+    arrays.
     """
-    names = [":".join(str(i) for i in lab) for lab in traj.cset.labels]
-    eigs = [":".join(repr(x) for x in ev) for ev in traj.cset.eigenvalues]
-    b, labels, o = traj.bounds, traj.labels.tolist(), traj.offsets.tolist()
-    chunks = ["window,label,lo,hi,eigenvalues\n"]
-    for n in range(traj.windows_covered):
-        i, j = o[n], o[n + 1]
-        r = [repr(x) for x in b[i:j + 1].tolist()]
-        chunks.append("".join(
-            f"{n},{names[k]},{lo},{hi},{eigs[k]}\n" for k, lo, hi in zip(labels[i:j], r, r[1:])
-        ))
-    return "".join(chunks)
+    heads = [f",{':'.join(str(i) for i in lab)}," for lab in traj.cset.labels]
+    tails = [f",{':'.join(repr(x) for x in ev)}\n" for ev in traj.cset.eigenvalues]
+    return _stretch_table(
+        "window,label,lo,hi,eigenvalues\n", traj.bounds, traj.labels, traj.offsets, 0, heads, tails
+    )

@@ -591,12 +591,52 @@ def check_partition(partition: WindowPartition) -> float:
     return worst
 
 
+# Stretch rows that _stretch_table formats at a time: its lists hold one
+# block's strings, never a whole trajectory's.
+_TABLE_ROWS = 512
+
+
+def _stretch_table(
+    header: str, bounds: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
+    first_window: int, heads: list[str], tails: list[str],
+) -> str:
+    """CSV text of one row per stretch under ``header``, in time order.
+
+    Stretch ``i`` is ``(bounds[i], bounds[i+1]]`` with label index
+    ``labels[i]``, and window ``first_window + n`` owns stretches
+    ``offsets[n]`` to ``offsets[n+1] - 1``.  A stretch of label ``k`` in
+    window ``N`` reads ``f"{N}{heads[k]}{lo!r},{hi!r}{tails[k]}"``.  Rows are
+    formatted ``_TABLE_ROWS`` at a time: each bound is repr'd once, and each
+    block's fields are slotted into one list that is joined once.
+    """
+    heads, tails = np.array(heads, object), np.array(tails, object)
+    out = [header]
+    for s in range(0, labels.size, _TABLE_ROWS):
+        e = min(s + _TABLE_ROWS, labels.size)
+        n = offsets.searchsorted(np.arange(s, e), "right") - 1  # each row's window
+        n0 = int(n[0])
+        windows = np.array([str(first_window + w) for w in range(n0, int(n[-1]) + 1)], object)
+        r = list(map(repr, bounds[s:e + 1].tolist()))
+        k = labels[s:e]
+        rows = [","] * (6 * (e - s))
+        rows[0::6] = windows[n - n0].tolist()
+        rows[1::6] = heads[k].tolist()
+        rows[2::6] = r[:-1]
+        rows[4::6] = r[1:]
+        rows[5::6] = tails[k].tolist()
+        out.append("".join(rows))
+    return "".join(out)
+
+
 def dump_partition(partition: WindowPartition) -> str:
     """Render one partition as CSV text, rows in time order.
 
     Columns: window_index, label, lo, hi.  Floats use repr so a dump/parse
-    round trip is bit-exact.
+    round trip is bit-exact.  The rows are :func:`_stretch_table`'s, for a
+    trajectory of this one window.
     """
-    n, b = partition.window_index, partition.bounds.tolist()
-    rows = (f"{n},{k},{lo!r},{hi!r}" for k, lo, hi in zip(partition.labels.tolist(), b, b[1:]))
-    return "\n".join(["window_index,label,lo,hi", *rows]) + "\n"
+    labels, d = partition.labels, partition.dimension
+    return _stretch_table(
+        "window_index,label,lo,hi\n", partition.bounds, labels, np.array([0, labels.size]),
+        partition.window_index, [f",{k}," for k in range(d)], ["\n"] * d,
+    )

@@ -241,6 +241,14 @@ def test_format_statistics():
     assert float(row[5]) == pytest.approx(0.001, abs=1e-12)
 
 
+def test_format_statistics_writes_numpy_scalars_as_floats():
+    # These used to be written as np.float64(0.5) and np.float64(0.3).
+    got = format_statistics([("e", "0", np.float64(0.5), np.float32(0.25), np.float64(0.2))])
+    want = format_statistics([("e", "0", 0.5, 0.25, 0.2)])
+    assert got == want
+    assert got.splitlines()[1] == f"e,0,0.5,0.25,0.2,{abs(0.5 - 0.2)!r}"
+
+
 # Scalar reference loops for the exact averages: one walk over the events and
 # one label lookup per merged edge.  The package computes the same sums with
 # array operations; the differential test below demands equal floats.

@@ -197,6 +197,20 @@ def test_cset_label_lookup_and_multi_index():
     assert single.label_index(1) == 1
 
 
+@pytest.mark.parametrize(
+    "label", [1, np.int64(1), np.array(1), [1], np.array([1]), (np.int32(1),)], ids=repr
+)
+def test_label_index_accepts_a_bare_int_in_any_form(label):
+    # A 0-d array used to raise TypeError: iteration over a 0-d array.
+    assert sigma_z_set().label_index(label) == 1
+
+
+@pytest.mark.parametrize("label", [np.array(1.0), np.array(True), "1", np.array([[1]])], ids=repr)
+def test_label_index_refuses_non_integer_labels(label):
+    with pytest.raises(ValueError):
+        sigma_z_set().label_index(label)
+
+
 def test_hamiltonian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -379,6 +379,29 @@ def test_log_and_distribution_formats():
     assert total == 50
 
 
+@pytest.mark.parametrize("u", [np.float64(0.5), np.float32(0.5), np.int64(2), 2], ids=repr)
+def test_measure_and_advance_keep_times_as_floats(u):
+    # A numpy time used to be kept as given, so the log read np.float64(0.5).
+    sc = Scenario(
+        state0=make_state([0.6, 0.8]), hamiltonian=RABI, csets=(sigma_z_set(),), schedulers={}
+    )
+    sys = SystemUnderObservation.from_scenario(sc)
+    moved = advance(sys, u)
+    assert type(moved.current_time) is float and moved.current_time == float(u)
+    rec, after = measure(sys, "sz", u)
+    assert type(rec.time) is float and type(after.current_time) is float
+    assert format_measurement_log([[rec]]).splitlines()[1].startswith(f"0,0,{float(u)!r},sz,")
+    same, _ = measure(sys, "sz", float(u))
+    assert format_measurement_log([[rec]]) == format_measurement_log([[same]])
+
+
+def test_measure_keeps_a_python_float_time_as_the_same_object():
+    sys = start_qubit(state=(0.6, 0.8))
+    u = 0.1 + 0.2
+    rec, after = measure(sys, "sz", u)
+    assert rec.time is u and after.current_time is u and advance(sys, u).current_time is u
+
+
 @pytest.mark.parametrize(
     "sequence",
     [[("sz", math.inf)], [("sz", -math.inf)], [("sz", math.nan)], [("sz", 0.5), ("sz", math.inf)]],
