@@ -1,10 +1,16 @@
 """Declarative scenario files: a strict line-based grammar with nested blocks.
 
 The format is deliberately small: ``key = value`` pairs and ``name { ... }``
-blocks, one item per line, ``#`` comments.  Complex numbers are written
-``a+bi`` (also ``a``, ``bi``).  Unknown keys and blocks are rejected at
-their line in every block, matrix blocks included — silent typos in physics
-configs are the classic failure mode, so parsing is strict.
+blocks, one item per line, ``#`` comments.  Unknown keys and blocks are
+rejected at their line in every block, matrix blocks included — silent typos
+in physics configs are the classic failure mode, so parsing is strict.
+
+List values (``state``, ``row``, ``labels``, ``eigenvalues``, ``step``)
+separate their items by single commas; an empty, leading, doubled or
+trailing item is refused.  Tuples are written ``(0)`` or ``(0,1)``, the
+same rule applying inside the parentheses.  Complex literals are written
+``1.5``, ``2i`` or ``0.5-0.5i`` and read as ``complex()`` reads them with
+``j`` written ``i``.
 
 Example::
 
@@ -66,12 +72,9 @@ __all__ = [
     "load_config",
 ]
 
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(
-    rf"(?:(?P<real>{_NUM})(?P<imag>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i"
-    rf"|(?P<imag_only>{_NUM})i"
-    rf"|(?P<real_only>{_NUM}))"
-)
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# ``a``, ``bi`` or ``a+bi``: the forms complex() reads, with ``j`` written ``i``.
+_COMPLEX_RE = re.compile(rf"[+-]?{_UNSIGNED}(?:(?:[+-]{_UNSIGNED})?i)?")
 _BLOCK_OPEN_RE = re.compile(r"^([A-Za-z][\w-]*)\s*\{$")
 _KEY_VALUE_RE = re.compile(r"^([A-Za-z][\w-]*)\s*=\s*(.*)$")
 
@@ -164,42 +167,37 @@ def _parse_float(entry: _Entry) -> float:
     return _finite(x, entry)
 
 
+def _items(text: str, entry: _Entry) -> list[str]:
+    """The comma-separated items of ``text``, stripped; an empty item is refused."""
+    items = [t.strip() for t in text.split(",")]
+    if "" in items:
+        raise ConfigError(f"{entry.key!r} has an empty item in {entry.value!r}", entry.line)
+    return items
+
+
 def _parse_complex_token(token: str, entry: _Entry) -> complex:
-    m = _COMPLEX_RE.fullmatch(token.strip())
-    if not m:
+    if not _COMPLEX_RE.fullmatch(token):
         raise ConfigError(
-            f"{entry.key!r}: cannot parse complex literal {token.strip()!r} (use forms 1.5, 2i, 1+2i)",
+            f"{entry.key!r}: cannot parse complex literal {token!r} (use forms 1.5, 2i, 1+2i)",
             entry.line,
         )
-    if m.group("real_only") is not None:
-        return complex(float(m.group("real_only")), 0.0)
-    if m.group("imag_only") is not None:
-        return complex(0.0, float(m.group("imag_only")))
-    return complex(float(m.group("real")), float(m.group("imag")))
+    return complex(token.replace("i", "j"))
 
 
 def _parse_complex_list(entry: _Entry) -> list[complex]:
-    tokens = [t for t in entry.value.split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError(f"{entry.key!r} expects a comma-separated list", entry.line)
-    return [_parse_complex_token(t, entry) for t in tokens]
+    return [_parse_complex_token(t, entry) for t in _items(entry.value, entry)]
 
 
 def _parse_tuple_list(entry: _Entry, caster) -> list[tuple]:
-    groups = re.findall(r"\(([^()]*)\)", entry.value)
-    leftover = re.sub(r"\([^()]*\)", "", entry.value).replace(",", "").strip()
-    if not groups or leftover:
+    if any(item != "()" for item in _items(re.sub(r"\([^()]*\)", "()", entry.value), entry)):
         raise ConfigError(
             f"{entry.key!r} expects tuples like (0), (1) or (0,1), (1,0); got {entry.value!r}",
             entry.line,
         )
     out = []
-    for g in groups:
-        parts = [p.strip() for p in g.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError(f"{entry.key!r} contains an empty tuple", entry.line)
+    for g in re.findall(r"\(([^()]*)\)", entry.value):
         try:
-            out.append(tuple(caster(p) for p in parts))
+            out.append(tuple(caster(p) for p in _items(g, entry)))
         except ValueError:
             raise ConfigError(f"{entry.key!r}: bad tuple entry in ({g})", entry.line) from None
     return out
@@ -402,7 +400,7 @@ class ScenarioConfig:
 def _parse_steps(block: _Block, cset_ids: set[str]) -> tuple[tuple[str, float], ...]:
     steps = []
     for e in block.entries("step"):
-        parts = [p.strip() for p in e.value.split(",")]
+        parts = _items(e.value, e)
         if len(parts) != 2:
             raise ConfigError(f"'step' expects 'csco_id, time', got {e.value!r}", e.line)
         cid, t = parts

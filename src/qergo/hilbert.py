@@ -77,17 +77,19 @@ class QuantumState:
         # One reduction decides the common case: a squared norm within
         # _NORM_SQ_SLACK of 1 puts the norm well inside NORM_TOL, and a
         # non-finite or overflowing vector never lands there.  Everything
-        # else takes the full checks, in their order and with their messages.
+        # else takes the full checks, in their order and with their messages;
+        # a sum of squares that overflows is refused, not warned about.
         re_im = vec.view(np.float64)
-        if not abs(float(re_im @ re_im) - 1.0) <= _NORM_SQ_SLACK:
-            if not np.all(np.isfinite(re_im)):
-                raise ValueError("state amplitudes must be finite")
-            nrm = float(np.linalg.norm(vec))
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(
-                    f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}; "
-                    "use make_state() to normalize raw amplitudes"
-                )
+        with np.errstate(over="ignore"):
+            if not abs(float(re_im @ re_im) - 1.0) <= _NORM_SQ_SLACK:
+                if not np.all(np.isfinite(re_im)):
+                    raise ValueError("state amplitudes must be finite")
+                nrm = float(np.linalg.norm(vec))
+                if abs(nrm - 1.0) > NORM_TOL:
+                    raise ValueError(
+                        f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}; "
+                        "use make_state() to normalize raw amplitudes"
+                    )
         object.__setattr__(self, "amplitudes", _readonly(vec))
 
     @property

@@ -3,9 +3,12 @@
 import ast
 import re
 from pathlib import Path
+from string import Template
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qergo import ConfigError, parse_config_text
 from qergo.config import (
@@ -15,6 +18,8 @@ from qergo.config import (
     SequentialExperiment,
     SubTauExperiment,
     TrajectoryExperiment,
+    _Entry,
+    _parse_complex_token,
     load_config,
 )
 from qergo.partition import SchedulerSpec
@@ -182,6 +187,131 @@ def test_multi_index_labels():
 def test_malformed_tuples_rejected(bad):
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL.replace("labels = (0), (1)", f"labels = {bad}"))
+
+
+# Every list key, each slot holding a value that parses; a case swaps one slot.
+LIST_SLOTS_TEXT = Template("""\
+system {
+  dimension = 2
+  state = $state
+  hamiltonian {
+    row = $row1
+    row = $row2
+  }
+}
+csco {
+  id = cb
+  basis {
+    row = 1, 0
+    row = 0, 1
+  }
+  labels = $labels
+  eigenvalues = $eigenvalues
+}
+experiment {
+  kind = sequential-measurement
+  runs = 1
+  seed = 0
+  step = $step
+}
+""")
+LIST_SLOTS = {
+    "state": "1, 0",
+    "row1": "1, 0",
+    "row2": "0, 0.5",
+    "labels": "(0), (1)",
+    "eigenvalues": "(0), (1)",
+    "step": "cb, 0.5",
+}
+COMPLEX_LIST_CASES = ["1, , 0", "1, 0,", ", 0, 0.5"]
+TUPLE_LIST_CASES = ["(0), , (1)", "(0) (1)", "(0,), (1)", "(), (1)"]
+EMPTY_ITEM_CASES = (
+    [("state", v) for v in COMPLEX_LIST_CASES]
+    + [("row1", "1, , 0"), ("row1", "1, 0,"), ("row2", ", 0, 0.5")]
+    + [(slot, v) for slot in ("labels", "eigenvalues") for v in TUPLE_LIST_CASES]
+    + [("step", v) for v in ("cb,", "cb, 0.5,", ", cb, 0.5", "cb, , 0.5")]
+)
+
+
+def test_list_slots_parse_as_written():
+    (exp,) = parse_config_text(LIST_SLOTS_TEXT.substitute(LIST_SLOTS)).experiments
+    assert exp.steps == (("cb", 0.5),)
+
+
+@pytest.mark.parametrize("slot,value", EMPTY_ITEM_CASES)
+def test_list_with_an_empty_or_unseparated_item_rejected_at_its_line(slot, value):
+    line = next(
+        i for i, ln in enumerate(LIST_SLOTS_TEXT.template.splitlines(), start=1) if f"${slot}" in ln
+    )
+    with pytest.raises(ConfigError, match=f"^line {line}: ") as caught:
+        parse_config_text(LIST_SLOTS_TEXT.substitute(LIST_SLOTS, **{slot: value}))
+    assert caught.value.line == line
+
+
+_REFERENCE_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REFERENCE_COMPLEX_RE = re.compile(
+    rf"(?:(?P<real>{_REFERENCE_NUM})(?P<imag>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i"
+    rf"|(?P<imag_only>{_REFERENCE_NUM})i"
+    rf"|(?P<real_only>{_REFERENCE_NUM}))"
+)
+
+
+def _reference_complex(token: str) -> complex | None:
+    """The three-branch conversion complex literals were once read with; None if refused."""
+    m = _REFERENCE_COMPLEX_RE.fullmatch(token)
+    if not m:
+        return None
+    if m.group("real_only") is not None:
+        return complex(float(m.group("real_only")), 0.0)
+    if m.group("imag_only") is not None:
+        return complex(0.0, float(m.group("imag_only")))
+    return complex(float(m.group("real")), float(m.group("imag")))
+
+
+def _assert_reads_as_reference(token: str):
+    try:
+        got = _parse_complex_token(token, _Entry(key="state", value=token, line=1))
+    except ConfigError:
+        got = None
+    want = _reference_complex(token)
+    if want is None or got is None:
+        assert got is want, token
+    else:
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), token
+
+
+def _bundled_complex_tokens() -> list[str]:
+    tokens = []
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        for raw in path.read_text().splitlines():
+            m = re.fullmatch(r"\s*(?:state|row)\s*=(.*)", raw.split("#", 1)[0])
+            if m:
+                tokens += [t.strip() for t in m.group(1).split(",")]
+    return tokens
+
+
+def test_bundled_complex_literals_read_as_reference():
+    tokens = _bundled_complex_tokens()
+    assert len(tokens) > 50
+    for token in tokens:
+        _assert_reads_as_reference(token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["-0", "-0i", "1-0i", "-0-0i", ".5", "5.", "1e308", "4.9e-324i", "1.5e-3-2.5E+4i", "1e999i"],
+)
+def test_edge_complex_literals_read_as_reference(token):
+    _assert_reads_as_reference(token)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.from_regex(_REFERENCE_COMPLEX_RE, fullmatch=True)
+    | st.text(alphabet="0123456789.eE+-ij", max_size=12)
+)
+def test_complex_literals_read_as_reference(token):
+    _assert_reads_as_reference(token)
 
 
 def test_unknown_scheduler_kind_rejected():

@@ -53,7 +53,8 @@ def reference_amplitudes(amplitudes) -> np.ndarray:
         raise ValueError("state amplitudes must form a non-empty 1-d vector")
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise ValueError("state amplitudes must be finite")
-    nrm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # as the constructor: an overflow is refused, not warned
+        nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(
             f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}; "

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_make_state_rejects_zero_vector():
 def test_quantum_state_rejects_unnormalized():
     with pytest.raises(ValueError, match="make_state"):
         QuantumState(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("amplitudes", [[1e200, 1e200], [1e200, 0.0]])
+def test_quantum_state_refuses_an_overflowing_norm_without_a_warning(amplitudes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"state norm inf deviates from 1"):
+            QuantumState(amplitudes)
 
 
 def test_quantum_state_amplitudes_read_only():
