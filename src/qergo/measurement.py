@@ -22,6 +22,7 @@ can be branched, replayed, and compared without interference.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +31,7 @@ import numpy as np
 
 from .hilbert import CommutingSet, QuantumState, evolve
 from .microstate import LayoutBase, Scenario, span_partition
-from .partition import WindowPartition, _integer, _seed, active_label
+from .partition import WindowPartition, _integer, _real, _seed, active_label
 # Unused here: every layout goes through span_partition.  The name stays bound
 # because perfbench's tracer test expects to rebind measurement.build_partition.
 from .partition import build_partition  # noqa: F401
@@ -135,17 +136,55 @@ class SystemUnderObservation:
 
     def partition(self, cset_id: str) -> WindowPartition:
         """The live partition of one set, built from the span on first read."""
-        span, sc = self.span, self.scenario
-        if (part := span.built.get(cset_id)) is None:
-            part = span.built[cset_id] = span_partition(
-                sc.hamiltonian, sc.cset(cset_id), sc.scheduler_for(cset_id),
-                span.state, span.lo, span.base,
-            )
-        return part
+        return _read(self.scenario, self.span, cset_id)
 
     @property
     def partitions(self) -> Mapping[str, WindowPartition]:
         return {c.id: self.partition(c.id) for c in self.scenario.csets}
+
+
+def _of(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    The protocol's constructor for fields it knows are good: they are stored
+    without ``__init__``, which would set each one through its own
+    ``object.__setattr__``.  Every field, ``init=False`` ones included, must
+    be given; the instance stays frozen.
+    """
+    vars(obj := object.__new__(cls)).update(fields)
+    return obj
+
+
+def _read(scenario: Scenario, span: Span, cset_id: str) -> WindowPartition:
+    """The partition of one set over ``span``, built on its first read and kept there."""
+    if (part := span.built.get(cset_id)) is None:
+        part = span.built[cset_id] = span_partition(
+            scenario.hamiltonian, scenario.cset(cset_id), scenario.scheduler_for(cset_id),
+            span.state, span.lo, span.base,
+        )
+    return part
+
+
+def _cross(sys: SystemUnderObservation, u_target) -> tuple[Span, int]:
+    """The span that ``u_target`` falls in, and the drift corrections counted on the way.
+
+    Refuses a time that is not finite and real, or lies before the clock,
+    before any evolution.  Each window boundary crossed starts a new span,
+    whose state is the old span's state evolved to the boundary in one
+    step; a time inside the current window crosses nothing and keeps
+    ``sys.span``.
+    """
+    if (u := _real(u_target)) is None:
+        raise ValueError(f"cannot advance to a non-finite time {u_target!r}")
+    if u < sys.current_time:
+        raise ValueError(f"cannot advance backward: current u = {sys.current_time}, target {u_target}")
+    h, span, renorms = sys.scenario.hamiltonian, sys.span, sys.renorm_events
+    while u > span.hi:
+        state = evolve(span.state, h, span.hi - span.lo)
+        renorms += int(state.renormalized)
+        # A boundary is a whole number, so the window it opens ends 1.0 later.
+        span = _of(Span, state=state, lo=span.hi, base=span.base, built={}, hi=span.hi + 1.0)
+    return span, renorms
 
 
 def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservation:
@@ -157,24 +196,14 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     Arriving exactly on a boundary does not open the next window (the
     boundary still belongs to the old one).  While ``u_target`` stays in
     the current window the span, and so every partition built so far,
-    carries over unchanged.  A non-finite ``u_target`` is rejected before
-    any evolution; the clock is kept as ``float(u_target)``.
+    carries over unchanged.  A ``u_target`` that is not a finite real
+    number is rejected before any evolution; the clock is kept as
+    ``float(u_target)``.
     """
-    if not math.isfinite(u_target):
-        raise ValueError(f"cannot advance to a non-finite time {u_target!r}")
-    if u_target < sys.current_time:
-        raise ValueError(
-            f"cannot advance backward: current u = {sys.current_time}, target {u_target}"
-        )
+    span, renorms = _cross(sys, u_target)
     if u_target == sys.current_time:
         return sys
-    u_target = float(u_target)
-    h, span, renorms = sys.scenario.hamiltonian, sys.span, sys.renorm_events
-    while u_target > span.hi:
-        state = evolve(span.state, h, span.hi - span.lo)
-        renorms += int(state.renormalized)
-        span = Span(state, span.hi, span.base)
-    return SystemUnderObservation(sys.scenario, u_target, span, sys.history, renorms)
+    return SystemUnderObservation(sys.scenario, float(u_target), span, sys.history, renorms)
 
 
 def measure(
@@ -182,36 +211,36 @@ def measure(
 ) -> tuple[MeasurementRecord, SystemUnderObservation]:
     """Measure one observable set at time ``u``.
 
-    Advances to ``u``, reads the label active in that set's partition (the
-    outcome — deterministic given the partitions), collapses to the outcome
-    eigenvector bitwise (the set's one state for it, from
-    :attr:`CommutingSet.eigenstates`), starts a new span at ``u`` from the
-    collapsed state, and appends the record.  The read needs no state at
-    ``u``, so no evolution step is taken to it.  Every partition is later
-    built from the collapsed state, on its first read.  A measurement
-    exactly on a window boundary starts the next window fresh instead (the
-    remainder is empty).  A second measurement at the instant of the
-    previous one is rejected: the span after a collapse is open at ``u``.
-    The record, the span and the clock keep ``float(u)``, so a numpy time
-    is logged as a plain float.
+    Crosses to ``u`` as :func:`advance` would, reads the label active in
+    that set's partition (the outcome — deterministic given the
+    partitions), collapses to the outcome eigenvector bitwise (the set's
+    one state for it, from :attr:`CommutingSet.eigenstates`), starts a new
+    span at ``u`` from the collapsed state, and appends the record.  Only
+    the record and the snapshot after the collapse are built.  The read
+    needs no state at ``u``, so no evolution step is taken to it.  Every
+    partition is later built from the collapsed state, on its first read.
+    A measurement exactly on a window boundary starts the next window
+    fresh instead (the remainder is empty).  A second measurement at the
+    instant of the previous one is rejected: the span after a collapse is
+    open at ``u``.  The record, the span and the clock keep ``float(u)``,
+    so a numpy time is logged as a plain float.
     """
-    last = sys.history[-1] if sys.history else None
-    if last is not None and last.time == u == sys.current_time:
+    if sys.history and (last := sys.history[-1]).time == u == sys.current_time:
         raise ValueError(
             f"cannot measure {cset_id!r} at u = {u!r}: {last.cset_id!r} was measured at "
             "that instant, and the span after a collapse excludes its start"
         )
-    here, u = advance(sys, u), float(u)
-    c = here.cset(cset_id)  # raises for unknown ids before any state change
-    idx = active_label(here.partition(cset_id), u)
+    (span, renorms), u = _cross(sys, u), float(u)
+    c = sys.scenario.cset(cset_id)  # raises for unknown ids before any state change
+    idx = active_label(_read(sys.scenario, span, cset_id), u)
     post = c.eigenstates[idx]
-    record = MeasurementRecord(u, cset_id, idx, c.labels[idx], c.eigenvalues[idx], post)
+    record = _of(MeasurementRecord, time=u, cset_id=cset_id, outcome_index=idx,
+                 outcome_label=c.labels[idx], outcome_eigenvalues=c.eigenvalues[idx], post_state=post)
     # Conserved layouts are refrozen from the collapsed state too.
-    after = SystemUnderObservation(
-        here.scenario, u, Span(post, u, LayoutBase(post)),
-        here.history + (record,), here.renorm_events,
-    )
-    return record, after
+    base = _of(LayoutBase, state=post, layouts={})
+    span = _of(Span, state=post, lo=u, base=base, built={}, hi=math.floor(u) + 1.0)
+    return record, _of(SystemUnderObservation, scenario=sys.scenario, current_time=u, span=span,
+                       history=sys.history + (record,), renorm_events=renorms)
 
 
 def measurement_operator_apply(
@@ -250,10 +279,7 @@ class SequenceDistribution:
         records_per_run: Iterable[Sequence[MeasurementRecord]],
     ) -> "SequenceDistribution":
         """Count each run's outcome labels; ``steps`` are the (set id, time) pairs."""
-        counts: dict[tuple[tuple[int, ...], ...], int] = {}
-        for records in records_per_run:
-            key = tuple(rec.outcome_label for rec in records)
-            counts[key] = counts.get(key, 0) + 1
+        counts = dict(Counter(tuple(rec.outcome_label for rec in records) for records in records_per_run))
         return cls(steps=tuple(cid for cid, _ in steps), counts=counts, total=sum(counts.values()))
 
     @cached_property
@@ -274,11 +300,15 @@ def total_variation(
     """Total-variation distance between two outcome-sequence distributions.
 
     ``reorder`` permutes b's tuple positions before comparison, for
-    experiments that ran the same observables in a different order.
+    experiments that ran the same observables in a different order; it
+    must be a permutation of ``range(len(b.steps))``.
     """
     fb = b.frequencies
     if reorder is not None:
-        fb = {tuple(key[i] for i in reorder): v for key, v in fb.items()}
+        order, n = [_integer(i) for i in reorder], len(b.steps)
+        if len(order) != n or set(order) != set(range(n)):
+            raise ValueError(f"reorder must be a permutation of range({n}), got {reorder!r}")
+        fb = {tuple(key[i] for i in order): v for key, v in fb.items()}
     fa = a.frequencies
     support = set(fa) | set(fb)
     return 0.5 * sum(abs(fa.get(k, 0.0) - fb.get(k, 0.0)) for k in support)
@@ -313,8 +343,8 @@ def sequence_records(
     if (n := _integer(n_runs)) is None or n < 1:
         raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
     times = [u for _, u in sequence]
-    if not all(math.isfinite(u) for u in times):
-        raise ValueError(f"measurement times must be finite, got {times}")
+    if None in map(_real, times):
+        raise ValueError(f"measurement times must be finite real numbers, got {times}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"sequence times must be strictly increasing, got {times}")
     if times[0] <= 0.0:
@@ -388,8 +418,7 @@ def format_sequence_distribution(dist: SequenceDistribution) -> str:
     with ':'.  Rows are sorted by key for stable output.
     """
     lines = ["sequence,count,frequency"]
-    for key in sorted(dist.counts):
+    for key, c in sorted(dist.counts.items()):
         name = ">".join(":".join(str(i) for i in lab) for lab in key)
-        c = dist.counts[key]
         lines.append(f"{name},{c},{c / dist.total!r}")
     return "\n".join(lines) + "\n"

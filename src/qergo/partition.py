@@ -90,6 +90,23 @@ def _integer(x) -> int | None:
         return None
 
 
+# Numbers that math.isfinite takes but that are no real number; it would read
+# a numpy complex as its real part.
+_NOT_REAL = (bool, complex, np.bool_, np.complexfloating)
+
+
+def _real(x) -> float | None:
+    """``x`` as a float if it is a finite real number, numpy reals included, else None.
+
+    The one place that decides what counts as a real number: a bool does
+    not, nor does ``'0.5'``, ``None``, ``inf``, ``nan`` or a complex number.
+    """
+    try:
+        return float(x) if not isinstance(x, _NOT_REAL) and math.isfinite(x) else None
+    except TypeError:
+        return None
+
+
 def _index(x, name: str) -> int:
     """``x`` as an int (see :func:`_integer`); anything else is a ValueError."""
     if (n := _integer(x)) is None:
@@ -130,8 +147,9 @@ class SchedulerSpec:
             raise ValueError(
                 f"max_subintervals must be an integer in [1, {MAX_SUBINTERVALS}], got {n!r}"
             )
-        if not 0.0 <= self.offset <= 1.0:
-            raise ValueError(f"offset must lie in [0, 1], got {self.offset}")
+        if (off := _real(self.offset)) is None or not 0.0 <= off <= 1.0:
+            raise ValueError(f"offset must lie in [0, 1], got {self.offset!r}")
+        object.__setattr__(self, "offset", off)
         object.__setattr__(self, "max_subintervals", k)
         object.__setattr__(self, "seed", _seed(self.seed))
 

@@ -49,6 +49,20 @@ def test_model_constructors_refuse_hostile_numbers(make, bad):
         make(bad)
 
 
+# Values that are no real number at all, beside the hostile ones above.  A
+# comparison TypeError escaped for '0.3', None and 1j, and True was kept as 1.
+@pytest.mark.parametrize("bad", ["0.3", None, 1j, True, np.True_, np.complex128(0.3)], ids=repr)
+def test_scheduler_offset_refuses_values_that_are_no_real_number(bad):
+    with pytest.raises(ValueError, match=re.escape(f"offset must lie in [0, 1], got {bad!r}")):
+        MODEL_INPUTS["SchedulerSpec.offset"](bad)
+
+
+def test_scheduler_offset_is_stored_as_a_float():
+    for given in (0.3, np.float64(0.3), 1, np.int64(0), np.float32(0.5)):
+        spec = SchedulerSpec(kind="two-outcome", offset=given)
+        assert type(spec.offset) is float and spec.offset == float(given)
+
+
 # Every key that holds a number, in every block that has one.
 FULL = """
 system {

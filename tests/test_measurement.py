@@ -449,6 +449,42 @@ def test_advance_and_measure_reject_a_non_finite_time(u):
             call()
 
 
+@pytest.mark.parametrize("u", ["0.5", None, 1j, True, np.complex128(0.5), np.complex64(0.5)], ids=repr)
+def test_advance_and_measure_reject_a_time_that_is_not_a_real_number(u):
+    # math.isfinite let a TypeError escape for the first three and took a
+    # numpy complex as its real part; a bool is no time either.
+    sys = start_qubit(H=RABI)
+    for call in (lambda: advance(sys, u), lambda: measure(sys, "sz", u)):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite time {u!r}")):
+            call()
+
+
+@pytest.mark.parametrize("u", ["0.5", None, 1j, True, np.complex128(0.5)], ids=repr)
+def test_sequence_records_rejects_a_time_that_is_not_a_real_number(u):
+    scenario = Scenario(make_state([1.0, 0.0]), RABI, (sigma_z_set(),), {})
+    for sequence in ([("sz", u)], [("sz", 0.25), ("sz", u)]):
+        with pytest.raises(ValueError, match="^measurement times must be finite real numbers"):
+            sequence_records(scenario, sequence, 1, 0)
+
+
+@pytest.mark.parametrize("reorder", [(1,), (0, 0), (0, 1, 2), (), (0, 1.0), (0, True), ("0", "1")], ids=repr)
+def test_total_variation_refuses_a_reorder_that_is_no_permutation(reorder):
+    one = SequenceDistribution(steps=("sz",), counts={((0,),): 3}, total=3)
+    two = SequenceDistribution(steps=("sz", "sx"), counts={((0,), (1,)): 1, ((0,), (0,)): 1}, total=2)
+    b = one if reorder == (1,) else two
+    with pytest.raises(ValueError, match=re.escape(f"reorder must be a permutation of range({len(b.steps)})")):
+        total_variation(b, b, reorder=reorder)
+
+
+def test_total_variation_accepts_every_permutation_numpy_integers_included():
+    a = SequenceDistribution(steps=("sz", "sx"), counts={((0,), (1,)): 1, ((0,), (0,)): 3}, total=4)
+    b = SequenceDistribution(steps=("sx", "sz"), counts={((1,), (0,)): 1, ((0,), (0,)): 3}, total=4)
+    assert total_variation(a, b, reorder=(1, 0)) == 0.0
+    assert total_variation(a, b, reorder=np.array([1, 0])) == 0.0
+    assert total_variation(a, b, reorder=(0, 1)) == 0.25
+    assert total_variation(a, a) == 0.0
+
+
 @pytest.mark.parametrize("u", [0.4, 1.0])
 def test_measure_rejects_a_second_measurement_at_the_same_instant(u):
     sys = start_qubit(state=(0.6, 0.8), H=RABI, csets=(sigma_z_set(), sigma_x_set()))

@@ -35,14 +35,20 @@ def tracing():
     return module
 
 
-def _traced(tracing, run) -> tuple[dict[str, float], float]:
-    """Per-layer metrics of ``run()`` under the tracer, and the worst audited measure error."""
+def _trace(tracing, run):
+    """The tracer after recording ``run()``."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
         run()
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def _traced(tracing, run) -> tuple[dict[str, float], float]:
+    """Per-layer metrics of ``run()`` under the tracer, and the worst audited measure error."""
+    tracer = _trace(tracing, run)
     return tracing.layer_metrics(tracer.spans), tracer.measure_err_max()
 
 
@@ -91,9 +97,12 @@ def test_tracer_counts_every_step_of_a_measure_seq_shaped_run(tracing):
         },
     )
     steps, runs = [("ca", 0.4), ("cb", 1.3), ("cc", 1.8), ("ca", 2.6)], 7
-    metrics, err = _traced(
+    tracer = _trace(
         tracing, lambda: qergo.measurement.sequential_experiment(scenario, steps, runs, 12)
     )
+    metrics, err = tracing.layer_metrics(tracer.spans), tracer.measure_err_max()
+    # A step crosses to its time without the snapshot advance would build.
+    assert "measurement.advance" not in {span[0] for span in tracer.spans}
     assert metrics["measurement.measure.calls"] == 4 * runs
     # Per run: one step to u = 1 and one to u = 2; the step inside window 1
     # reads the remainder and crosses nothing.
