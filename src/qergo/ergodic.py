@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import CommutingSet
 from .microstate import JumpTrajectory
-from .partition import WindowPartition, _index, _seed, interval_measure
+from .partition import WindowPartition, _index, _real, _seed, interval_measure
 
 __all__ = [
     "EmpiricalDistribution",
@@ -93,7 +93,7 @@ class EmpiricalDistribution:
         return out
 
     def estimate(self, label: int) -> float:
-        return self.counts.get(label, 0) / self.total
+        return self.counts.get(_index(label, "label"), 0) / self.total
 
 
 @dataclass(frozen=True)
@@ -198,12 +198,12 @@ def offset_window_average(
             f"trajectory's set {traj.cset.id!r}"
         )
     w = cset.member_values(member)
-    if not (alpha >= 0.0 and alpha + 1.0 <= traj.windows_covered):  # NaN fails too
+    if (lo := _real(alpha)) is None or not (lo >= 0.0 and lo + 1.0 <= traj.windows_covered):
         raise ValueError(
-            f"offset window ({alpha}, {alpha + 1}] falls outside the covered span "
-            f"(0, {traj.windows_covered}]"
+            f"offset window (alpha, alpha + 1] at alpha = {alpha!r} falls outside the "
+            f"covered span (0, {traj.windows_covered}]"
         )
-    lo, hi = alpha, alpha + 1.0
+    hi = lo + 1.0
     b = traj.bounds
     # Stretches whose upper end exceeds lo, up to the first starting at hi.
     first = int(np.searchsorted(b[1:], lo, side="right"))
@@ -224,8 +224,8 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
     granularity signature; :func:`sub_tau_correlation` is its Monte Carlo
     counterpart.
     """
-    if not delta >= 0.0:  # NaN fails too
-        raise ValueError("delta must be non-negative")
+    if (delta := _real(delta)) is None or delta < 0.0:
+        raise ValueError("delta must be non-negative and finite")
     base_windows = _index(base_windows, "base_windows")
     if not (base_windows >= 1 and base_windows + delta <= traj.windows_covered):
         raise ValueError("base span plus delta must fit inside the covered windows")
@@ -262,12 +262,12 @@ def sub_tau_correlation(
     ``u + delta`` stay sorted because rounding is monotone, and both are
     read per stretch.  Memory does not grow with ``n_pairs``.
     """
-    if not delta >= 0.0:  # NaN fails too
-        raise ValueError("delta must be non-negative")
+    if (delta := _real(delta)) is None or delta < 0.0:
+        raise ValueError("delta must be non-negative and finite")
     if (n_pairs := _index(n_pairs, "n_pairs")) < 1:
         raise ValueError("n_pairs must be at least 1")
     span = traj.windows_covered - delta
-    if not span >= 1.0:  # also for an infinite delta, before floor() could overflow
+    if span < 1.0:
         raise ValueError(
             f"delta = {delta} leaves no whole base window inside {traj.windows_covered} windows"
         )

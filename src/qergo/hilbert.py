@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .partition import _index
+from .partition import _index, _real
 
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -165,7 +165,7 @@ class CommutingSet:
                 f"basis columns are not orthonormal: max |B*B - I| = {gram_dev:.3e}"
             )
         labels = tuple(tuple(_index(i, "label") for i in lab) for lab in self.labels)
-        eigs = tuple(tuple(float(x) for x in ev) for ev in self.eigenvalues)
+        eigs = tuple(tuple(map(_real, ev)) for ev in self.eigenvalues)
         if len(labels) != d or len(eigs) != d:
             raise ValueError("need exactly one label and one eigenvalue tuple per basis column")
         if len(set(labels)) != d:
@@ -173,8 +173,8 @@ class CommutingSet:
         arities = {len(lab) for lab in labels} | {len(ev) for ev in eigs}
         if len(arities) != 1 or 0 in arities:
             raise ValueError("labels and eigenvalue tuples must share one positive arity")
-        if not all(math.isfinite(x) for ev in eigs for x in ev):
-            raise ValueError("eigenvalues must be finite")
+        if any(None in ev for ev in eigs):
+            raise ValueError("eigenvalues must be finite real numbers")
         object.__setattr__(self, "basis", _readonly(b))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "eigenvalues", eigs)
@@ -216,7 +216,7 @@ class CommutingSet:
 
     def basis_vector(self, k: int) -> np.ndarray:
         """Copy of eigenvector column ``k``."""
-        if not 0 <= k < self.dimension:
+        if not 0 <= (k := _index(k, "column index")) < self.dimension:
             raise ValueError(f"column index {k} out of range for dimension {self.dimension}")
         return self.basis[:, k].copy()
 
@@ -271,10 +271,20 @@ class Hamiltonian:
         return {}
 
     def propagator(self, du: float) -> np.ndarray:
-        """Unitary ``exp(-i H du)`` built from the cached eigensystem."""
-        minus_iw, v, v_adj = self._eigensystem
+        """Unitary ``exp(-i H du)`` built from the cached eigensystem.
+
+        ``du`` must be a finite real number, as for :func:`evolve`.
+        """
+        du, (minus_iw, v, v_adj) = _duration(du), self._eigensystem
         # (-1j * w) * du: the products -1j * w * du takes, in its order.
         return (v * np.exp(minus_iw * du)) @ v_adj
+
+
+def _duration(du) -> float:
+    """``du`` as a float if it is a finite real number; anything else is a ValueError."""
+    if (d := _real(du)) is None:
+        raise ValueError(f"duration du must be finite, got {du!r}")
+    return d
 
 
 def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumState:
@@ -285,9 +295,7 @@ def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumS
     vector is rescaled and the returned state carries ``renormalized=True``;
     callers that need bit-level determinism audits can count those flags.
     """
-    if not math.isfinite(du):
-        raise ValueError(f"duration du must be finite, got {du!r}")
-    if du < 0:
+    if (du := _duration(du)) < 0:
         raise ValueError(f"cannot evolve backward (du = {du})")
     if hamiltonian.dimension != state.dimension:
         raise ValueError(

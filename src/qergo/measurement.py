@@ -165,8 +165,8 @@ def _read(scenario: Scenario, span: Span, cset_id: str) -> WindowPartition:
     return part
 
 
-def _cross(sys: SystemUnderObservation, u_target) -> tuple[Span, int]:
-    """The span that ``u_target`` falls in, and the drift corrections counted on the way.
+def _cross(sys: SystemUnderObservation, u_target) -> tuple[float, Span, int]:
+    """``u_target`` as a float, its span, and the drift corrections counted on the way.
 
     Refuses a time that is not finite and real, or lies before the clock,
     before any evolution.  Each window boundary crossed starts a new span,
@@ -184,7 +184,7 @@ def _cross(sys: SystemUnderObservation, u_target) -> tuple[Span, int]:
         renorms += int(state.renormalized)
         # A boundary is a whole number, so the window it opens ends 1.0 later.
         span = _of(Span, state=state, lo=span.hi, base=span.base, built={}, hi=span.hi + 1.0)
-    return span, renorms
+    return u, span, renorms
 
 
 def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservation:
@@ -200,10 +200,10 @@ def advance(sys: SystemUnderObservation, u_target: float) -> SystemUnderObservat
     number is rejected before any evolution; the clock is kept as
     ``float(u_target)``.
     """
-    span, renorms = _cross(sys, u_target)
-    if u_target == sys.current_time:
+    u, span, renorms = _cross(sys, u_target)
+    if u == sys.current_time:
         return sys
-    return SystemUnderObservation(sys.scenario, float(u_target), span, sys.history, renorms)
+    return SystemUnderObservation(sys.scenario, u, span, sys.history, renorms)
 
 
 def measure(
@@ -230,7 +230,7 @@ def measure(
             f"cannot measure {cset_id!r} at u = {u!r}: {last.cset_id!r} was measured at "
             "that instant, and the span after a collapse excludes its start"
         )
-    (span, renorms), u = _cross(sys, u), float(u)
+    u, span, renorms = _cross(sys, u)
     c = sys.scenario.cset(cset_id)  # raises for unknown ids before any state change
     idx = active_label(_read(sys.scenario, span, cset_id), u)
     post = c.eigenstates[idx]
@@ -305,8 +305,8 @@ def total_variation(
     """
     fb = b.frequencies
     if reorder is not None:
-        order, n = [_integer(i) for i in reorder], len(b.steps)
-        if len(order) != n or set(order) != set(range(n)):
+        order, n = [_integer(i) for i in reorder] if np.iterable(reorder) else None, len(b.steps)
+        if order is None or len(order) != n or set(order) != set(range(n)):
             raise ValueError(f"reorder must be a permutation of range({n}), got {reorder!r}")
         fb = {tuple(key[i] for i in order): v for key, v in fb.items()}
     fa = a.frequencies

@@ -31,6 +31,7 @@ from .partition import (
     SchedulerSpec,
     SubInterval,
     WindowPartition,
+    _check_inside,
     _draw_layouts,
     _index,
     _stretch_table,
@@ -168,6 +169,7 @@ def microstate_at(partition: WindowPartition, cset: CommutingSet, u: float) -> M
     """Resolve the active eigenvector at time ``u`` within one window."""
     if partition.dimension != cset.dimension:
         raise ValueError("partition and commuting set dimensions differ")
+    u = _check_inside(partition, u)
     k = active_label(partition, u)
     return MicrostateSnapshot(
         cset_id=cset.id,
@@ -270,8 +272,8 @@ def shift_is_sound(hamiltonian: Hamiltonian, cset: CommutingSet, window_index: i
     of window 0's up to that window.  The answer depends on that window
     alone, and once false it stays false for every later window.
     """
-    eps = off_diagonal_norm(hamiltonian, cset)
-    return eps <= CONSERVED_TOL and 2 * cset.dimension * eps * window_index <= MEASURE_TOL
+    n, eps = _index(window_index, "window_index"), off_diagonal_norm(hamiltonian, cset)
+    return eps <= CONSERVED_TOL and 2 * cset.dimension * eps * n <= MEASURE_TOL
 
 
 @dataclass(frozen=True, eq=False)

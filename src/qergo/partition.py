@@ -81,9 +81,12 @@ def _integer(x) -> int | None:
     """``x`` as an int if it is an integer, numpy integers included, else None.
 
     The one place that decides what counts as an integer: a bool does not,
-    nor does 1.5 or 2.0.  ``operator.index`` keeps the check cheap enough
-    for every layout build.
+    nor does 1.5 or 2.0.  A plain int, the common case, is taken as it is;
+    ``operator.index`` keeps the other checks cheap enough for every layout
+    build.
     """
+    if type(x) is int:
+        return x
     try:
         return None if isinstance(x, bool) else operator.index(x)
     except TypeError:
@@ -99,11 +102,15 @@ def _real(x) -> float | None:
     """``x`` as a float if it is a finite real number, numpy reals included, else None.
 
     The one place that decides what counts as a real number: a bool does
-    not, nor does ``'0.5'``, ``None``, ``inf``, ``nan`` or a complex number.
+    not, nor does ``'0.5'``, ``None``, ``inf``, ``nan``, a complex number or
+    an int too large for a float.  A plain float, the common case, costs
+    one ``math.isfinite``.
     """
+    if type(x) is float:
+        return x if math.isfinite(x) else None
     try:
         return float(x) if not isinstance(x, _NOT_REAL) and math.isfinite(x) else None
-    except TypeError:
+    except (TypeError, OverflowError):
         return None
 
 
@@ -477,11 +484,11 @@ def build_partition_span(
     renormalized and the renormalized vector is the one stored (and the one
     the measure invariant holds against).
     """
-    if not hi > lo:
+    if (a := _real(lo)) is None or (b := _real(hi)) is None:
+        raise ValueError(f"span bounds must be finite real numbers, got ({lo!r}, {hi!r}]")
+    if not b > a:
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"span bounds must be finite, got ({lo!r}, {hi!r}]")
-    window_index = _index(window_index, "window_index")
+    lo, hi, window_index = a, b, _index(window_index, "window_index")
     p = _validated_probabilities(probabilities)
     widths, labels = _layout(p, window_index, scheduler)
     # Lay out in relative coordinates, then map onto (lo, hi].  The final
@@ -507,11 +514,13 @@ def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) 
     return build_partition_span(probabilities, lo, lo + 1.0, scheduler, window_index)
 
 
-def _check_inside(partition: WindowPartition, u: float):
-    if not partition.lo < u <= partition.hi:
+def _check_inside(partition: WindowPartition, u) -> float:
+    """``u`` as a float if it is a real number in the partitioned span, else a ValueError."""
+    if (x := _real(u)) is None or not partition.lo < x <= partition.hi:
         raise ValueError(
             f"time {u!r} outside the partitioned span ({partition.lo!r}, {partition.hi!r}]"
         )
+    return x
 
 
 def _check_label(partition: WindowPartition, label) -> int:
@@ -527,7 +536,7 @@ def active_label(partition: WindowPartition, u: float) -> int:
     Exact float comparisons: ``u`` equal to a shared boundary belongs to
     the earlier interval, per the half-open convention.
     """
-    _check_inside(partition, u)
+    u = _check_inside(partition, u)
     return int(partition.labels[partition.bounds[1:].searchsorted(u)])
 
 
@@ -538,8 +547,7 @@ def step_function(partition: WindowPartition, label: int, u: float) -> int:
     delegation to :func:`active_label`, so completeness and idempotency are
     genuinely testable properties rather than tautologies.
     """
-    _check_inside(partition, u)
-    label = _check_label(partition, label)
+    u, label = _check_inside(partition, u), _check_label(partition, label)
     b, mine = partition.bounds, partition.labels == label
     return int(np.any((b[:-1][mine] < u) & (u <= b[1:][mine])))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .partition import SchedulerSpec, WindowPartition, _index, build_partition
+from .partition import SchedulerSpec, WindowPartition, _index, _real, build_partition
 
 MIN_WINDOW_MASS = 1e-300
 MIN_NODES_PER_CELL = 16
@@ -74,30 +74,31 @@ class GridWavefunction:
             raise ValueError("samples must form a 1-d array with at least two nodes")
         if not np.all(np.isfinite(s.view(np.float64))):
             raise ValueError("samples must be finite")
-        if not math.isfinite(self.origin):
+        if (origin := _real(self.origin)) is None:
             raise ValueError(f"origin must be finite, got {self.origin!r}")
-        if not (self.spacing > 0.0 and self.planck_step > 0.0 and self.compton_wavelength > 0.0):
-            raise ValueError("spacing, planck_step, and compton_wavelength must be positive")
-        ratio = self.planck_step / self.spacing
+        lengths = [_real(x) for x in (self.spacing, self.planck_step, self.compton_wavelength)]
+        if None in lengths or min(lengths) <= 0.0:
+            raise ValueError("spacing, planck_step, and compton_wavelength must be positive and finite")
+        spacing, planck_step, compton = lengths
+        ratio = planck_step / spacing
         nodes = _whole(ratio)
         if nodes is None or nodes % 2 != 0 or nodes < MIN_NODES_PER_CELL:
             raise ValueError(
                 f"planck_step/spacing must be an even integer >= {MIN_NODES_PER_CELL}, got {ratio!r}"
             )
-        ratio = self.compton_wavelength / self.planck_step
+        ratio = compton / planck_step
         cells = _whole(ratio)
         if cells is None or cells % 2 == 0:
             raise ValueError(
                 f"compton_wavelength/planck_step must be an odd positive integer, got {ratio!r}"
             )
         s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "nodes_per_cell", nodes)
-        object.__setattr__(self, "cells_per_window", cells)
-        object.__setattr__(self, "n_cells", (s.size - 1) // nodes)
+        vars(self).update(samples=s, origin=origin, spacing=spacing, planck_step=planck_step,
+                          compton_wavelength=compton, nodes_per_cell=nodes, cells_per_window=cells,
+                          n_cells=(s.size - 1) // nodes)
 
     def cell_edges(self, k: int) -> tuple[float, float]:
-        lo = self.origin + k * self.planck_step
+        lo = self.origin + _index(k, "cell") * self.planck_step
         return lo, lo + self.planck_step
 
 
@@ -135,6 +136,7 @@ def window_renormalize(wf: GridWavefunction, k: int) -> GridWavefunction:
     out.  A window mass below ``MIN_WINDOW_MASS`` is rejected rather than
     amplified into nonsense.
     """
+    k = _index(k, "k_center")  # the name window_cells gives it
     mass = float(_integrate(_density(wf, window_cells(wf, k)), wf.spacing))
     if mass < MIN_WINDOW_MASS:
         raise ValueError(
@@ -153,7 +155,7 @@ def planck_cell_probability(wf: GridWavefunction, k: int) -> float:
     """
     if wf.renorm_center is None:
         raise ValueError("wavefunction is not window-renormalized; call window_renormalize first")
-    if k not in window_cells(wf, wf.renorm_center):
+    if _index(k, "cell") not in window_cells(wf, wf.renorm_center):
         raise ValueError(
             f"cell {k} lies outside the renormalization window around cell {wf.renorm_center}"
         )

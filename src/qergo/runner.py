@@ -42,7 +42,7 @@ from .measurement import (
     SequenceDistribution,
 )
 from .microstate import dump_trajectory
-from .partition import dump_partition
+from .partition import _index, dump_partition
 from .qgrid import (
     format_cell_probabilities,
     load_grid,
@@ -138,7 +138,7 @@ def run_experiment(config: ScenarioConfig, exp: Experiment, ordinal: int):
     Returns ``(artifacts, renorm_events)`` where artifacts is a list of
     (filename, text) pairs.  Nothing is written to disk here.
     """
-    return _RUNNERS[type(exp)](config, exp, f"{ordinal:02d}-{exp.name}")
+    return _RUNNERS[type(exp)](config, exp, f"{_index(ordinal, 'ordinal'):02d}-{exp.name}")
 
 
 def _experiment_seed(exp: Experiment) -> str:

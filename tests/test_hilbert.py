@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -242,10 +243,34 @@ def test_hamiltonian_hermiticity_tolerance_is_absolute_up_to_unit_entries():
         Hamiltonian(np.array([[0.0, 0.5], [0.5 + 2e-10, 0.0]]))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+# float() took '0.5' as 0.5 and True as 1.0, and warned on a numpy complex.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), "0.5", True, None, 1j, np.True_, np.complex128(0.5)]
+)
 def test_commuting_set_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValueError, match="eigenvalues must be finite"):
         CommutingSet("sz", np.eye(2), ((0,), (1,)), ((1.0,), (bad,)))
+
+
+# numpy read True as a boolean index (a 3-d array came back), 1.5 failed
+# with an IndexError and '1' with a comparison TypeError.
+@pytest.mark.parametrize("k", [True, np.True_, 1.5, 1.0, "1", None], ids=repr)
+def test_basis_vector_takes_only_an_integer_column(k):
+    with pytest.raises(ValueError, match=re.escape(f"column index must be an integer, got {k!r}")):
+        sigma_z_set().basis_vector(k)
+
+
+# propagator(nan) returned an all-NaN matrix and propagator('0.5') failed in numpy.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("du", [math.nan, math.inf, "0.5", None, 1j, True, np.complex128(0.5)], ids=repr)
+def test_propagator_refuses_what_evolve_refuses_with_its_message(du):
+    H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    with pytest.raises(ValueError) as by_propagator:
+        H.propagator(du)
+    with pytest.raises(ValueError) as by_evolve:
+        evolve(make_state([1.0, 0.0]), H, du)
+    assert str(by_propagator.value) == str(by_evolve.value) == f"duration du must be finite, got {du!r}"
 
 
 @pytest.mark.parametrize(

@@ -2,19 +2,77 @@
 
 A refusal is a ValueError, or a ConfigError at the line of the offending
 entry; the input is never accepted, and no OverflowError or TypeError
-escapes from the checks.
+escapes from the checks.  Every numeric argument of the public API, found
+from the signatures, also refuses what is no number of its kind: a bool, a
+string, ``None`` or a complex number, and a fraction where an integer is
+due.  A numpy number is taken as the plain number of the same value.
 """
 
+import dataclasses
+import importlib
+import inspect
 import math
+import operator
+import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qergo import ConfigError, parse_config_text
-from qergo.hilbert import CommutingSet, Hamiltonian, QuantumState, make_state
-from qergo.partition import SchedulerSpec
-from qergo.qgrid import GridWavefunction
+import qergo
+from qergo import ConfigError, load_config, parse_config_text
+from qergo.ergodic import (
+    offset_window_average,
+    same_outcome_measure,
+    sample_born,
+    sub_tau_correlation,
+    window_average_step,
+    window_average_value,
+)
+from qergo.hilbert import CommutingSet, Hamiltonian, QuantumState, evolve, expectation, make_state
+from qergo.measurement import (
+    SystemUnderObservation,
+    advance,
+    measure,
+    measurement_operator_apply,
+    sequence_records,
+    sequential_experiment,
+)
+from qergo.microstate import (
+    Scenario,
+    apply_value_operator,
+    microstate_at,
+    shift_is_sound,
+    trajectory,
+    value_function,
+)
+from qergo.partition import (
+    _NOT_REAL,
+    SchedulerSpec,
+    _integer,
+    _real,
+    active_label,
+    build_partition,
+    build_partition_span,
+    interval_measure,
+    periodic_extend,
+    step_function,
+)
+from qergo.qgrid import (
+    GridWavefunction,
+    cell_probabilities,
+    format_cell_probabilities,
+    load_grid,
+    planck_cell_probability,
+    position_partition,
+    window_cells,
+    window_renormalize,
+)
+from qergo.runner import run_experiment
+from qergo.testing import sigma_z_set
 
 HOSTILE = [math.nan, math.inf, -math.inf, 1e999]  # 1e999 overflows to inf
 
@@ -160,3 +218,260 @@ def test_config_refuses_hostile_numbers_at_their_line(at, bad):
         parse_config_text("\n".join(lines))
     assert info.value.line == at + 1, str(info.value)
 
+
+
+# ---------------------------------------------------------------------------
+# Every numeric argument of the public API, generated from the signatures.
+#
+# A public callable is a function in the ``__all__`` of a qergo module, or a
+# public method of a class listed there (``qergo.testing`` holds generators
+# for the tests, not API).  Each of its parameters annotated ``float`` or
+# ``int`` has one row: what it is (a real, an integer or a seed), how to make
+# a valid call with the value as that argument, and a valid value.  Array
+# parameters are not annotated ``float`` or ``int``, and a constructor is no
+# public method: the checked constructors are ``MODEL_INPUTS`` above.
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SPEC = SchedulerSpec()
+SZ = sigma_z_set()
+H = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
+STATE = make_state([0.6, 0.8])
+P = np.array([0.36, 0.64])
+PART = build_partition(P, 0, SPEC)
+SCEN = Scenario(state0=STATE, hamiltonian=H, csets=(SZ,), schedulers={})
+TRAJ = SCEN.build_trajectory(None, 3)
+DIST = sample_born(TRAJ, 10, 0)
+SYS = SystemUnderObservation.from_scenario(SCEN)
+GRID = _grid()
+CONFIG = load_config(ROOT / "configs" / "minimal.cfg")
+GRID_FILE = ROOT / "configs" / "gaussian-grid.txt"
+
+REAL, INTEGER, SEED = "real", "integer", "seed"
+
+ROWS = {
+    ("ergodic.EmpiricalDistribution.estimate", "label"): (INTEGER, lambda x: DIST.estimate(x), 1),
+    ("ergodic.window_average_step", "label"): (INTEGER, lambda x: window_average_step(PART, x), 1),
+    ("ergodic.window_average_value", "member"): (INTEGER, lambda x: window_average_value(PART, SZ, x), 0),
+    ("ergodic.sample_born", "n_samples"): (INTEGER, lambda x: sample_born(TRAJ, x, 0, 1), 10),
+    ("ergodic.sample_born", "seed"): (SEED, lambda x: sample_born(TRAJ, 10, x, 1), 3),
+    ("ergodic.sample_born", "window"): (INTEGER, lambda x: sample_born(TRAJ, 10, 0, x), 2),
+    ("ergodic.offset_window_average", "alpha"): (REAL, lambda x: offset_window_average(TRAJ, x, SZ), 0.5),
+    ("ergodic.offset_window_average", "member"): (INTEGER, lambda x: offset_window_average(TRAJ, 0.5, SZ, x), 0),
+    ("ergodic.same_outcome_measure", "delta"): (REAL, lambda x: same_outcome_measure(TRAJ, x, 2), 0.25),
+    ("ergodic.same_outcome_measure", "base_windows"): (INTEGER, lambda x: same_outcome_measure(TRAJ, 0.25, x), 2),
+    ("ergodic.sub_tau_correlation", "delta"): (REAL, lambda x: sub_tau_correlation(TRAJ, x, 10, 0), 0.25),
+    ("ergodic.sub_tau_correlation", "n_pairs"): (INTEGER, lambda x: sub_tau_correlation(TRAJ, 0.25, x, 0), 10),
+    ("ergodic.sub_tau_correlation", "seed"): (SEED, lambda x: sub_tau_correlation(TRAJ, 0.25, 10, x), 3),
+    ("hilbert.CommutingSet.basis_vector", "k"): (INTEGER, lambda x: SZ.basis_vector(x), 1),
+    ("hilbert.CommutingSet.member_values", "member"): (INTEGER, lambda x: SZ.member_values(x), 0),
+    ("hilbert.Hamiltonian.propagator", "du"): (REAL, lambda x: H.propagator(x), 0.5),
+    ("hilbert.evolve", "du"): (REAL, lambda x: evolve(STATE, H, x), 0.5),
+    ("hilbert.expectation", "member"): (INTEGER, lambda x: expectation(STATE, SZ, x), 0),
+    ("measurement.advance", "u_target"): (REAL, lambda x: advance(SYS, x), 1.5),
+    ("measurement.measure", "u"): (REAL, lambda x: measure(SYS, "sz", x), 1.5),
+    ("measurement.measurement_operator_apply", "u"): (
+        REAL, lambda x: measurement_operator_apply(STATE, PART, SZ, x), 0.5),
+    ("measurement.sequence_records", "n_runs"): (INTEGER, lambda x: list(sequence_records(SCEN, [("sz", 0.5)], x, 0)), 2),
+    ("measurement.sequence_records", "seed"): (SEED, lambda x: list(sequence_records(SCEN, [("sz", 0.5)], 2, x)), 3),
+    ("measurement.sequential_experiment", "n_runs"): (INTEGER, lambda x: sequential_experiment(SCEN, [("sz", 0.5)], x, 0), 2),
+    ("measurement.sequential_experiment", "seed"): (SEED, lambda x: sequential_experiment(SCEN, [("sz", 0.5)], 2, x), 3),
+    ("microstate.JumpTrajectory.partition", "n"): (INTEGER, lambda x: TRAJ.partition(x), 2),
+    ("microstate.Scenario.build_trajectory", "windows"): (INTEGER, lambda x: SCEN.build_trajectory("sz", x), 2),
+    ("microstate.microstate_at", "u"): (REAL, lambda x: microstate_at(PART, SZ, x), 0.5),
+    ("microstate.value_function", "member"): (INTEGER, lambda x: value_function(PART, SZ, x, 0.5), 0),
+    ("microstate.value_function", "u"): (REAL, lambda x: value_function(PART, SZ, 0, x), 0.5),
+    ("microstate.apply_value_operator", "u"): (REAL, lambda x: apply_value_operator(PART, SZ, 1, x), 0.5),
+    ("microstate.apply_value_operator", "member"): (INTEGER, lambda x: apply_value_operator(PART, SZ, 1, 0.5, x), 0),
+    ("microstate.shift_is_sound", "window_index"): (INTEGER, lambda x: shift_is_sound(H, SZ, x), 2),
+    ("microstate.trajectory", "windows"): (INTEGER, lambda x: trajectory(STATE, H, SZ, SPEC, x), 2),
+    ("partition.build_partition", "window_index"): (INTEGER, lambda x: build_partition(P, x, SPEC), 2),
+    ("partition.build_partition_span", "lo"): (REAL, lambda x: build_partition_span(P, x, 1.0, SPEC, 0), 0.25),
+    ("partition.build_partition_span", "hi"): (REAL, lambda x: build_partition_span(P, 0.0, x, SPEC, 0), 0.75),
+    ("partition.build_partition_span", "window_index"): (
+        INTEGER, lambda x: build_partition_span(P, 0.0, 1.0, SPEC, x), 0),
+    ("partition.step_function", "label"): (INTEGER, lambda x: step_function(PART, x, 0.5), 1),
+    ("partition.step_function", "u"): (REAL, lambda x: step_function(PART, 1, x), 0.5),
+    ("partition.active_label", "u"): (REAL, lambda x: active_label(PART, x), 0.5),
+    ("partition.interval_measure", "label"): (INTEGER, lambda x: interval_measure(PART, x), 1),
+    ("partition.periodic_extend", "window_index"): (INTEGER, lambda x: periodic_extend(PART, x), 2),
+    ("qgrid.GridWavefunction.cell_edges", "k"): (INTEGER, lambda x: GRID.cell_edges(x), 1),
+    ("qgrid.window_renormalize", "k"): (INTEGER, lambda x: window_renormalize(GRID, x), 1),
+    ("qgrid.planck_cell_probability", "k"): (INTEGER, lambda x: planck_cell_probability(window_renormalize(GRID, 1), x), 1),
+    ("qgrid.window_cells", "k_center"): (INTEGER, lambda x: window_cells(GRID, x), 1),
+    ("qgrid.cell_probabilities", "k_center"): (INTEGER, lambda x: cell_probabilities(GRID, x), 1),
+    ("qgrid.position_partition", "k_center"): (INTEGER, lambda x: position_partition(GRID, x, 0, SPEC), 1),
+    ("qgrid.position_partition", "window_index"): (INTEGER, lambda x: position_partition(GRID, 1, x, SPEC), 2),
+    ("qgrid.load_grid", "planck_step"): (REAL, lambda x: load_grid(GRID_FILE, x, 9.0), 1.0),
+    ("qgrid.load_grid", "compton_wavelength"): (REAL, lambda x: load_grid(GRID_FILE, 1.0, x), 9.0),
+    ("qgrid.format_cell_probabilities", "k_center"): (INTEGER, lambda x: format_cell_probabilities(GRID, x), 1),
+    ("runner.run_experiment", "ordinal"): (INTEGER, lambda x: run_experiment(CONFIG, CONFIG.experiments[0], x), 1),
+}
+
+
+def _public_callables():
+    """("module.name" or "module.Class.method", function) for every public callable."""
+    for info in pkgutil.iter_modules(qergo.__path__):
+        if info.name == "testing":
+            continue
+        module = importlib.import_module(f"qergo.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # listed where it is defined
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+NUMERIC = {"float", "int", float, int}
+PARAMETERS = sorted(
+    (qualname, p.name)
+    for qualname, fn in _public_callables()
+    for p in inspect.signature(fn).parameters.values()
+    if p.annotation in NUMERIC
+)
+
+
+def test_every_numeric_parameter_of_the_public_api_has_a_row():
+    assert PARAMETERS, "no public callable found"
+    assert set(PARAMETERS) - set(ROWS) == set(), "numeric parameters without a row"
+    assert set(ROWS) - set(PARAMETERS) == set(), "rows for parameters that no longer exist"
+
+
+# No number of any kind, then what is no real, no integer and no seed besides.
+NO_NUMBER = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e999": 1e999, "'0.5'": "0.5",
+    "None": None, "1j": 1j, "True": True, "np.True_": np.True_, "np.complex128(0.5)": np.complex128(0.5),
+}
+REFUSED = {
+    REAL: {**NO_NUMBER, "10**400": 10**400},  # past the largest float
+    INTEGER: {**NO_NUMBER, "1.5": 1.5, "2.0": 2.0},
+    SEED: {**NO_NUMBER, "1.5": 1.5, "2.0": 2.0, "-1": -1},
+}
+CASES = [
+    pytest.param(row, bad, id=f"{row[0]}({row[1]}={name})")
+    for row in sorted(ROWS) for name, bad in REFUSED[ROWS[row][0]].items()
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row,bad", CASES)
+def test_every_numeric_parameter_refuses_what_is_no_number_of_its_kind(row, bad):
+    _, call, _ = ROWS[row]
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+def _same(a, b) -> bool:
+    """Equal in type and value, field by field and entry by entry."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", sorted(ROWS), ids="{0[0]}({0[1]})".format)
+def test_a_numpy_number_gives_what_the_plain_number_gives(row):
+    kind, call, valid = ROWS[row]
+    as_numpy = np.float64(valid) if kind == REAL else np.int64(valid)
+    assert _same(call(as_numpy), call(valid))
+
+
+# The grid's origin and lengths refuse what is no real number too.  A
+# comparison TypeError escaped for '0.5', None and 1j, origin took True as
+# 1.0, and each numpy complex raised numpy's ComplexWarning.
+GRID_INPUTS = [
+    "GridWavefunction.origin", "GridWavefunction.spacing",
+    "GridWavefunction.planck_step", "GridWavefunction.compton_wavelength",
+]
+NOT_FLOATS = {name: x for name, x in NO_NUMBER.items() if not isinstance(x, float)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NOT_FLOATS.values(), ids=NOT_FLOATS.keys())
+@pytest.mark.parametrize("make", GRID_INPUTS)
+def test_grid_origin_and_lengths_refuse_what_is_no_real_number(make, bad):
+    with pytest.raises(ValueError):
+        MODEL_INPUTS[make](bad)
+
+
+def test_grid_lengths_are_stored_as_floats():
+    wf = _grid(origin=np.float64(-1.0), spacing=np.float64(1.0 / 32.0), planck_step=1, compton_wavelength=np.int64(1))
+    lengths = (wf.origin, wf.spacing, wf.planck_step, wf.compton_wavelength)
+    assert lengths == (-1.0, 1.0 / 32.0, 1.0, 1.0) and all(type(x) is float for x in lengths)
+
+
+# _real takes a plain float by one math.isfinite; every other input takes the
+# general path, kept here as the reference the plain-float test must match.
+def _general_real(x):
+    try:
+        return float(x) if not isinstance(x, _NOT_REAL) and math.isfinite(x) else None
+    except (TypeError, OverflowError):
+        return None
+
+
+class _Float(float):
+    pass
+
+
+DOUBLES = st.floats()  # nan, ±inf, subnormals and -0.0 among them
+REALS = st.one_of(
+    DOUBLES,
+    DOUBLES.map(_Float),
+    DOUBLES.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+)
+
+
+def _as_bits(x):
+    return None if x is None else (type(x), x.hex(), x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(REALS)
+@example(-0.0)
+@example(5e-324)
+@example(_Float(-0.0))
+@example(np.float64(-0.0))
+@example(10**400)
+def test_the_plain_float_test_of_real_agrees_with_its_general_path(x):
+    got, want = _real(x), _general_real(x)
+    assert _as_bits(got) == _as_bits(want)
+    assert got is None or type(got) is float
+
+
+# _integer takes a plain int as it is; the same holds against its general path.
+def _general_integer(x):
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
+class _Int(int):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(), st.integers().map(_Int), st.booleans(), st.floats(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+))
+def test_the_plain_int_test_of_integer_agrees_with_its_general_path(x):
+    got, want = _integer(x), _general_integer(x)
+    assert type(got) is type(want) and got == want

@@ -467,7 +467,8 @@ def test_sequence_records_rejects_a_time_that_is_not_a_real_number(u):
             sequence_records(scenario, sequence, 1, 0)
 
 
-@pytest.mark.parametrize("reorder", [(1,), (0, 0), (0, 1, 2), (), (0, 1.0), (0, True), ("0", "1")], ids=repr)
+# A reorder that is not iterable let "'int' object is not iterable" escape.
+@pytest.mark.parametrize("reorder", [(1,), (0, 0), (0, 1, 2), (), (0, 1.0), (0, True), ("0", "1"), 5, 1.5], ids=repr)
 def test_total_variation_refuses_a_reorder_that_is_no_permutation(reorder):
     one = SequenceDistribution(steps=("sz",), counts={((0,),): 3}, total=3)
     two = SequenceDistribution(steps=("sz", "sx"), counts={((0,), (1,)): 1, ((0,), (0,)): 1}, total=2)
