@@ -303,6 +303,8 @@ def evolve(state: QuantumState, hamiltonian: Hamiltonian, du: float) -> QuantumS
         )
     if du == 0.0:
         return state
+    # Through the public propagator, though its check of du cannot fail here:
+    # a subclass or a test that replaces propagator changes what evolve applies.
     return step(hamiltonian.propagator(du), state)
 
 

@@ -31,7 +31,6 @@ from .partition import (
     SchedulerSpec,
     SubInterval,
     WindowPartition,
-    _check_inside,
     _draw_layouts,
     _index,
     _stretch_table,
@@ -169,11 +168,10 @@ def microstate_at(partition: WindowPartition, cset: CommutingSet, u: float) -> M
     """Resolve the active eigenvector at time ``u`` within one window."""
     if partition.dimension != cset.dimension:
         raise ValueError("partition and commuting set dimensions differ")
-    u = _check_inside(partition, u)
     k = active_label(partition, u)
     return MicrostateSnapshot(
         cset_id=cset.id,
-        time=u,
+        time=float(u),
         label_index=k,
         label=cset.labels[k],
         eigenvalues=cset.eigenvalues[k],

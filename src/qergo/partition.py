@@ -81,12 +81,9 @@ def _integer(x) -> int | None:
     """``x`` as an int if it is an integer, numpy integers included, else None.
 
     The one place that decides what counts as an integer: a bool does not,
-    nor does 1.5 or 2.0.  A plain int, the common case, is taken as it is;
-    ``operator.index`` keeps the other checks cheap enough for every layout
-    build.
+    nor does 1.5 or 2.0.  ``operator.index`` keeps the check cheap enough
+    for every layout build.
     """
-    if type(x) is int:
-        return x
     try:
         return None if isinstance(x, bool) else operator.index(x)
     except TypeError:

@@ -12,7 +12,6 @@ import dataclasses
 import importlib
 import inspect
 import math
-import operator
 import pkgutil
 import re
 from pathlib import Path
@@ -52,7 +51,6 @@ from qergo.microstate import (
 from qergo.partition import (
     _NOT_REAL,
     SchedulerSpec,
-    _integer,
     _real,
     active_label,
     build_partition,
@@ -453,25 +451,3 @@ def test_the_plain_float_test_of_real_agrees_with_its_general_path(x):
     got, want = _real(x), _general_real(x)
     assert _as_bits(got) == _as_bits(want)
     assert got is None or type(got) is float
-
-
-# _integer takes a plain int as it is; the same holds against its general path.
-def _general_integer(x):
-    try:
-        return None if isinstance(x, bool) else operator.index(x)
-    except TypeError:
-        return None
-
-
-class _Int(int):
-    pass
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    st.integers(), st.integers().map(_Int), st.booleans(), st.floats(),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
-))
-def test_the_plain_int_test_of_integer_agrees_with_its_general_path(x):
-    got, want = _integer(x), _general_integer(x)
-    assert type(got) is type(want) and got == want

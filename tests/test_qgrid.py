@@ -203,24 +203,27 @@ def test_grid_structure_validation():
                          planck_step=2.0, compton_wavelength=1.0)
 
 
-# An infinite length is no finite real number, so it is refused with the
-# lengths' own message before any ratio is formed.
-NOT_FINITE = "spacing, planck_step, and compton_wavelength must be positive and finite"
-
-
 @pytest.mark.parametrize(
     "spacing, planck_step, compton_wavelength, message",
     [
         (1e-10 / 16, 1e-10, 1e300, "compton_wavelength/planck_step must be an odd positive integer, got inf"),
-        (1.0 / 32.0, 1.0, math.inf, NOT_FINITE),
         (1e-300, 1e10, 1e10, "planck_step/spacing must be an even integer >= 16, got inf"),
-        (1.0 / 32.0, math.inf, math.inf, NOT_FINITE),
-        (math.inf, math.inf, math.inf, NOT_FINITE),
     ],
 )
 def test_overflowing_grid_ratio_is_a_value_error(spacing, planck_step, compton_wavelength, message):
-    # round(inf) raises OverflowError and round(nan) a ValueError about
-    # converting NaN; neither may escape from the structure checks.
+    # round(inf) raises OverflowError; it may not escape from the structure
+    # checks when two finite lengths give an infinite ratio.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridWavefunction(samples=np.full(65, 1.0 + 0.0j), origin=0.0, spacing=spacing,
+                         planck_step=planck_step, compton_wavelength=compton_wavelength)
+
+
+@pytest.mark.parametrize(
+    "spacing, planck_step, compton_wavelength",
+    [(1.0 / 32.0, 1.0, math.inf), (1.0 / 32.0, math.inf, math.inf), (math.inf, math.inf, math.inf)],
+)
+def test_an_infinite_grid_length_is_refused_before_any_ratio(spacing, planck_step, compton_wavelength):
+    message = "spacing, planck_step, and compton_wavelength must be positive and finite"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GridWavefunction(samples=np.full(65, 1.0 + 0.0j), origin=0.0, spacing=spacing,
                          planck_step=planck_step, compton_wavelength=compton_wavelength)
