@@ -50,6 +50,7 @@ import hashlib
 import cmath
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, get_args
 
@@ -242,13 +243,11 @@ def _parse_fields(block: _Block, cls, **given):
 
     The field's type picks the parser; a field with a default may be left
     out.  Keys (and ``SchedulerSpec`` sub-blocks) that name no field of
-    ``cls`` are rejected, except ``kind`` when ``cls`` has one.
+    ``cls`` are rejected, except ``kind``, which every class read here has.
     """
     cls_fields = fields(cls)
     blocks = {f.name for f in cls_fields if f.type == "SchedulerSpec"}
-    keys = {_CONFIG_KEYS.get(f.name, f.name) for f in cls_fields} - blocks
-    if hasattr(cls, "kind"):
-        keys.add("kind")
+    keys = {_CONFIG_KEYS.get(f.name, f.name) for f in cls_fields} - blocks | {"kind"}
     _reject_unknown(block, keys, blocks)
     kwargs = dict(given)
     for f in cls_fields:
@@ -273,6 +272,12 @@ def _parse_scheduler(block: _Block | None) -> SchedulerSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class TrajectoryExperiment:
+    """The ``trajectory`` kind, and the base of every kind that reads a trajectory.
+
+    A kind reads the trajectory of one set over ``windows`` windows exactly
+    when it derives from this class; see :meth:`ScenarioConfig.trajectory_for`.
+    """
+
     kind: ClassVar[str] = "trajectory"
     name: str
     cset_id: str | None
@@ -280,32 +285,23 @@ class TrajectoryExperiment:
 
 
 @dataclass(frozen=True, kw_only=True)
-class BornSamplingExperiment:
+class BornSamplingExperiment(TrajectoryExperiment):
     kind: ClassVar[str] = "born-sampling"
-    name: str
-    cset_id: str | None
-    windows: int
     window: int = 0
     samples: int
     seed: int
 
 
 @dataclass(frozen=True, kw_only=True)
-class OffsetAverageExperiment:
+class OffsetAverageExperiment(TrajectoryExperiment):
     kind: ClassVar[str] = "offset-average"
-    name: str
-    cset_id: str | None
-    windows: int
     alpha: float
     member: int = 0
 
 
 @dataclass(frozen=True, kw_only=True)
-class SubTauExperiment:
+class SubTauExperiment(TrajectoryExperiment):
     kind: ClassVar[str] = "sub-tau"
-    name: str
-    cset_id: str | None
-    windows: int
     delta: float
     pairs: int
     seed: int
@@ -358,42 +354,38 @@ class ScenarioConfig:
     output_dir: str
     base_dir: Path
     sha256: str
-    # (set id, windows) -> the experiments that read that trajectory, in order.
-    _readers: dict = field(init=False, repr=False)
-    # (set id, windows) -> (position of its next reader in _readers, trajectory).
+    # (set id, windows) -> the trajectory held for that key's next read.
     _held: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        readers = {}
-        for exp in self.experiments:
-            if hasattr(exp, "windows"):  # the kinds that read a trajectory
-                readers.setdefault(self._key(exp), []).append(exp)
-        object.__setattr__(self, "_readers", {k: tuple(v) for k, v in readers.items()})
-
-    def _key(self, exp) -> tuple[str, int]:
+    def _key(self, exp: TrajectoryExperiment) -> tuple[str, int]:
         return self.scenario.cset(exp.cset_id).id, exp.windows
 
-    def trajectory_for(self, exp: Experiment) -> JumpTrajectory:
+    @cached_property
+    def _last(self) -> dict:
+        """(set id, windows) -> the last experiment of the config that reads it."""
+        return {self._key(e): e for e in self.experiments if isinstance(e, TrajectoryExperiment)}
+
+    def trajectory_for(self, exp: TrajectoryExperiment) -> JumpTrajectory:
         """The trajectory ``exp`` reads, shared with its config's other readers.
 
-        Experiments that name the same set (``None`` resolved to the only
-        one) over the same windows read one trajectory: the first reader's
-        read builds it, and it is held for the next reader only, so it is
-        dropped after the last and a trajectory read once is never held.
-        Every reader gets the same read-only object, the one a rebuild
-        would give.  A read out of turn (out of order, or a second read)
-        builds the trajectory again.
+        The readers are the :class:`TrajectoryExperiment` kinds: trajectory,
+        born-sampling, offset-average and sub-tau.  Those that name the same
+        set (``None`` resolved to the only one) over the same windows read
+        one trajectory.  A read takes the trajectory held for its key, or
+        builds it, and holds it again unless ``exp`` is the key's last
+        reader in the config (or the key has none).  So at most one
+        trajectory per key is held, the last reader drops it, and a
+        trajectory read once is never held.  Every reader gets the same
+        read-only object, the one a rebuild would give.  Reads out of
+        declaration order, which only direct
+        :func:`~qergo.runner.run_experiment` calls make, follow the same
+        rule: the held trajectory serves the next read of its key, whichever
+        reader makes it.
         """
         key = self._key(exp)
-        readers = self._readers.get(key, ())
-        held = self._held.pop(key, None)
-        if held is not None and readers[held[0]] is exp:
-            turn, traj = held
-        else:
-            turn = next((i for i, r in enumerate(readers) if r is exp), len(readers))
-            traj = self.scenario.build_trajectory(*key)
-        if turn + 1 < len(readers):
-            self._held[key] = (turn + 1, traj)
+        traj = self._held.pop(key, None) or self.scenario.build_trajectory(*key)
+        if self._last.get(key, exp) is not exp:
+            self._held[key] = traj
         return traj
 
 
@@ -431,7 +423,7 @@ def _parse_experiment(block: _Block, ordinal: int, cset_ids: set[str]) -> Experi
 
     given = {"name": name}
     field_names = {f.name for f in fields(cls)}
-    if "cset_id" in field_names:
+    if issubclass(cls, TrajectoryExperiment):
         e = block.one("csco", required=False)
         if e is not None and e.value not in cset_ids:
             raise ConfigError(f"unknown csco id {e.value!r}", e.line)

@@ -38,11 +38,7 @@ _BLOCK = 1 << 16
 # Each sub-tau block searches every stretch bound of the trajectory twice, so
 # its blocks also hold at least this many reads per stretch, which keeps the
 # searches a small share of the sort on long trajectories.  A read costs 11
-# bytes of block (its double, two one-byte labels, one match flag), so 24
-# reads per stretch hold less than the 16 x 25 bytes that intp labels took,
-# while each search serves 1.5x as many reads.  32 was at most a few percent
-# faster than 24, but its peak passed that of 16 with intp labels (d=16,
-# 126 windows, 5e5 pairs: tracemalloc 2.8 MiB against 2.5, and 2.1 at 24).
+# bytes of block (its double, two one-byte labels, one match flag).
 _READS_PER_STRETCH = 24
 
 

@@ -67,7 +67,6 @@ class QuantumState:
     """
 
     amplitudes: np.ndarray
-    input_norm: float = 1.0
     renormalized: bool = False
 
     def __post_init__(self):
@@ -106,7 +105,6 @@ def _unit_state(vec: np.ndarray) -> QuantumState:
     """
     state = object.__new__(QuantumState)
     object.__setattr__(state, "amplitudes", _readonly(vec))
-    object.__setattr__(state, "input_norm", 1.0)
     object.__setattr__(state, "renormalized", False)
     return state
 
@@ -114,8 +112,6 @@ def _unit_state(vec: np.ndarray) -> QuantumState:
 def make_state(amplitudes) -> QuantumState:
     """Normalize raw amplitudes into a :class:`QuantumState`.
 
-    The Euclidean norm of the input is recorded on the result as
-    ``input_norm`` so callers can audit how much rescaling happened.
     Rejects the zero vector and non-finite amplitudes.
     """
     vec = np.asarray(amplitudes, dtype=np.complex128)
@@ -131,8 +127,18 @@ def make_state(amplitudes) -> QuantumState:
             raise ValueError("cannot normalize a zero or non-finite vector")
         vec = vec / scale
         unit = float(np.linalg.norm(vec))
-        return QuantumState(vec / unit, input_norm=scale * unit)
-    return QuantumState(vec / nrm, input_norm=nrm)
+        return QuantumState(vec / unit)
+    return QuantumState(vec / nrm)
+
+
+def _label_text(label) -> str:
+    """A multi-index label as every artifact writes it: ``0`` or ``0:1``."""
+    return ":".join(map(str, label))
+
+
+def _eigenvalue_text(eigenvalues) -> str:
+    """An eigenvalue tuple as every artifact writes it: repr floats, colon-joined."""
+    return ":".join(map(repr, eigenvalues))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import CommutingSet, QuantumState, evolve
+from .hilbert import CommutingSet, QuantumState, _eigenvalue_text, _label_text, evolve
 from .microstate import LayoutBase, Scenario, span_partition
 from .partition import WindowPartition, _integer, _real, _seed, active_label
 # Unused here: every layout goes through span_partition.  The name stays bound
@@ -404,8 +404,7 @@ def format_measurement_log(records_per_run: Sequence[Sequence[MeasurementRecord]
         for step, rec in enumerate(records):
             key = (rec.cset_id, rec.outcome_label, rec.outcome_eigenvalues)
             if (tail := tails.get(key)) is None:
-                lab = ":".join(str(i) for i in rec.outcome_label)
-                eig = ":".join(repr(x) for x in rec.outcome_eigenvalues)
+                lab, eig = _label_text(rec.outcome_label), _eigenvalue_text(rec.outcome_eigenvalues)
                 tail = tails[key] = f"{rec.cset_id},{lab},{eig}"
             lines.append(f"{run_id},{step},{rec.time!r},{tail}")
     return "\n".join(lines) + "\n"
@@ -419,6 +418,6 @@ def format_sequence_distribution(dist: SequenceDistribution) -> str:
     """
     lines = ["sequence,count,frequency"]
     for key, c in sorted(dist.counts.items()):
-        name = ">".join(":".join(str(i) for i in lab) for lab in key)
+        name = ">".join(map(_label_text, key))
         lines.append(f"{name},{c},{c / dist.total!r}")
     return "\n".join(lines) + "\n"

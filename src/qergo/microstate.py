@@ -22,6 +22,8 @@ from .hilbert import (
     Hamiltonian,
     QuantumState,
     _born_rows,
+    _eigenvalue_text,
+    _label_text,
     born_probabilities,
     off_diagonal_norm,
     step,
@@ -240,6 +242,13 @@ class Scenario:
         dims = {c.dimension for c in self.csets} | {self.hamiltonian.dimension}
         if dims != {self.state0.dimension}:
             raise ValueError("state, hamiltonian and commuting set dimensions must agree")
+        if not isinstance(self.schedulers, dict):
+            raise ValueError(f"schedulers must map set ids to SchedulerSpecs, got {self.schedulers!r}")
+        for cid, spec in self.schedulers.items():
+            if cid not in by_id:
+                raise ValueError(f"scheduler given for {cid!r}, which names no commuting set")
+            if not isinstance(spec, SchedulerSpec):
+                raise ValueError(f"scheduler for {cid!r} must be a SchedulerSpec, got {spec!r}")
 
     def cset(self, cset_id: str | None = None) -> CommutingSet:
         if cset_id is None:
@@ -396,8 +405,8 @@ def dump_trajectory(traj: JumpTrajectory) -> str:
     formats the rows a block at a time straight from the trajectory's
     arrays.
     """
-    heads = [f",{':'.join(str(i) for i in lab)}," for lab in traj.cset.labels]
-    tails = [f",{':'.join(repr(x) for x in ev)}\n" for ev in traj.cset.eigenvalues]
+    heads = [f",{_label_text(lab)}," for lab in traj.cset.labels]
+    tails = [f",{_eigenvalue_text(ev)}\n" for ev in traj.cset.eigenvalues]
     return _stretch_table(
         "window,label,lo,hi,eigenvalues\n", traj.bounds, traj.labels, traj.offsets, 0, heads, tails
     )

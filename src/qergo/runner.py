@@ -34,7 +34,7 @@ from .ergodic import (
     sample_born,
     sub_tau_correlation,
 )
-from .hilbert import evolve, expectation
+from .hilbert import _label_text, evolve, expectation
 from .measurement import (
     format_measurement_log,
     format_sequence_distribution,
@@ -59,10 +59,6 @@ MANIFEST = "manifest.txt"
 Artifacts = list[tuple[str, str]]
 
 
-def _label_name(label: tuple[int, ...]) -> str:
-    return ":".join(str(i) for i in label)
-
-
 def _run_trajectory(config: ScenarioConfig, exp: TrajectoryExperiment, prefix: str):
     traj = config.trajectory_for(exp)
     return [(f"{prefix}.csv", dump_trajectory(traj))], traj.renorm_events
@@ -73,7 +69,7 @@ def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, pref
     dist = sample_born(traj, exp.samples, exp.seed, window=exp.window)
     exact = traj.probabilities[exp.window]
     rows = [
-        (exp.name, _label_name(traj.cset.labels[k]), dist.estimate(k), dist.stderr[k], float(exact[k]))
+        (exp.name, _label_text(traj.cset.labels[k]), dist.estimate(k), dist.stderr[k], float(exact[k]))
         for k in range(traj.cset.dimension)
     ]
     return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qergo import load_config
+from qergo import load_config, parse_config_text
 from qergo.cli import main
 from qergo.errors import InvariantViolation
 from qergo.hilbert import QuantumState
@@ -155,6 +155,71 @@ def test_a_shared_trajectory_is_held_until_its_last_reader_only(monkeypatch):
     assert run_experiment(config, offset, 2) == last
     assert run_experiment(config, born, 1) == first
     assert len(built) == 4 and built[2][1]() is None and built[3][1]() is not None
+
+
+INTERLEAVED_SYSTEM = """
+system {
+  dimension = 2
+  state = 0.6, 0.8
+  hamiltonian {
+    row = 0.3, 0.7
+    row = 0.7, -0.2
+  }
+}
+csco {
+  id = sz
+  basis {
+    row = 1, 0
+    row = 0, 1
+  }
+  labels = (0), (1)
+  eigenvalues = (1), (-1)
+}
+csco {
+  id = sx
+  basis {
+    row = 0.7071067811865476, 0.7071067811865476
+    row = 0.7071067811865476, -0.7071067811865476
+  }
+  labels = (0), (1)
+  eigenvalues = (1), (-1)
+  scheduler {
+    kind = seeded-random
+    max_subintervals = 3
+  }
+}
+"""
+
+# Two keys read in the order A, B, A, B: (sz, 3 windows) and (sx, 4 windows).
+INTERLEAVED_EXPERIMENTS = [
+    "kind = born-sampling\n  id = a1\n  csco = sz\n  windows = 3\n  window = 1\n  samples = 500\n  seed = 3",
+    "kind = sub-tau\n  id = b1\n  csco = sx\n  windows = 4\n  delta = 0.2\n  pairs = 500\n  seed = 5",
+    "kind = offset-average\n  id = a2\n  csco = sz\n  windows = 3\n  alpha = 1.25",
+    "kind = trajectory\n  id = b2\n  csco = sx\n  windows = 4",
+]
+
+
+def _interleaved_config(experiments):
+    blocks = "".join(f"experiment {{\n  {e}\n}}\n" for e in experiments)
+    return parse_config_text(INTERLEAVED_SYSTEM + blocks)
+
+
+def test_interleaved_readers_share_one_build_per_key_held_until_its_own_last_reader(monkeypatch):
+    config = _interleaved_config(INTERLEAVED_EXPERIMENTS)
+    built = _record_builds(monkeypatch)
+    alive = []
+    results = []
+    for i, exp in enumerate(config.experiments):
+        results.append(run_experiment(config, exp, i))
+        alive.append([ref() is not None for _, ref in built])
+    assert [windows for windows, _ in built] == [3, 4]  # one build per key
+    # A is held after a1 and b1, and dropped after a2, its last reader; B is
+    # held after b1 and a2, and dropped after b2.
+    assert alive == [[True], [True, True], [False, True], [False, False]]
+    # Each experiment gives the artifacts it gives when it runs alone.
+    for i, (exp, result) in enumerate(zip(INTERLEAVED_EXPERIMENTS, results)):
+        alone = _interleaved_config([exp])
+        assert run_experiment(alone, alone.experiments[0], i) == result
 
 
 def test_config_scenario_is_built_once(tmp_path, monkeypatch):

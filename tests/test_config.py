@@ -1,7 +1,9 @@
 """Scenario-file parsing: grammar, diagnostics, strictness."""
 
 import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
 from string import Template
 
@@ -18,6 +20,7 @@ from qergo.config import (
     SequentialExperiment,
     SubTauExperiment,
     TrajectoryExperiment,
+    _EXPERIMENT_KINDS,
     _Entry,
     _parse_complex_token,
     load_config,
@@ -716,3 +719,18 @@ def test_every_config_error_in_config_py_carries_a_line():
         )
         assert line is not None, f"config.py:{call.lineno}: ConfigError without a line"
         assert not (isinstance(line, ast.Constant) and line.value is None), call.lineno
+
+
+def _reads_a_trajectory(run) -> bool:
+    """Whether the runner ``run`` calls ``config.trajectory_for``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(run)))
+    return any(isinstance(n, ast.Attribute) and n.attr == "trajectory_for" for n in ast.walk(tree))
+
+
+def test_a_kind_derives_from_trajectory_experiment_exactly_when_its_runner_reads_a_trajectory():
+    from qergo.runner import _RUNNERS
+
+    assert set(_RUNNERS) == set(_EXPERIMENT_KINDS.values())
+    reads = {cls.kind for cls, run in _RUNNERS.items() if _reads_a_trajectory(run)}
+    derived = {cls.kind for cls in _RUNNERS if issubclass(cls, TrajectoryExperiment)}
+    assert reads == derived == {"trajectory", "born-sampling", "offset-average", "sub-tau"}

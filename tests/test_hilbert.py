@@ -23,7 +23,6 @@ from qergo.testing import haar_unitary, random_cset, random_hamiltonian, random_
 def test_make_state_already_normalized():
     s = make_state([1.0, 0.0])
     assert np.array_equal(s.amplitudes, np.array([1.0, 0.0], dtype=complex))
-    assert s.input_norm == 1.0
 
 
 def test_make_state_345_is_exact():
@@ -33,10 +32,9 @@ def test_make_state_345_is_exact():
     assert float(np.linalg.norm(s.amplitudes)) == 1.0
 
 
-def test_make_state_scales_and_records_norm():
+def test_make_state_scales_to_unit_norm():
     s = make_state([2.0, 0.0, 0.0])
     assert np.array_equal(s.amplitudes, np.array([1.0, 0.0, 0.0], dtype=complex))
-    assert s.input_norm == 2.0
 
 
 def test_make_state_rejects_zero_vector():
@@ -274,20 +272,20 @@ def test_propagator_refuses_what_evolve_refuses_with_its_message(du):
 
 
 @pytest.mark.parametrize(
-    "vec, norm, unit",
+    "vec, unit",
     [
-        ([1e200, 1e200], 1e200 * math.sqrt(2.0), [0.5**0.5, 0.5**0.5]),
-        ([1e154, 1e154], 1e154 * math.sqrt(2.0), [0.5**0.5, 0.5**0.5]),
-        ([1e308 + 1e308j, 0.0], 1e308 * math.sqrt(2.0), [0.5**0.5 + 0.5**0.5 * 1j, 0.0]),
-        ([1e-200, 0.0], 1e-200, [1.0, 0.0]),
-        ([1e-160, 0.0], 1e-160, [1.0, 0.0]),
-        ([3e-170, -4e-170j], 5e-170, [0.6, -0.8j]),
+        ([1e200, 1e200], [0.5**0.5, 0.5**0.5]),
+        ([1e154, 1e154], [0.5**0.5, 0.5**0.5]),
+        ([1e308 + 1e308j, 0.0], [0.5**0.5 + 0.5**0.5 * 1j, 0.0]),
+        ([1e-200, 0.0], [1.0, 0.0]),
+        ([1e-160, 0.0], [1.0, 0.0]),
+        ([3e-170, -4e-170j], [0.6, -0.8j]),
     ],
     ids=repr,
 )
-def test_make_state_normalizes_vectors_whose_squares_overflow_or_underflow(vec, norm, unit):
+def test_make_state_normalizes_vectors_whose_squares_overflow_or_underflow(vec, unit):
     s = make_state(vec)
-    assert s.input_norm == pytest.approx(norm, rel=1e-15)
+    assert abs(float(np.linalg.norm(s.amplitudes)) - 1.0) <= 1e-15
     assert np.max(np.abs(s.amplitudes - np.array(unit, dtype=complex))) <= 1e-15
 
 
@@ -307,9 +305,7 @@ def test_make_state_divides_ordinary_vectors_by_their_plain_norm():
         d = int(rng.integers(1, 9))
         vec = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 10.0 ** rng.uniform(-140, 150)
         s = make_state(vec)
-        nrm = np.linalg.norm(vec)
-        assert s.input_norm == nrm
-        assert np.array_equal(s.amplitudes, vec / nrm)
+        assert np.array_equal(s.amplitudes, vec / np.linalg.norm(vec))
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)]

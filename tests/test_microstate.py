@@ -348,6 +348,20 @@ def test_scenario_validation_and_build():
         Scenario(state0=make_state([1.0, 0.0, 0.0]), hamiltonian=H, csets=(sz,), schedulers={})
 
 
+@pytest.mark.parametrize(
+    "schedulers,named",
+    [
+        ({"sZ": SchedulerSpec(kind="seeded-random", max_subintervals=3)}, "'sZ'"),
+        ({"sz": "seeded-random"}, "'seeded-random'"),
+        (None, "None"),
+    ],
+)
+def test_scenario_refuses_a_scheduler_it_cannot_use(schedulers, named):
+    s, H = make_state([1.0, 0.0]), Hamiltonian(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Scenario(state0=s, hamiltonian=H, csets=(sigma_z_set(),), schedulers=schedulers)
+
+
 def test_partitions_are_views_into_the_trajectory_arrays():
     rng = np.random.default_rng(37)
     traj = trajectory(
