@@ -12,6 +12,8 @@ state at every integer crossing.
 from __future__ import annotations
 
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,15 +224,16 @@ class Scenario:
     """A closed-system setup: initial state, generator, observable sets.
 
     ``schedulers`` maps commuting-set ids to layout strategies; sets without
-    an entry get the default contiguous layout.  How many windows a
-    trajectory covers is the caller's choice, made per
-    :meth:`build_trajectory` call.
+    an entry get the default contiguous layout.  The scenario checks and
+    keeps a read-only copy of it, so a later change to the mapping passed in
+    cannot reach it.  How many windows a trajectory covers is the caller's
+    choice, made per :meth:`build_trajectory` call.
     """
 
     state0: QuantumState
     hamiltonian: Hamiltonian
     csets: tuple[CommutingSet, ...]
-    schedulers: dict[str, SchedulerSpec]
+    schedulers: Mapping[str, SchedulerSpec]
 
     def __post_init__(self):
         if not self.csets:
@@ -242,13 +245,15 @@ class Scenario:
         dims = {c.dimension for c in self.csets} | {self.hamiltonian.dimension}
         if dims != {self.state0.dimension}:
             raise ValueError("state, hamiltonian and commuting set dimensions must agree")
-        if not isinstance(self.schedulers, dict):
+        if not isinstance(self.schedulers, Mapping):
             raise ValueError(f"schedulers must map set ids to SchedulerSpecs, got {self.schedulers!r}")
-        for cid, spec in self.schedulers.items():
+        schedulers = dict(self.schedulers)
+        for cid, spec in schedulers.items():
             if cid not in by_id:
                 raise ValueError(f"scheduler given for {cid!r}, which names no commuting set")
             if not isinstance(spec, SchedulerSpec):
                 raise ValueError(f"scheduler for {cid!r} must be a SchedulerSpec, got {spec!r}")
+        object.__setattr__(self, "schedulers", types.MappingProxyType(schedulers))
 
     def cset(self, cset_id: str | None = None) -> CommutingSet:
         if cset_id is None:
@@ -395,18 +400,27 @@ def trajectory(
     return JumpTrajectory(cset, *arrays, renorms)
 
 
-def dump_trajectory(traj: JumpTrajectory) -> str:
-    """Render a trajectory as CSV text, one row per constant stretch.
+def _trajectory_blocks(traj: JumpTrajectory) -> list[str]:
+    """:func:`dump_trajectory`'s text as :func:`~qergo.partition._stretch_table`'s blocks.
 
-    Columns: window, label (colon-joined multi-index), lo, hi, eigenvalues
-    (colon-joined, repr floats).  Rows are in time order; floats use repr
-    so a dump/parse round trip is bit-exact.  The label and eigenvalue text
-    is built once per label, and :func:`~qergo.partition._stretch_table`
-    formats the rows a block at a time straight from the trajectory's
-    arrays.
+    The label and eigenvalue text is built once per label, and the rows are
+    formatted a block at a time straight from the trajectory's arrays.  The
+    blocks hold no reference to ``traj``.
     """
     heads = [f",{_label_text(lab)}," for lab in traj.cset.labels]
     tails = [f",{_eigenvalue_text(ev)}\n" for ev in traj.cset.eigenvalues]
     return _stretch_table(
         "window,label,lo,hi,eigenvalues\n", traj.bounds, traj.labels, traj.offsets, 0, heads, tails
     )
+
+
+def dump_trajectory(traj: JumpTrajectory) -> str:
+    """Render a trajectory as CSV text, one row per constant stretch.
+
+    Columns: window, label (colon-joined multi-index), lo, hi, eigenvalues
+    (colon-joined, repr floats).  Rows are in time order; floats use repr
+    so a dump/parse round trip is bit-exact.  The text is the join of the
+    blocks that :func:`~qergo.runner.run_scenario` writes to a trajectory
+    artifact.
+    """
+    return "".join(_trajectory_blocks(traj))

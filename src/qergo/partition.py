@@ -614,23 +614,25 @@ def check_partition(partition: WindowPartition) -> float:
     return worst
 
 
-# Stretch rows that _stretch_table formats at a time: its lists hold one
-# block's strings, never a whole trajectory's.
+# Stretch rows that _stretch_table formats into one string: its field lists
+# hold one block's strings, never a whole trajectory's.
 _TABLE_ROWS = 512
 
 
 def _stretch_table(
     header: str, bounds: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
     first_window: int, heads: list[str], tails: list[str],
-) -> str:
-    """CSV text of one row per stretch under ``header``, in time order.
+) -> list[str]:
+    """CSV text of one row per stretch under ``header``, in time order, as blocks.
 
     Stretch ``i`` is ``(bounds[i], bounds[i+1]]`` with label index
     ``labels[i]``, and window ``first_window + n`` owns stretches
     ``offsets[n]`` to ``offsets[n+1] - 1``.  A stretch of label ``k`` in
     window ``N`` reads ``f"{N}{heads[k]}{lo!r},{hi!r}{tails[k]}"``.  Rows are
     formatted ``_TABLE_ROWS`` at a time: each bound is repr'd once, and each
-    block's fields are slotted into one list that is joined once.
+    block's fields are slotted into one list that is joined once.  Returns
+    ``header``, then one string per block; the text is their join, which a
+    writer can leave to the file.
     """
     heads, tails = np.array(heads, object), np.array(tails, object)
     out = [header]
@@ -648,7 +650,7 @@ def _stretch_table(
         rows[4::6] = r[1:]
         rows[5::6] = tails[k].tolist()
         out.append("".join(rows))
-    return "".join(out)
+    return out
 
 
 def dump_partition(partition: WindowPartition) -> str:
@@ -659,7 +661,7 @@ def dump_partition(partition: WindowPartition) -> str:
     trajectory of this one window.
     """
     labels, d = partition.labels, partition.dimension
-    return _stretch_table(
+    return "".join(_stretch_table(
         "window_index,label,lo,hi\n", partition.bounds, labels, np.array([0, labels.size]),
         partition.window_index, [f",{k}," for k in range(d)], ["\n"] * d,
-    )
+    ))

@@ -1,11 +1,14 @@
 """Execute scenario configs and write deterministic artifact files.
 
-Every experiment is computed in memory first; files only touch disk once
-the whole scenario has succeeded.  Any failure, in the computation or in
-the writes, leaves a ``FAILED`` marker naming it and removes an earlier
-run's manifest; files written before a failed write can still sit beside
-the marker.  Nothing written here contains a timestamp — two runs of the
-same config are byte-identical.
+Every experiment is computed in memory first, each artifact as
+``(filename, blocks)``: a list of strings that the file holds in order.
+Files only touch disk once the whole scenario has succeeded, and each is
+written block by block, so a trajectory's CSV is never joined or encoded
+whole.  Any failure, in the computation or in the writes, leaves a
+``FAILED`` marker naming it and removes an earlier run's manifest; files
+written before a failed write can still sit beside the marker.  Nothing
+written here contains a timestamp — two runs of the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .measurement import (
     sequence_records,
     SequenceDistribution,
 )
-from .microstate import dump_trajectory
+from .microstate import _trajectory_blocks
 from .partition import _index, dump_partition
 from .qgrid import (
     format_cell_probabilities,
@@ -55,13 +58,13 @@ __all__ = ["run_scenario", "run_experiment", "FAILURE_MARKER"]
 FAILURE_MARKER = "FAILED"
 MANIFEST = "manifest.txt"
 
-# (filename, text) pairs — computed fully before anything is written.
-Artifacts = list[tuple[str, str]]
+# (filename, blocks) pairs — computed fully before anything is written.
+Artifacts = list[tuple[str, list[str]]]
 
 
 def _run_trajectory(config: ScenarioConfig, exp: TrajectoryExperiment, prefix: str):
     traj = config.trajectory_for(exp)
-    return [(f"{prefix}.csv", dump_trajectory(traj))], traj.renorm_events
+    return [(f"{prefix}.csv", _trajectory_blocks(traj))], traj.renorm_events
 
 
 def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, prefix: str):
@@ -72,7 +75,7 @@ def _run_born_sampling(config: ScenarioConfig, exp: BornSamplingExperiment, pref
         (exp.name, _label_text(traj.cset.labels[k]), dist.estimate(k), dist.stderr[k], float(exact[k]))
         for k in range(traj.cset.dimension)
     ]
-    return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events
+    return [(f"{prefix}.csv", [format_statistics(rows)])], traj.renorm_events
 
 
 def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, prefix: str):
@@ -82,7 +85,7 @@ def _run_offset_average(config: ScenarioConfig, exp: OffsetAverageExperiment, pr
     at_alpha = evolve(scenario.state0, scenario.hamiltonian, exp.alpha)
     exact = expectation(at_alpha, traj.cset, exp.member)
     rows = [(exp.name, f"member-{exp.member}", est, 0.0, exact)]
-    return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events
+    return [(f"{prefix}.csv", [format_statistics(rows)])], traj.renorm_events
 
 
 def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
@@ -90,7 +93,7 @@ def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
     corr = sub_tau_correlation(traj, exp.delta, exp.pairs, exp.seed)
     exact = same_outcome_measure(traj, exp.delta, corr.base_windows)
     rows = [(exp.name, f"lag-{exp.delta!r}", corr.same_fraction, corr.stderr, exact)]
-    return [(f"{prefix}.csv", format_statistics(rows))], traj.renorm_events
+    return [(f"{prefix}.csv", [format_statistics(rows)])], traj.renorm_events
 
 
 def _run_sequential(config: ScenarioConfig, exp: SequentialExperiment, prefix: str):
@@ -100,8 +103,8 @@ def _run_sequential(config: ScenarioConfig, exp: SequentialExperiment, prefix: s
         renorms += sys.renorm_events
     dist = SequenceDistribution.from_runs(exp.steps, histories)
     files = [
-        (f"{prefix}-log.csv", format_measurement_log(histories)),
-        (f"{prefix}-summary.csv", format_sequence_distribution(dist)),
+        (f"{prefix}-log.csv", [format_measurement_log(histories)]),
+        (f"{prefix}-summary.csv", [format_sequence_distribution(dist)]),
     ]
     return files, renorms
 
@@ -112,8 +115,8 @@ def _run_qgrid(config: ScenarioConfig, exp: QGridExperiment, prefix: str):
     wf = window_renormalize(wf, exp.center_cell)
     part = position_partition(wf, exp.center_cell, exp.window_index, exp.scheduler)
     files = [
-        (f"{prefix}-cells.csv", format_cell_probabilities(wf, exp.center_cell)),
-        (f"{prefix}-partition.csv", dump_partition(part)),
+        (f"{prefix}-cells.csv", [format_cell_probabilities(wf, exp.center_cell)]),
+        (f"{prefix}-partition.csv", [dump_partition(part)]),
     ]
     return files, 0
 
@@ -132,7 +135,8 @@ def run_experiment(config: ScenarioConfig, exp: Experiment, ordinal: int):
     """Compute one experiment's artifacts in memory.
 
     Returns ``(artifacts, renorm_events)`` where artifacts is a list of
-    (filename, text) pairs.  Nothing is written to disk here.
+    ``(filename, blocks)`` pairs: the file's text is ``"".join(blocks)``.
+    Nothing is written to disk here.
     """
     return _RUNNERS[type(exp)](config, exp, f"{_index(ordinal, 'ordinal'):02d}-{exp.name}")
 
@@ -212,9 +216,10 @@ def run_scenario(
         (out / FAILURE_MARKER).unlink(missing_ok=True)
         written: list[Path] = []
         for files in per_experiment_files:
-            for name, text in files:
+            for name, blocks in files:
                 path = out / name
-                path.write_text(text, encoding="utf-8")
+                with path.open("w", encoding="utf-8") as fh:
+                    fh.writelines(blocks)
                 written.append(path)
         manifest_path = out / MANIFEST
         manifest_path.write_text(

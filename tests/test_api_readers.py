@@ -32,6 +32,10 @@ KEEP = {
     "hilbert.is_conserved": "[H, O^j] = 0, the conserved case whose layouts repeat every window",
     "qgrid.planck_cell_probability": "one Planck cell's mass, the oracle cell_probabilities matches bitwise",
     "measurement.advance": "moves the protocol's clock without a measurement; README pins advance(advance(s, 0.3), 2.5)",
+    "microstate.dump_trajectory": (
+        "the one-string form of the blocks the runner writes; perfbench's tracer names it, and "
+        "tests/test_perfbench_contract.py requires it to be public"
+    ),
 }
 
 # ``qergo`` and its modules, the names a module-level function is read through.

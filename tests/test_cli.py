@@ -1,6 +1,7 @@
 """Runner artifacts, reproducibility, exit codes, dump-partition."""
 
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from qergo.cli import main
 from qergo.errors import InvariantViolation
 from qergo.hilbert import QuantumState
 from qergo.measurement import sequence_records
+from qergo.microstate import dump_trajectory
 from qergo.partition import dump_partition
 from qergo.runner import FAILURE_MARKER, run_experiment, run_scenario
 
@@ -220,6 +222,120 @@ def test_interleaved_readers_share_one_build_per_key_held_until_its_own_last_rea
     for i, (exp, result) in enumerate(zip(INTERLEAVED_EXPERIMENTS, results)):
         alone = _interleaved_config([exp])
         assert run_experiment(alone, alone.experiments[0], i) == result
+
+
+SCHEDULED_TRAJECTORY = """
+system {
+  dimension = 2
+  state = 0.6, 0.8
+  hamiltonian {
+    row = 0.3, 0.7
+    row = 0.7, -0.2
+  }
+}
+csco {
+  id = sz
+  basis {
+    row = 1, 0
+    row = 0, 1
+  }
+  labels = (0), (1)
+  eigenvalues = (1), (-1)
+  scheduler {
+    %s
+  }
+}
+experiment {
+  kind = trajectory
+  id = walk
+  windows = 400
+}
+"""
+
+SCHEDULERS = [
+    "kind = contiguous",
+    "kind = two-outcome\n    offset = 0.3",
+    "kind = seeded-random\n    max_subintervals = 3",
+]
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_each_artifact_is_blocks_whose_join_is_the_file_written(tmp_path, config):
+    loaded = load_config(CONFIG_DIR / config)
+    artifacts = [
+        artifact
+        for i, exp in enumerate(loaded.experiments)
+        for artifact in run_experiment(loaded, exp, i)[0]
+    ]
+    run_scenario(CONFIG_DIR / config, out_dir=tmp_path)
+    for name, blocks in artifacts:
+        assert type(blocks) is list and all(type(block) is str for block in blocks)
+        assert (tmp_path / name).read_bytes() == "".join(blocks).encode("utf-8")
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_dump_trajectory_is_the_join_of_the_blocks_the_runner_writes(scheduler):
+    config = parse_config_text(SCHEDULED_TRAJECTORY % scheduler)
+    [(_, blocks)], _ = run_experiment(config, config.experiments[0], 0)
+    assert type(blocks) is list and len(blocks) > 2  # the header and more than one block of rows
+    assert "".join(blocks) == dump_trajectory(config.scenario.build_trajectory("sz", 400))
+
+
+# A driven 4-level system: H does not commute with the set, so every window
+# draws its own seeded-random layout.
+DRIVEN_WALK = """
+system {
+  dimension = 4
+  state = 0.5, 0.5, 0.5, 0.5
+  hamiltonian {
+    row = 0.3, 0.7, 0.1, 0.0
+    row = 0.7, -0.2, 0.4, 0.2
+    row = 0.1, 0.4, 0.5, -0.6
+    row = 0.0, 0.2, -0.6, -0.1
+  }
+}
+csco {
+  id = h
+  basis {
+    row = 1, 0, 0, 0
+    row = 0, 1, 0, 0
+    row = 0, 0, 1, 0
+    row = 0, 0, 0, 1
+  }
+  labels = (0), (1), (2), (3)
+  eigenvalues = (1.5), (-0.25), (3.125), (-2)
+  scheduler {
+    kind = seeded-random
+    max_subintervals = 4
+    seed = 11
+  }
+}
+experiment {
+  kind = trajectory
+  id = walk
+  windows = 1500
+}
+"""
+
+
+def test_the_runner_holds_a_trajectory_csv_once(tmp_path):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text(DRIVEN_WALK)
+    traj = load_config(cfg).scenario.build_trajectory("h", 1500)
+    arrays = sum(a.nbytes for a in (traj.bounds, traj.labels, traj.offsets, traj.probabilities, traj.amplitudes))
+    del traj
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, out_dir=tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csv = (tmp_path / "out" / "00-walk.csv").stat().st_size
+    assert csv > arrays
+    # The trajectory's arrays, its CSV's blocks once, and one block's
+    # formatting lists; a joined copy of the text, or its encoded bytes,
+    # would add another whole CSV.
+    assert peak - arrays < 1.5 * csv, f"{(peak - arrays) / csv:.2f} times the CSV"
 
 
 def test_config_scenario_is_built_once(tmp_path, monkeypatch):

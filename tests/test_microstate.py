@@ -362,6 +362,20 @@ def test_scenario_refuses_a_scheduler_it_cannot_use(schedulers, named):
         Scenario(state0=s, hamiltonian=H, csets=(sigma_z_set(),), schedulers=schedulers)
 
 
+def test_scenario_keeps_a_read_only_copy_of_its_schedulers():
+    s, H = make_state([0.6, 0.8]), Hamiltonian(np.zeros((2, 2)))
+    schedulers = {"sz": TWO_OUTCOME}
+    sc = Scenario(state0=s, hamiltonian=H, csets=(sigma_z_set(),), schedulers=schedulers)
+    schedulers["sz"] = "seeded-random"  # after the checks: must not reach the scenario
+    assert sc.scheduler_for("sz") is TWO_OUTCOME
+    assert sc.build_trajectory("sz", 2).offsets.tolist() == [0, 3, 6]  # two-outcome: 3 stretches a window
+    with pytest.raises(TypeError):
+        sc.schedulers["sX"] = SchedulerSpec()
+    assert dict(sc.schedulers) == {"sz": TWO_OUTCOME}
+    # A scenario's own mapping passes the checks again.
+    assert dataclasses.replace(sc, state0=make_state([1.0, 0.0])).scheduler_for("sz") is TWO_OUTCOME
+
+
 def test_partitions_are_views_into_the_trajectory_arrays():
     rng = np.random.default_rng(37)
     traj = trajectory(
