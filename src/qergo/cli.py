@@ -11,7 +11,8 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, QergoError
-from .partition import dump_partition
+from .microstate import MAX_WINDOWS
+from .partition import _index, dump_partition
 from .runner import run_scenario
 from .verify import verify_suite
 
@@ -63,10 +64,9 @@ def _cmd_dump_partition(args) -> int:
             f"unknown csco id {args.csco!r}; config defines "
             + ", ".join(sorted(c.id for c in scenario.csets))
         )
-    if args.window < 0:
-        raise ValueError("--window must be non-negative")
-    traj = scenario.build_trajectory(args.csco, args.window + 1)
-    sys.stdout.write(dump_partition(traj.partition(args.window)))
+    window = _index(args.window, "--window", 0, MAX_WINDOWS - 1)
+    traj = scenario.build_trajectory(args.csco, window + 1)
+    sys.stdout.write(dump_partition(traj.partition(window)))
     return 0
 
 

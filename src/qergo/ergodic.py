@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import CommutingSet
 from .microstate import JumpTrajectory
-from .partition import WindowPartition, _index, _real, _seed, interval_measure
+from .partition import WindowPartition, _index, _real, interval_measure
 
 __all__ = [
     "EmpiricalDistribution",
@@ -50,7 +50,7 @@ def _uniform_blocks(seed: int, n: int, block: int):
     which the caller should release before asking for the next one.  The
     seed is checked once, before the first draw.
     """
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_index(seed, "seed", 0))
     for start in range(0, n, block):
         yield rng.random(min(block, n - start))
 
@@ -149,12 +149,8 @@ def sample_born(
     the counts are those of one sorted pass, in memory that does not grow
     with ``n_samples``.
     """
-    if (n_samples := _index(n_samples, "n_samples")) < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not 0 <= (window := _index(window, "window")) < traj.windows_covered:
-        raise ValueError(
-            f"window {window} outside the covered range [0, {traj.windows_covered})"
-        )
+    n_samples = _index(n_samples, "n_samples", 1)
+    window = _index(window, "window", 0, traj.windows_covered - 1)
     # window + 1 - U with U in [0, 1) lands in (window, window+1], honouring
     # the half-open convention at both ends.  For window >= 1 the subtraction
     # can round to window itself, so the stretches counted run from the one
@@ -222,8 +218,8 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
     """
     if (delta := _real(delta)) is None or delta < 0.0:
         raise ValueError("delta must be non-negative and finite")
-    base_windows = _index(base_windows, "base_windows")
-    if not (base_windows >= 1 and base_windows + delta <= traj.windows_covered):
+    base_windows = _index(base_windows, "base_windows", 1, traj.windows_covered)
+    if not base_windows + delta <= traj.windows_covered:
         raise ValueError("base span plus delta must fit inside the covered windows")
     if delta == 0.0:
         return 1.0
@@ -260,8 +256,7 @@ def sub_tau_correlation(
     """
     if (delta := _real(delta)) is None or delta < 0.0:
         raise ValueError("delta must be non-negative and finite")
-    if (n_pairs := _index(n_pairs, "n_pairs")) < 1:
-        raise ValueError("n_pairs must be at least 1")
+    n_pairs = _index(n_pairs, "n_pairs", 1)
     span = traj.windows_covered - delta
     if span < 1.0:
         raise ValueError(

@@ -222,9 +222,7 @@ class CommutingSet:
 
     def basis_vector(self, k: int) -> np.ndarray:
         """Copy of eigenvector column ``k``."""
-        if not 0 <= (k := _index(k, "column index")) < self.dimension:
-            raise ValueError(f"column index {k} out of range for dimension {self.dimension}")
-        return self.basis[:, k].copy()
+        return self.basis[:, _index(k, "column index", 0, self.dimension - 1)].copy()
 
     @cached_property
     def _member_columns(self) -> tuple[np.ndarray, ...]:
@@ -234,9 +232,7 @@ class CommutingSet:
 
     def member_values(self, member: int) -> np.ndarray:
         """Read-only eigenvalues of one member observable, one per basis column."""
-        if not 0 <= (member := _index(member, "member")) < self.n_members:
-            raise ValueError(f"member index {member} out of range ({self.n_members} members)")
-        return self._member_columns[member]
+        return self._member_columns[_index(member, "member", 0, self.n_members - 1)]
 
 
 @dataclass(frozen=True, eq=False)

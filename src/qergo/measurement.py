@@ -31,7 +31,7 @@ import numpy as np
 
 from .hilbert import CommutingSet, QuantumState, _eigenvalue_text, _label_text, evolve
 from .microstate import LayoutBase, Scenario, span_partition
-from .partition import WindowPartition, _integer, _real, _seed, active_label
+from .partition import WindowPartition, _index, _integer, _real, active_label
 # Unused here: every layout goes through span_partition.  The name stays bound
 # because perfbench's tracer test expects to rebind measurement.build_partition.
 from .partition import build_partition  # noqa: F401
@@ -340,8 +340,7 @@ def sequence_records(
     """
     if not sequence:
         raise ValueError("sequence must contain at least one measurement")
-    if (n := _integer(n_runs)) is None or n < 1:
-        raise ValueError(f"n_runs must be an integer of at least 1, got {n_runs!r}")
+    n = _index(n_runs, "n_runs", 1)
     times = [u for _, u in sequence]
     if None in map(_real, times):
         raise ValueError(f"measurement times must be finite real numbers, got {times}")
@@ -357,7 +356,7 @@ def sequence_records(
     for cid in ids:
         scenario.cset(cid)  # validate ids up front
     sys0 = SystemUnderObservation.from_scenario(scenario)
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_index(seed, "seed", 0))
 
     def runs():
         for _ in range(n):

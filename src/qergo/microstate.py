@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
-    CONSERVED_TOL,
     CommutingSet,
     Hamiltonian,
     QuantumState,
@@ -27,6 +26,7 @@ from .hilbert import (
     _eigenvalue_text,
     _label_text,
     born_probabilities,
+    is_conserved,
     off_diagonal_norm,
     step,
 )
@@ -35,6 +35,7 @@ from .partition import (
     SchedulerSpec,
     SubInterval,
     WindowPartition,
+    _WINDOW_END,
     _draw_layouts,
     _index,
     _stretch_table,
@@ -125,8 +126,7 @@ class JumpTrajectory:
 
     def partition(self, n: int) -> WindowPartition:
         """Window ``n``'s layout, built on each call from views into the arrays."""
-        if not 0 <= (n := _index(n, "window")) < self.windows_covered:
-            raise ValueError(f"window {n} outside the covered range [0, {self.windows_covered})")
+        n = _index(n, "window", 0, self.windows_covered - 1)
         i, j = self.offsets[n], self.offsets[n + 1]
         return WindowPartition._of(
             n, float(n), n + 1.0, self.probabilities[n], self.bounds[i:j + 1], self.labels[i:j]
@@ -277,15 +277,19 @@ class Scenario:
 def shift_is_sound(hamiltonian: Hamiltonian, cset: CommutingSet, window_index: int) -> bool:
     """Whether window ``window_index`` of ``cset`` may reuse window 0's layout, shifted.
 
-    ``eps`` is the off-diagonal norm of H in the set's basis, memoized per
-    Hamiltonian and set.  The set must be conserved (``eps <= CONSERVED_TOL``),
-    and its weights, which drift by at most ``2 d eps`` per window
-    (``|dp_k/du| <= 2 |H_off| <= 2 d eps``), must stay within ``MEASURE_TOL``
-    of window 0's up to that window.  The answer depends on that window
-    alone, and once false it stays false for every later window.
+    The set must be conserved (:func:`~qergo.hilbert.is_conserved`), and
+    its weights, which drift by at most ``2 d eps`` per window
+    (``|dp_k/du| <= 2 |H_off| <= 2 d eps``, with ``eps`` the off-diagonal
+    norm of H in the set's basis), must stay within ``MEASURE_TOL`` of
+    window 0's up to that window.  The window index is an integer in
+    ``[0, 2**53 - 1]``, as for :func:`~qergo.partition.build_partition`.
+    The answer depends on that window alone, and once false it stays false
+    for every later window.
     """
-    n, eps = _index(window_index, "window_index"), off_diagonal_norm(hamiltonian, cset)
-    return eps <= CONSERVED_TOL and 2 * cset.dimension * eps * n <= MEASURE_TOL
+    n = _index(window_index, "window_index", 0, _WINDOW_END - 1)
+    return is_conserved(hamiltonian, cset) and (
+        2 * cset.dimension * off_diagonal_norm(hamiltonian, cset) * n <= MEASURE_TOL
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,10 +364,7 @@ def trajectory(
     and it is the layout the measurement protocol gives that window before
     any collapse.  Mismatched dimensions are rejected before any step.
     """
-    if (windows := _index(windows, "windows")) < 1:
-        raise ValueError("windows must be at least 1")
-    if windows > MAX_WINDOWS:
-        raise ValueError(f"windows = {windows} exceeds MAX_WINDOWS = {MAX_WINDOWS}")
+    windows = _index(windows, "windows", 1, MAX_WINDOWS)
     if not state0.dimension == hamiltonian.dimension == cset.dimension:
         raise ValueError(
             f"dimension mismatch: state {state0.dimension}, "

@@ -111,21 +111,27 @@ def _real(x) -> float | None:
         return None
 
 
-def _index(x, name: str) -> int:
-    """``x`` as an int (see :func:`_integer`); anything else is a ValueError."""
-    if (n := _integer(x)) is None:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return n
+# The first window index N for which float(N) + 1.0 rounds back to float(N):
+# from here on the window (N, N+1] has no exact float ends, and is empty.
+_WINDOW_END = 2**53
 
 
-def _seed(seed) -> int:
-    """``seed`` as an int if it is a non-negative integer; anything else is a ValueError.
+def _index(x, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int (see :func:`_integer`) in ``[lo, hi]``; anything else is a ValueError.
 
-    Every caller that draws from a seed checks it once, before its first draw.
+    The one place that decides an integer argument and its range.  Either
+    bound may be left open (``None``); a range with an upper bound has a
+    lower one too.  A window index is one of ``[0, _WINDOW_END - 1]``, the
+    windows whose ends are exact floats.
     """
-    if (n := _integer(seed)) is None or n < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return n
+    n = _integer(x)
+    if n is not None and (lo is None or n >= lo) and (hi is None or n <= hi):
+        return n
+    if n is None:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if hi is None:
+        raise ValueError(f"{name} must be an integer of at least {lo}, got {x!r}")
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -146,16 +152,12 @@ class SchedulerSpec:
     def __post_init__(self):
         if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}; choose from {SCHEDULER_KINDS}")
-        n = self.max_subintervals
-        if (k := _integer(n)) is None or not 1 <= k <= MAX_SUBINTERVALS:
-            raise ValueError(
-                f"max_subintervals must be an integer in [1, {MAX_SUBINTERVALS}], got {n!r}"
-            )
+        k = _index(self.max_subintervals, "max_subintervals", 1, MAX_SUBINTERVALS)
         if (off := _real(self.offset)) is None or not 0.0 <= off <= 1.0:
             raise ValueError(f"offset must lie in [0, 1], got {self.offset!r}")
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "max_subintervals", k)
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", _index(self.seed, "seed", 0))
 
     @cached_property
     def _layouts(self) -> dict:
@@ -280,7 +282,7 @@ _LOW32 = _UINT32_END - 1
 def _bitgen(spec: SchedulerSpec, window_index: int) -> np.random.PCG64:
     """One window's seeded-random stream, keyed so windows can be rebuilt out of order."""
     key = [spec.seed, window_index]
-    if 0 <= window_index < _UINT32_END and spec.seed < _UINT32_END:
+    if window_index < _UINT32_END and spec.seed < _UINT32_END:
         # SeedSequence reads a list of such ints as these uint32 words.
         key = np.array(key, dtype=np.uint32)
     return np.random.PCG64(key)
@@ -479,13 +481,14 @@ def build_partition_span(
     for the remainder of a window after a mid-window reduction.  Input
     probabilities may be off 1 by at most ``PROB_SUM_TOL``; they are
     renormalized and the renormalized vector is the one stored (and the one
-    the measure invariant holds against).
+    the measure invariant holds against).  ``window_index`` keys the layout,
+    and is a window index as for :func:`build_partition`.
     """
     if (a := _real(lo)) is None or (b := _real(hi)) is None:
         raise ValueError(f"span bounds must be finite real numbers, got ({lo!r}, {hi!r}]")
     if not b > a:
         raise ValueError(f"need hi > lo, got span ({lo!r}, {hi!r}]")
-    lo, hi, window_index = a, b, _index(window_index, "window_index")
+    lo, hi, window_index = a, b, _index(window_index, "window_index", 0, _WINDOW_END - 1)
     p = _validated_probabilities(probabilities)
     widths, labels = _layout(p, window_index, scheduler)
     # Lay out in relative coordinates, then map onto (lo, hi].  The final
@@ -504,11 +507,13 @@ def build_partition_span(
 
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:
-    """Partition unit window ``(N, N+1]`` according to a probability vector."""
-    if (window_index := _index(window_index, "window_index")) < 0:
-        raise ValueError("window_index must be non-negative")
-    lo = float(window_index)
-    return build_partition_span(probabilities, lo, lo + 1.0, scheduler, window_index)
+    """Partition unit window ``(N, N+1]`` according to a probability vector.
+
+    ``N`` is a window index, an integer in ``[0, 2**53 - 1]``: past that,
+    ``float(N) + 1.0`` rounds back to ``float(N)`` and the window is empty.
+    """
+    n = _index(window_index, "window_index", 0, _WINDOW_END - 1)
+    return build_partition_span(probabilities, float(n), n + 1.0, scheduler, n)
 
 
 def _check_inside(partition: WindowPartition, u) -> float:
@@ -518,13 +523,6 @@ def _check_inside(partition: WindowPartition, u) -> float:
             f"time {u!r} outside the partitioned span ({partition.lo!r}, {partition.hi!r}]"
         )
     return x
-
-
-def _check_label(partition: WindowPartition, label) -> int:
-    """``label`` as an int if the partition has it; anything else is a ValueError."""
-    if not 0 <= (label := _index(label, "label")) < partition.dimension:
-        raise ValueError(f"label index {label} out of range for dimension {partition.dimension}")
-    return label
 
 
 def active_label(partition: WindowPartition, u: float) -> int:
@@ -544,14 +542,14 @@ def step_function(partition: WindowPartition, label: int, u: float) -> int:
     delegation to :func:`active_label`, so completeness and idempotency are
     genuinely testable properties rather than tautologies.
     """
-    u, label = _check_inside(partition, u), _check_label(partition, label)
+    u, label = _check_inside(partition, u), _index(label, "label", 0, partition.dimension - 1)
     b, mine = partition.bounds, partition.labels == label
     return int(np.any((b[:-1][mine] < u) & (u <= b[1:][mine])))
 
 
 def interval_measure(partition: WindowPartition, label: int) -> float:
     """Total length owned by a label (the realized probability mass)."""
-    label = _check_label(partition, label)
+    label = _index(label, "label", 0, partition.dimension - 1)
     b = partition.bounds
     return float(math.fsum((b[1:] - b[:-1])[partition.labels == label]))
 
@@ -561,14 +559,14 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
 
     Only meaningful when the eigenbasis weights are conserved, so the same
     layout is valid in every window; the caller is responsible for that.
-    A sub-ulp piece that the shift collapses to nothing is dropped and the
-    tiling re-sealed, as in :func:`build_partition_span`.
+    ``N`` is a window index in ``[0, 2**53 - 1]``, as for
+    :func:`build_partition`.  A sub-ulp piece that the shift collapses to
+    nothing is dropped and the tiling re-sealed, as in
+    :func:`build_partition_span`.
     """
     if base.window_index != 0 or base.lo != 0.0 or base.hi != 1.0:
         raise ValueError("periodic_extend needs a full window-0 partition as its base")
-    if (window_index := _index(window_index, "window_index")) < 0:
-        raise ValueError("window_index must be non-negative")
-    if window_index == 0:
+    if (window_index := _index(window_index, "window_index", 0, _WINDOW_END - 1)) == 0:
         return base
     n = float(window_index)
     return WindowPartition._of(

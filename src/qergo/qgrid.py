@@ -98,7 +98,7 @@ class GridWavefunction:
                           n_cells=(s.size - 1) // nodes)
 
     def cell_edges(self, k: int) -> tuple[float, float]:
-        lo = self.origin + _index(k, "cell") * self.planck_step
+        lo = self.origin + _index(k, "cell", 0, self.n_cells - 1) * self.planck_step
         return lo, lo + self.planck_step
 
 
@@ -136,8 +136,9 @@ def window_renormalize(wf: GridWavefunction, k: int) -> GridWavefunction:
     out.  A window mass below ``MIN_WINDOW_MASS`` is rejected rather than
     amplified into nonsense.
     """
-    k = _index(k, "k_center")  # the name window_cells gives it
-    mass = float(_integrate(_density(wf, window_cells(wf, k)), wf.spacing))
+    cells = window_cells(wf, k)
+    k = cells[len(cells) // 2]  # the centre, a plain int for any integer k
+    mass = float(_integrate(_density(wf, cells), wf.spacing))
     if mass < MIN_WINDOW_MASS:
         raise ValueError(
             f"window mass {mass!r} around cell {k} is below {MIN_WINDOW_MASS}; "
@@ -155,10 +156,8 @@ def planck_cell_probability(wf: GridWavefunction, k: int) -> float:
     """
     if wf.renorm_center is None:
         raise ValueError("wavefunction is not window-renormalized; call window_renormalize first")
-    if _index(k, "cell") not in window_cells(wf, wf.renorm_center):
-        raise ValueError(
-            f"cell {k} lies outside the renormalization window around cell {wf.renorm_center}"
-        )
+    cells = window_cells(wf, wf.renorm_center)
+    k = _index(k, "cell", cells[0], cells[-1])
     return float(_integrate(_density(wf, [k]), wf.spacing))
 
 
@@ -166,17 +165,12 @@ def window_cells(wf: GridWavefunction, k_center: int) -> list[int]:
     """Cell indices tiling the window centered on ``k_center``, left to right.
 
     The one place a window's cells are decided and checked against the
-    sampled range.
+    sampled range: ``k_center`` is an integer whose window's cells all lie
+    in ``[0, n_cells - 1]``, and a grid narrower than one window has none.
     """
-    k_center = _index(k_center, "k_center")
     half_cells = (wf.cells_per_window - 1) // 2
-    first, last = k_center - half_cells, k_center + half_cells
-    if first < 0 or last >= wf.n_cells:
-        raise ValueError(
-            f"window of cell {k_center} spans cells [{first}, {last}], "
-            f"outside the sampled range of {wf.n_cells} cells"
-        )
-    return list(range(first, last + 1))
+    k_center = _index(k_center, "k_center", half_cells, wf.n_cells - 1 - half_cells)
+    return list(range(k_center - half_cells, k_center + half_cells + 1))
 
 
 def cell_probabilities(wf: GridWavefunction, k_center: int) -> np.ndarray:

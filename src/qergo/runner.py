@@ -138,7 +138,7 @@ def run_experiment(config: ScenarioConfig, exp: Experiment, ordinal: int):
     ``(filename, blocks)`` pairs: the file's text is ``"".join(blocks)``.
     Nothing is written to disk here.
     """
-    return _RUNNERS[type(exp)](config, exp, f"{_index(ordinal, 'ordinal'):02d}-{exp.name}")
+    return _RUNNERS[type(exp)](config, exp, f"{_index(ordinal, 'ordinal', 0):02d}-{exp.name}")
 
 
 def _experiment_seed(exp: Experiment) -> str:

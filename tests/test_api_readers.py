@@ -29,7 +29,6 @@ KEEP = {
     "microstate.apply_value_operator": "the paper's time-dependent observable acting on an eigenvector",
     "measurement.measurement_operator_apply": "the paper's measurement operator at time t",
     "ergodic.window_average_value": "the abstract's expectation value as a time average over tau",
-    "hilbert.is_conserved": "[H, O^j] = 0, the conserved case whose layouts repeat every window",
     "qgrid.planck_cell_probability": "one Planck cell's mass, the oracle cell_probabilities matches bitwise",
     "measurement.advance": "moves the protocol's clock without a measurement; README pins advance(advance(s, 0.3), 2.5)",
     "microstate.dump_trajectory": (

@@ -12,7 +12,7 @@ from qergo.cli import main
 from qergo.errors import InvariantViolation
 from qergo.hilbert import QuantumState
 from qergo.measurement import sequence_records
-from qergo.microstate import dump_trajectory
+from qergo.microstate import MAX_WINDOWS, dump_trajectory
 from qergo.partition import dump_partition
 from qergo.runner import FAILURE_MARKER, run_experiment, run_scenario
 
@@ -361,7 +361,7 @@ def test_failure_leaves_marker_and_no_artifacts(tmp_path):
     with pytest.raises(ValueError):
         run_scenario(cfg, out_dir=out)
     assert (out / FAILURE_MARKER).exists()
-    assert "window 5" in (out / FAILURE_MARKER).read_text()
+    assert "window must be an integer in [0, 0], got 5" in (out / FAILURE_MARKER).read_text()
     assert [p.name for p in out.iterdir()] == [FAILURE_MARKER]
 
 
@@ -650,6 +650,19 @@ def test_cli_dump_partition_negative_window_exit_3(capsys):
         ["dump-partition", str(CONFIG_DIR / "minimal.cfg"), "--window", "-1", "--csco", "sz"]
     )
     assert rc == 3
+    assert capsys.readouterr().err == f"qergo: --window must be an integer in [0, {MAX_WINDOWS - 1}], got -1\n"
+
+
+def test_cli_dump_partition_window_past_the_last_names_its_flag(capsys):
+    # --window 10000 used to fail with "windows = 10001 exceeds MAX_WINDOWS",
+    # a count the command line never gave.
+    rc = main(
+        ["dump-partition", str(CONFIG_DIR / "minimal.cfg"), "--window", str(MAX_WINDOWS), "--csco", "sz"]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"qergo: --window must be an integer in [0, {MAX_WINDOWS - 1}], got {MAX_WINDOWS}\n"
+    )
 
 
 def test_cli_verify_passes(capsys):

@@ -622,7 +622,7 @@ def test_scheduler_max_subintervals_is_bounded(where):
 def test_scheduler_seed_must_be_non_negative(where):
     assert _parsed_scheduler(where, "seed = 0\n").seed == 0
     text = _scheduler_text(where, "kind = seeded-random\nseed = -3\n")
-    message = f"line {_line(text, 'scheduler {')}: seed must be a non-negative integer, got -3"
+    message = f"line {_line(text, 'scheduler {')}: seed must be an integer of at least 0, got -3"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config_text(text)
 

@@ -531,8 +531,8 @@ def test_every_seeded_draw_refuses_a_seed_that_is_not_a_non_negative_integer(mon
 
     traj = stationary_half_trajectory(windows=3)
     scenario = Scenario(make_state([1.0, 1.0]), Hamiltonian(np.zeros((2, 2))), (sigma_z_set(),), {})
-    for seed in (1.5, -1, True):
-        message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    for seed, rule in ((1.5, "an integer"), (-1, "an integer of at least 0"), (True, "an integer")):
+        message = rf"^seed must be {rule}, got {re.escape(repr(seed))}$"
         with pytest.raises(ValueError, match=message):
             sample_born(traj, 10, seed)
         with pytest.raises(ValueError, match=message):
@@ -544,7 +544,14 @@ def test_every_seeded_draw_refuses_a_seed_that_is_not_a_non_negative_integer(mon
     # The seed is checked once per call, not once per block of reads.
     checks = []
     monkeypatch.setattr(ergodic, "_BLOCK", 4)
-    monkeypatch.setattr(ergodic, "_seed", lambda s: checks.append(s) or s)
+    index = ergodic._index
+
+    def spy(x, name, *bounds):
+        if name == "seed":
+            checks.append(x)
+        return index(x, name, *bounds)
+
+    monkeypatch.setattr(ergodic, "_index", spy)
     sample_born(traj, 10, 3)
     assert checks == [3]
     sub_tau_correlation(traj, 0.25, 300, 4)  # 4 blocks of at most 16 reads per stretch

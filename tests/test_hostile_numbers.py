@@ -4,8 +4,9 @@ A refusal is a ValueError, or a ConfigError at the line of the offending
 entry; the input is never accepted, and no OverflowError or TypeError
 escapes from the checks.  Every numeric argument of the public API, found
 from the signatures, also refuses what is no number of its kind: a bool, a
-string, ``None`` or a complex number, and a fraction where an integer is
-due.  A numpy number is taken as the plain number of the same value.
+string, ``None`` or a complex number, a fraction where an integer is due,
+and an integer outside the range its argument allows.  A numpy number is
+taken as the plain number of the same value.
 """
 
 import dataclasses
@@ -41,6 +42,7 @@ from qergo.measurement import (
     sequential_experiment,
 )
 from qergo.microstate import (
+    MAX_WINDOWS,
     Scenario,
     apply_value_operator,
     microstate_at,
@@ -224,8 +226,12 @@ def test_config_refuses_hostile_numbers_at_their_line(at, bad):
 # A public callable is a function in the ``__all__`` of a qergo module, or a
 # public method of a class listed there (``qergo.testing`` holds generators
 # for the tests, not API).  Each of its parameters annotated ``float`` or
-# ``int`` has one row: what it is (a real, an integer or a seed), how to make
-# a valid call with the value as that argument, and a valid value.  Array
+# ``int`` has one row: what it is (a real or an integer), how to make a valid
+# call with the value as that argument, and a valid value.  An integer row
+# also states the inclusive range ``lo, hi`` that ``partition._index`` holds
+# it to, ``None`` for an open end: a seed is an integer of at least 0, and a
+# window index one of ``WINDOW_INDEX``.  An estimate's label is left open:
+# a label never drawn has the estimate 0.  Array
 # parameters are not annotated ``float`` or ``int``, and a constructor is no
 # public method: the checked constructors are ``MODEL_INPUTS`` above.
 
@@ -245,65 +251,71 @@ GRID = _grid()
 CONFIG = load_config(ROOT / "configs" / "minimal.cfg")
 GRID_FILE = ROOT / "configs" / "gaussian-grid.txt"
 
-REAL, INTEGER, SEED = "real", "integer", "seed"
+REAL, INTEGER = "real", "integer"
+# The windows (N, N+1] whose ends are exact floats: float(2**53) + 1.0 rounds
+# back to float(2**53).
+WINDOW_INDEX = (0, 2**53 - 1)
 
 ROWS = {
-    ("ergodic.EmpiricalDistribution.estimate", "label"): (INTEGER, lambda x: DIST.estimate(x), 1),
-    ("ergodic.window_average_step", "label"): (INTEGER, lambda x: window_average_step(PART, x), 1),
-    ("ergodic.window_average_value", "member"): (INTEGER, lambda x: window_average_value(PART, SZ, x), 0),
-    ("ergodic.sample_born", "n_samples"): (INTEGER, lambda x: sample_born(TRAJ, x, 0, 1), 10),
-    ("ergodic.sample_born", "seed"): (SEED, lambda x: sample_born(TRAJ, 10, x, 1), 3),
-    ("ergodic.sample_born", "window"): (INTEGER, lambda x: sample_born(TRAJ, 10, 0, x), 2),
+    ("ergodic.EmpiricalDistribution.estimate", "label"): (INTEGER, lambda x: DIST.estimate(x), 1, None, None),
+    ("ergodic.window_average_step", "label"): (INTEGER, lambda x: window_average_step(PART, x), 1, 0, 1),
+    ("ergodic.window_average_value", "member"): (INTEGER, lambda x: window_average_value(PART, SZ, x), 0, 0, 0),
+    ("ergodic.sample_born", "n_samples"): (INTEGER, lambda x: sample_born(TRAJ, x, 0, 1), 10, 1, None),
+    ("ergodic.sample_born", "seed"): (INTEGER, lambda x: sample_born(TRAJ, 10, x, 1), 3, 0, None),
+    ("ergodic.sample_born", "window"): (INTEGER, lambda x: sample_born(TRAJ, 10, 0, x), 2, 0, 2),
     ("ergodic.offset_window_average", "alpha"): (REAL, lambda x: offset_window_average(TRAJ, x, SZ), 0.5),
-    ("ergodic.offset_window_average", "member"): (INTEGER, lambda x: offset_window_average(TRAJ, 0.5, SZ, x), 0),
+    ("ergodic.offset_window_average", "member"): (INTEGER, lambda x: offset_window_average(TRAJ, 0.5, SZ, x), 0, 0, 0),
     ("ergodic.same_outcome_measure", "delta"): (REAL, lambda x: same_outcome_measure(TRAJ, x, 2), 0.25),
-    ("ergodic.same_outcome_measure", "base_windows"): (INTEGER, lambda x: same_outcome_measure(TRAJ, 0.25, x), 2),
+    # The range tests call with a lag of 0, which lets the base span reach the
+    # last covered window; the others with a lag whose measure divides by it.
+    ("ergodic.same_outcome_measure", "base_windows"): (
+        INTEGER, lambda x: same_outcome_measure(TRAJ, 0.25, x), 2, 1, 3, lambda x: same_outcome_measure(TRAJ, 0.0, x)),
     ("ergodic.sub_tau_correlation", "delta"): (REAL, lambda x: sub_tau_correlation(TRAJ, x, 10, 0), 0.25),
-    ("ergodic.sub_tau_correlation", "n_pairs"): (INTEGER, lambda x: sub_tau_correlation(TRAJ, 0.25, x, 0), 10),
-    ("ergodic.sub_tau_correlation", "seed"): (SEED, lambda x: sub_tau_correlation(TRAJ, 0.25, 10, x), 3),
-    ("hilbert.CommutingSet.basis_vector", "k"): (INTEGER, lambda x: SZ.basis_vector(x), 1),
-    ("hilbert.CommutingSet.member_values", "member"): (INTEGER, lambda x: SZ.member_values(x), 0),
+    ("ergodic.sub_tau_correlation", "n_pairs"): (INTEGER, lambda x: sub_tau_correlation(TRAJ, 0.25, x, 0), 10, 1, None),
+    ("ergodic.sub_tau_correlation", "seed"): (INTEGER, lambda x: sub_tau_correlation(TRAJ, 0.25, 10, x), 3, 0, None),
+    ("hilbert.CommutingSet.basis_vector", "k"): (INTEGER, lambda x: SZ.basis_vector(x), 1, 0, 1),
+    ("hilbert.CommutingSet.member_values", "member"): (INTEGER, lambda x: SZ.member_values(x), 0, 0, 0),
     ("hilbert.Hamiltonian.propagator", "du"): (REAL, lambda x: H.propagator(x), 0.5),
     ("hilbert.evolve", "du"): (REAL, lambda x: evolve(STATE, H, x), 0.5),
-    ("hilbert.expectation", "member"): (INTEGER, lambda x: expectation(STATE, SZ, x), 0),
+    ("hilbert.expectation", "member"): (INTEGER, lambda x: expectation(STATE, SZ, x), 0, 0, 0),
     ("measurement.advance", "u_target"): (REAL, lambda x: advance(SYS, x), 1.5),
     ("measurement.measure", "u"): (REAL, lambda x: measure(SYS, "sz", x), 1.5),
     ("measurement.measurement_operator_apply", "u"): (
         REAL, lambda x: measurement_operator_apply(STATE, PART, SZ, x), 0.5),
-    ("measurement.sequence_records", "n_runs"): (INTEGER, lambda x: list(sequence_records(SCEN, [("sz", 0.5)], x, 0)), 2),
-    ("measurement.sequence_records", "seed"): (SEED, lambda x: list(sequence_records(SCEN, [("sz", 0.5)], 2, x)), 3),
-    ("measurement.sequential_experiment", "n_runs"): (INTEGER, lambda x: sequential_experiment(SCEN, [("sz", 0.5)], x, 0), 2),
-    ("measurement.sequential_experiment", "seed"): (SEED, lambda x: sequential_experiment(SCEN, [("sz", 0.5)], 2, x), 3),
-    ("microstate.JumpTrajectory.partition", "n"): (INTEGER, lambda x: TRAJ.partition(x), 2),
-    ("microstate.Scenario.build_trajectory", "windows"): (INTEGER, lambda x: SCEN.build_trajectory("sz", x), 2),
+    ("measurement.sequence_records", "n_runs"): (INTEGER, lambda x: list(sequence_records(SCEN, [("sz", 0.5)], x, 0)), 2, 1, None),
+    ("measurement.sequence_records", "seed"): (INTEGER, lambda x: list(sequence_records(SCEN, [("sz", 0.5)], 2, x)), 3, 0, None),
+    ("measurement.sequential_experiment", "n_runs"): (INTEGER, lambda x: sequential_experiment(SCEN, [("sz", 0.5)], x, 0), 2, 1, None),
+    ("measurement.sequential_experiment", "seed"): (INTEGER, lambda x: sequential_experiment(SCEN, [("sz", 0.5)], 2, x), 3, 0, None),
+    ("microstate.JumpTrajectory.partition", "n"): (INTEGER, lambda x: TRAJ.partition(x), 2, 0, 2),
+    ("microstate.Scenario.build_trajectory", "windows"): (INTEGER, lambda x: SCEN.build_trajectory("sz", x), 2, 1, MAX_WINDOWS),
     ("microstate.microstate_at", "u"): (REAL, lambda x: microstate_at(PART, SZ, x), 0.5),
-    ("microstate.value_function", "member"): (INTEGER, lambda x: value_function(PART, SZ, x, 0.5), 0),
+    ("microstate.value_function", "member"): (INTEGER, lambda x: value_function(PART, SZ, x, 0.5), 0, 0, 0),
     ("microstate.value_function", "u"): (REAL, lambda x: value_function(PART, SZ, 0, x), 0.5),
     ("microstate.apply_value_operator", "u"): (REAL, lambda x: apply_value_operator(PART, SZ, 1, x), 0.5),
-    ("microstate.apply_value_operator", "member"): (INTEGER, lambda x: apply_value_operator(PART, SZ, 1, 0.5, x), 0),
-    ("microstate.shift_is_sound", "window_index"): (INTEGER, lambda x: shift_is_sound(H, SZ, x), 2),
-    ("microstate.trajectory", "windows"): (INTEGER, lambda x: trajectory(STATE, H, SZ, SPEC, x), 2),
-    ("partition.build_partition", "window_index"): (INTEGER, lambda x: build_partition(P, x, SPEC), 2),
+    ("microstate.apply_value_operator", "member"): (INTEGER, lambda x: apply_value_operator(PART, SZ, 1, 0.5, x), 0, 0, 0),
+    ("microstate.shift_is_sound", "window_index"): (INTEGER, lambda x: shift_is_sound(H, SZ, x), 2, *WINDOW_INDEX),
+    ("microstate.trajectory", "windows"): (INTEGER, lambda x: trajectory(STATE, H, SZ, SPEC, x), 2, 1, MAX_WINDOWS),
+    ("partition.build_partition", "window_index"): (INTEGER, lambda x: build_partition(P, x, SPEC), 2, *WINDOW_INDEX),
     ("partition.build_partition_span", "lo"): (REAL, lambda x: build_partition_span(P, x, 1.0, SPEC, 0), 0.25),
     ("partition.build_partition_span", "hi"): (REAL, lambda x: build_partition_span(P, 0.0, x, SPEC, 0), 0.75),
     ("partition.build_partition_span", "window_index"): (
-        INTEGER, lambda x: build_partition_span(P, 0.0, 1.0, SPEC, x), 0),
-    ("partition.step_function", "label"): (INTEGER, lambda x: step_function(PART, x, 0.5), 1),
+        INTEGER, lambda x: build_partition_span(P, 0.0, 1.0, SPEC, x), 0, *WINDOW_INDEX),
+    ("partition.step_function", "label"): (INTEGER, lambda x: step_function(PART, x, 0.5), 1, 0, 1),
     ("partition.step_function", "u"): (REAL, lambda x: step_function(PART, 1, x), 0.5),
     ("partition.active_label", "u"): (REAL, lambda x: active_label(PART, x), 0.5),
-    ("partition.interval_measure", "label"): (INTEGER, lambda x: interval_measure(PART, x), 1),
-    ("partition.periodic_extend", "window_index"): (INTEGER, lambda x: periodic_extend(PART, x), 2),
-    ("qgrid.GridWavefunction.cell_edges", "k"): (INTEGER, lambda x: GRID.cell_edges(x), 1),
-    ("qgrid.window_renormalize", "k"): (INTEGER, lambda x: window_renormalize(GRID, x), 1),
-    ("qgrid.planck_cell_probability", "k"): (INTEGER, lambda x: planck_cell_probability(window_renormalize(GRID, 1), x), 1),
-    ("qgrid.window_cells", "k_center"): (INTEGER, lambda x: window_cells(GRID, x), 1),
-    ("qgrid.cell_probabilities", "k_center"): (INTEGER, lambda x: cell_probabilities(GRID, x), 1),
-    ("qgrid.position_partition", "k_center"): (INTEGER, lambda x: position_partition(GRID, x, 0, SPEC), 1),
-    ("qgrid.position_partition", "window_index"): (INTEGER, lambda x: position_partition(GRID, 1, x, SPEC), 2),
+    ("partition.interval_measure", "label"): (INTEGER, lambda x: interval_measure(PART, x), 1, 0, 1),
+    ("partition.periodic_extend", "window_index"): (INTEGER, lambda x: periodic_extend(PART, x), 2, *WINDOW_INDEX),
+    ("qgrid.GridWavefunction.cell_edges", "k"): (INTEGER, lambda x: GRID.cell_edges(x), 1, 0, 1),
+    ("qgrid.window_renormalize", "k"): (INTEGER, lambda x: window_renormalize(GRID, x), 1, 0, 1),
+    ("qgrid.planck_cell_probability", "k"): (INTEGER, lambda x: planck_cell_probability(window_renormalize(GRID, 1), x), 1, 1, 1),
+    ("qgrid.window_cells", "k_center"): (INTEGER, lambda x: window_cells(GRID, x), 1, 0, 1),
+    ("qgrid.cell_probabilities", "k_center"): (INTEGER, lambda x: cell_probabilities(GRID, x), 1, 0, 1),
+    ("qgrid.position_partition", "k_center"): (INTEGER, lambda x: position_partition(GRID, x, 0, SPEC), 1, 0, 1),
+    ("qgrid.position_partition", "window_index"): (INTEGER, lambda x: position_partition(GRID, 1, x, SPEC), 2, *WINDOW_INDEX),
     ("qgrid.load_grid", "planck_step"): (REAL, lambda x: load_grid(GRID_FILE, x, 9.0), 1.0),
     ("qgrid.load_grid", "compton_wavelength"): (REAL, lambda x: load_grid(GRID_FILE, 1.0, x), 9.0),
-    ("qgrid.format_cell_probabilities", "k_center"): (INTEGER, lambda x: format_cell_probabilities(GRID, x), 1),
-    ("runner.run_experiment", "ordinal"): (INTEGER, lambda x: run_experiment(CONFIG, CONFIG.experiments[0], x), 1),
+    ("qgrid.format_cell_probabilities", "k_center"): (INTEGER, lambda x: format_cell_probabilities(GRID, x), 1, 0, 1),
+    ("runner.run_experiment", "ordinal"): (INTEGER, lambda x: run_experiment(CONFIG, CONFIG.experiments[0], x), 1, 0, None),
 }
 
 
@@ -341,7 +353,7 @@ def test_every_numeric_parameter_of_the_public_api_has_a_row():
     assert set(ROWS) - set(PARAMETERS) == set(), "rows for parameters that no longer exist"
 
 
-# No number of any kind, then what is no real, no integer and no seed besides.
+# No number of any kind, then what is no real and no integer besides.
 NO_NUMBER = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e999": 1e999, "'0.5'": "0.5",
     "None": None, "1j": 1j, "True": True, "np.True_": np.True_, "np.complex128(0.5)": np.complex128(0.5),
@@ -349,7 +361,6 @@ NO_NUMBER = {
 REFUSED = {
     REAL: {**NO_NUMBER, "10**400": 10**400},  # past the largest float
     INTEGER: {**NO_NUMBER, "1.5": 1.5, "2.0": 2.0},
-    SEED: {**NO_NUMBER, "1.5": 1.5, "2.0": 2.0, "-1": -1},
 }
 CASES = [
     pytest.param(row, bad, id=f"{row[0]}({row[1]}={name})")
@@ -360,9 +371,51 @@ CASES = [
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("row,bad", CASES)
 def test_every_numeric_parameter_refuses_what_is_no_number_of_its_kind(row, bad):
-    _, call, _ = ROWS[row]
+    call = ROWS[row][1]
     with pytest.raises(ValueError):
         call(bad)
+
+
+RANGES = {row: ROWS[row][3:5] for row in sorted(ROWS) if ROWS[row][0] == INTEGER}
+
+
+def _range_call(row):
+    """The call the range tests make: the one a row names after its range, else its own."""
+    return ROWS[row][5] if len(ROWS[row]) > 5 else ROWS[row][1]
+
+
+def _outside(lo, hi):
+    """(id, value) of what a range refuses: ``lo - 1``, and ``hi + 1`` and ``10**400`` if ``hi`` is set."""
+    if lo is not None:
+        yield str(lo - 1), lo - 1
+    if hi is not None:
+        # 10**400 is past the largest float.
+        yield from ((str(hi + 1), hi + 1), ("10**400", 10**400))
+
+
+OUTSIDE = [
+    pytest.param(row, bad, id=f"{row[0]}({row[1]}={name})")
+    for row, bounds in RANGES.items() for name, bad in _outside(*bounds)
+]
+ENDS = [
+    pytest.param(row, end, id=f"{row[0]}({row[1]}={end})")
+    for row, bounds in RANGES.items() for end in sorted(set(bounds) - {None})
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row,bad", OUTSIDE)
+def test_every_integer_parameter_refuses_what_is_outside_its_range(row, bad):
+    lo, hi = RANGES[row]
+    rule = f"an integer of at least {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    with pytest.raises(ValueError, match=re.escape(f" must be {rule}, got {bad}") + "$"):
+        _range_call(row)(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row,end", ENDS)
+def test_every_integer_parameter_accepts_both_ends_of_its_range(row, end):
+    _range_call(row)(end)
 
 
 def _same(a, b) -> bool:
@@ -383,7 +436,7 @@ def _same(a, b) -> bool:
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("row", sorted(ROWS), ids="{0[0]}({0[1]})".format)
 def test_a_numpy_number_gives_what_the_plain_number_gives(row):
-    kind, call, valid = ROWS[row]
+    kind, call, valid, *_ = ROWS[row]
     as_numpy = np.float64(valid) if kind == REAL else np.int64(valid)
     assert _same(call(as_numpy), call(valid))
 

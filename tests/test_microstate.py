@@ -299,10 +299,9 @@ def test_stretch_counts_equal_per_read_search(kind):
 def test_trajectory_guards():
     s = make_state([1.0, 0.0])
     H = Hamiltonian(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="at least 1"):
-        trajectory(s, H, sigma_z_set(), SchedulerSpec(), 0)
-    with pytest.raises(ValueError, match="MAX_WINDOWS"):
-        trajectory(s, H, sigma_z_set(), SchedulerSpec(), MAX_WINDOWS + 1)
+    for windows in (0, MAX_WINDOWS + 1):
+        with pytest.raises(ValueError, match=rf"^windows must be an integer in \[1, {MAX_WINDOWS}\], got {windows}$"):
+            trajectory(s, H, sigma_z_set(), SchedulerSpec(), windows)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), np.float64(2.0), "3", True], ids=repr)
@@ -399,7 +398,7 @@ def test_partitions_are_views_into_the_trajectory_arrays():
         np.testing.assert_array_equal(part.bounds, traj.bounds[i:j + 1])
         assert part.bounds[0] == n and part.bounds[-1] == n + 1
     for n in (-1, 7):
-        with pytest.raises(ValueError, match=rf"window {n} outside the covered range \[0, 7\)"):
+        with pytest.raises(ValueError, match=rf"^window must be an integer in \[0, 6\], got {n}$"):
             traj.partition(n)
     # events are rebuilt from the arrays on every access
     assert traj.events is not traj.events
@@ -586,6 +585,13 @@ def test_a_windows_layout_does_not_depend_on_how_many_windows_follow(kind, d):
         base = traj.probabilities[0].tobytes()
         for n, row in enumerate(traj.probabilities):
             assert (row.tobytes() == base) == sound[n]
+
+
+def test_a_negative_window_is_no_window_to_shift_to():
+    # shift_is_sound(h, c, -5) was True for a conserved set.
+    h = Hamiltonian(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^window_index must be an integer in \[0, 9007199254740991\], got -1$"):
+        shift_is_sound(h, sigma_z_set(), -1)
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "two-outcome", "seeded-random"])

@@ -226,8 +226,11 @@ def test_max_subintervals_is_bounded():
         a = build_partition(p, 5, SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=8))
         b = build_partition(p, 5, SchedulerSpec(kind="seeded-random", max_subintervals=np.int64(n), seed=8))
         assert a.bounds.tobytes() == b.bounds.tobytes() and np.array_equal(a.labels, b.labels)
-    for n in (2**16 + 1, 2**40, 0, 2.5, True):
-        with pytest.raises(ValueError, match=rf"max_subintervals must be an integer in \[1, 65536\], got {n!r}$"):
+    for n in (2**16 + 1, 2**40, 0):
+        with pytest.raises(ValueError, match=rf"^max_subintervals must be an integer in \[1, 65536\], got {n!r}$"):
+            SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=1)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^max_subintervals must be an integer, got {n!r}$"):
             SchedulerSpec(kind="seeded-random", max_subintervals=n, seed=1)
 
 
@@ -235,8 +238,11 @@ def test_seed_must_be_a_non_negative_integer():
     # A fractional seed used to draw the layouts of its integer part, and a
     # non-integer past 2**32 failed only at the first layout, inside numpy.
     p = np.array([0.2, 0.3, 0.5])
-    for seed in (1.5, 2**32 + 0.5, float("nan"), float("inf"), -1, -(2**40), "1", None, True):
-        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+    for seed in (1.5, 2**32 + 0.5, float("nan"), float("inf"), "1", None, True):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=seed)
+    for seed in (-1, -(2**40)):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer of at least 0, got {seed}$"):
             SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=seed)
     # A numpy integer is an integer, and a seed past 2**32 still builds.
     for seed in (0, 7, 2**32 + 5):
@@ -262,6 +268,44 @@ def test_window_index_must_be_an_integer(bad):
         build_partition_span(p, 1.25, 2.0, spec, window_index=bad)
     with pytest.raises(ValueError, match=message):
         periodic_extend(build_partition(p, 0, spec), bad)
+
+
+# float(2**53) + 1.0 rounds back to float(2**53): no window past it has exact float ends.
+WINDOW_RANGE = re.escape("must be an integer in [0, 9007199254740991], got ")
+
+
+def test_a_window_past_the_last_with_exact_float_ends_is_refused():
+    # periodic_extend(base, 2**53) returned a partition with lo == hi and no stretches.
+    p = np.array([0.2, 0.3, 0.5])
+    base = build_partition(p, 0, SchedulerSpec())
+    with pytest.raises(ValueError, match=rf"^window_index {WINDOW_RANGE}9007199254740992$"):
+        periodic_extend(base, 2**53)
+    last = periodic_extend(base, 2**53 - 1)
+    assert (last.lo, last.hi) == (2.0**53 - 1.0, 2.0**53) and last.labels.size >= 1
+
+
+def test_a_negative_window_index_is_refused_before_any_draw():
+    # A seeded-random span at window -1 failed inside numpy ("expected non-negative integer").
+    spec = SchedulerSpec(kind="seeded-random", max_subintervals=3, seed=5)
+    with pytest.raises(ValueError, match=rf"^window_index {WINDOW_RANGE}-1$"):
+        build_partition_span(np.array([0.2, 0.3, 0.5]), 0.25, 1.0, spec, -1)
+
+
+def test_only_index_decides_an_integer():
+    # Every integer argument and its range go through partition._index;
+    # total_variation reads a whole reorder list, whose rule is a permutation.
+    src = Path(__file__).resolve().parent.parent / "src" / "qergo"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{f.name}" for node in ast.walk(f)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_integer"
+                ]
+    assert sorted(callers) == ["measurement.total_variation", "partition._index"]
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)

@@ -151,11 +151,15 @@ def test_uniform_cells_give_equal_intervals():
 
 def test_window_bounds_checked():
     wf = make_grid(gaussian_amplitude(10.0, 2.0))
-    with pytest.raises(ValueError, match="outside"):
+    # 21 cells, 9 to a window: a centre's window must fit in cells [0, 20].
+    with pytest.raises(ValueError, match=r"^k_center must be an integer in \[4, 16\], got 2$"):
         window_renormalize(wf, 2)  # window would start at cell -2
+    with pytest.raises(ValueError, match=r"^k_center must be an integer in \[4, 16\], got 17$"):
+        window_cells(wf, 17)  # window would end at cell 21
     wf_n = window_renormalize(wf, 10)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"^cell must be an integer in \[6, 14\], got 15$"):
         planck_cell_probability(wf_n, 15)
+    assert window_cells(wf, 4) == list(range(9)) and window_cells(wf, 16) == list(range(12, 21))
     with pytest.raises(ValueError, match="renormalize"):
         planck_cell_probability(wf, 10)
 
