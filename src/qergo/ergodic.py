@@ -206,6 +206,15 @@ def offset_window_average(
     return float(math.fsum(overlap[inside] * values[inside]))  # offset window has unit span
 
 
+def _lag_fits(delta: float, base_windows: int, windows: int) -> bool:
+    """Whether base times in ``(0, base_windows]`` read ``delta`` later stay in ``windows`` windows.
+
+    Exact: the integer ``windows - base_windows`` is compared with the float
+    ``delta`` without rounding, where ``base_windows + delta`` would round.
+    """
+    return delta <= windows - base_windows
+
+
 def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) -> float:
     """Exact measure of base times whose label repeats after a lag, per unit time.
 
@@ -219,7 +228,7 @@ def same_outcome_measure(traj: JumpTrajectory, delta: float, base_windows: int) 
     if (delta := _real(delta)) is None or delta < 0.0:
         raise ValueError("delta must be non-negative and finite")
     base_windows = _index(base_windows, "base_windows", 1, traj.windows_covered)
-    if not base_windows + delta <= traj.windows_covered:
+    if not _lag_fits(delta, base_windows, traj.windows_covered):
         raise ValueError("base span plus delta must fit inside the covered windows")
     if delta == 0.0:
         return 1.0
@@ -242,8 +251,10 @@ def sub_tau_correlation(
     Reads the trajectory at ``u`` and ``u + delta`` for ``n_pairs`` random
     base times — pure passive reads, no collapse anywhere.  Base times are
     drawn uniformly over a whole number of windows so the estimate targets
-    the per-window overlap measure.  ``delta = 0`` returns exactly 1: the
-    trajectory is piecewise constant and both reads coincide.
+    the per-window overlap measure: the most whose reads ``delta`` later
+    stay inside the trajectory, ``windows_covered - ceil(delta)``.
+    ``delta = 0`` returns exactly 1: the trajectory is piecewise constant
+    and both reads coincide.
 
     ``traj`` is the trajectory already built, as for :func:`sample_born`.
     The estimate is the count of matching pairs over ``n_pairs``, one
@@ -257,12 +268,11 @@ def sub_tau_correlation(
     if (delta := _real(delta)) is None or delta < 0.0:
         raise ValueError("delta must be non-negative and finite")
     n_pairs = _index(n_pairs, "n_pairs", 1)
-    span = traj.windows_covered - delta
-    if span < 1.0:
+    base_windows = traj.windows_covered - math.ceil(delta)  # the most that _lag_fits allows
+    if base_windows < 1:
         raise ValueError(
             f"delta = {delta} leaves no whole base window inside {traj.windows_covered} windows"
         )
-    base_windows = int(math.floor(span))
     # Only equality is read, so the labels repeated per read are narrowed
     # once: one byte per read for d <= 256 instead of eight.
     labels = traj.labels.astype(np.min_scalar_type(traj.cset.dimension - 1))

@@ -25,13 +25,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .hilbert import CommutingSet, QuantumState, _eigenvalue_text, _label_text, evolve
 from .microstate import LayoutBase, Scenario, span_partition
-from .partition import WindowPartition, _index, _integer, _real, active_label
+from .partition import _TABLE_ROWS, WindowPartition, _index, _integer, _real, active_label
 # Unused here: every layout goes through span_partition.  The name stays bound
 # because perfbench's tracer test expects to rebind measurement.build_partition.
 from .partition import build_partition  # noqa: F401
@@ -391,22 +391,45 @@ def sequential_experiment(
     return SequenceDistribution.from_runs(sequence, (sys.history for sys in runs))
 
 
+def _row_tail(cset_id: str, label: tuple[int, ...], eigenvalues: tuple[float, ...]) -> str:
+    """A log row's text after ``u``: set id, outcome label and eigenvalues, then the newline."""
+    return f"{cset_id},{_label_text(label)},{_eigenvalue_text(eigenvalues)}\n"
+
+
+def _log_blocks(runs: Iterable[Iterable[tuple[float, str]]]) -> Iterator[str]:
+    """:func:`format_measurement_log`'s text as blocks, made as they are consumed.
+
+    Each run is its measurements' ``(u, row tail)`` pairs in step order,
+    the tail as :func:`_row_tail` writes it.  Yields the header, then the
+    rows of whole runs, joined about ``_TABLE_ROWS`` rows at a time: the
+    text is the join of the blocks.
+    """
+    yield "run_id,step,u,csco_id,outcome_label,eigenvalues\n"
+    rows: list[str] = []
+    for run_id, run in enumerate(runs):
+        rows += [f"{run_id},{step},{u!r},{tail}" for step, (u, tail) in enumerate(run)]
+        if len(rows) >= _TABLE_ROWS:
+            yield "".join(rows)
+            rows = []
+    if rows:
+        yield "".join(rows)
+
+
 def format_measurement_log(records_per_run: Sequence[Sequence[MeasurementRecord]]) -> str:
     """Render measurement records as CSV, one row per measurement.
 
     Columns: run_id, step, u, cset id, outcome label (colon-joined),
     eigenvalues (colon-joined, repr floats).
     """
-    lines = ["run_id,step,u,csco_id,outcome_label,eigenvalues"]
-    tails: dict = {}  # the row text after u, built once per set and outcome
-    for run_id, records in enumerate(records_per_run):
-        for step, rec in enumerate(records):
-            key = (rec.cset_id, rec.outcome_label, rec.outcome_eigenvalues)
-            if (tail := tails.get(key)) is None:
-                lab, eig = _label_text(rec.outcome_label), _eigenvalue_text(rec.outcome_eigenvalues)
-                tail = tails[key] = f"{rec.cset_id},{lab},{eig}"
-            lines.append(f"{run_id},{step},{rec.time!r},{tail}")
-    return "\n".join(lines) + "\n"
+    tails: dict = {}  # built once per set and outcome
+
+    def tail(rec: MeasurementRecord) -> str:
+        key = (rec.cset_id, rec.outcome_label, rec.outcome_eigenvalues)
+        if (text := tails.get(key)) is None:
+            text = tails[key] = _row_tail(*key)
+        return text
+
+    return "".join(_log_blocks(((rec.time, tail(rec)) for rec in run) for run in records_per_run))
 
 
 def format_sequence_distribution(dist: SequenceDistribution) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import types
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,12 +401,12 @@ def trajectory(
     return JumpTrajectory(cset, *arrays, renorms)
 
 
-def _trajectory_blocks(traj: JumpTrajectory) -> list[str]:
+def _trajectory_blocks(traj: JumpTrajectory) -> Iterator[str]:
     """:func:`dump_trajectory`'s text as :func:`~qergo.partition._stretch_table`'s blocks.
 
     The label and eigenvalue text is built once per label, and the rows are
-    formatted a block at a time straight from the trajectory's arrays.  The
-    blocks hold no reference to ``traj``.
+    formatted a block at a time straight from the trajectory's arrays, as
+    the blocks are consumed: until then the iterator holds the arrays.
     """
     heads = [f",{_label_text(lab)}," for lab in traj.cset.labels]
     tails = [f",{_eigenvalue_text(ev)}\n" for ev in traj.cset.eigenvalues]

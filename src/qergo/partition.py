@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -612,15 +613,15 @@ def check_partition(partition: WindowPartition) -> float:
     return worst
 
 
-# Stretch rows that _stretch_table formats into one string: its field lists
-# hold one block's strings, never a whole trajectory's.
+# Rows that a CSV writer formats into one string: its field lists hold one
+# block's strings, never a whole trajectory's or a whole log's.
 _TABLE_ROWS = 512
 
 
 def _stretch_table(
     header: str, bounds: np.ndarray, labels: np.ndarray, offsets: np.ndarray,
     first_window: int, heads: list[str], tails: list[str],
-) -> list[str]:
+) -> Iterator[str]:
     """CSV text of one row per stretch under ``header``, in time order, as blocks.
 
     Stretch ``i`` is ``(bounds[i], bounds[i+1]]`` with label index
@@ -628,12 +629,13 @@ def _stretch_table(
     ``offsets[n]`` to ``offsets[n+1] - 1``.  A stretch of label ``k`` in
     window ``N`` reads ``f"{N}{heads[k]}{lo!r},{hi!r}{tails[k]}"``.  Rows are
     formatted ``_TABLE_ROWS`` at a time: each bound is repr'd once, and each
-    block's fields are slotted into one list that is joined once.  Returns
-    ``header``, then one string per block; the text is their join, which a
-    writer can leave to the file.
+    block's fields are slotted into one list that is joined once.  Yields
+    ``header``, then one string per block, each made only when asked for;
+    the text is their join, which a writer can leave to the file.  The
+    generator holds the arrays until it is used up or dropped.
     """
     heads, tails = np.array(heads, object), np.array(tails, object)
-    out = [header]
+    yield header
     for s in range(0, labels.size, _TABLE_ROWS):
         e = min(s + _TABLE_ROWS, labels.size)
         n = offsets.searchsorted(np.arange(s, e), "right") - 1  # each row's window
@@ -647,8 +649,7 @@ def _stretch_table(
         rows[2::6] = r[:-1]
         rows[4::6] = r[1:]
         rows[5::6] = tails[k].tolist()
-        out.append("".join(rows))
-    return out
+        yield "".join(rows)
 
 
 def dump_partition(partition: WindowPartition) -> str:

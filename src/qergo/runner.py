@@ -1,14 +1,16 @@
 """Execute scenario configs and write deterministic artifact files.
 
-Every experiment is computed in memory first, each artifact as
-``(filename, blocks)``: a list of strings that the file holds in order.
-Files only touch disk once the whole scenario has succeeded, and each is
-written block by block, so a trajectory's CSV is never joined or encoded
-whole.  Any failure, in the computation or in the writes, leaves a
-``FAILED`` marker naming it and removes an earlier run's manifest; files
-written before a failed write can still sit beside the marker.  Nothing
-written here contains a timestamp — two runs of the same config are
-byte-identical.
+Each experiment computes its artifacts as ``(filename, blocks)``: an
+iterable of strings that the file holds in order, consumed once.  The
+runner writes them as soon as the experiment is computed, block by block,
+under hidden temporary names in the output directory, so a run holds one
+block of a trajectory CSV or measurement log, never a whole file or a
+finished experiment's text.  The files are published, renamed to their
+artifact names with the manifest last, only once every experiment has
+succeeded.  Any failure, in the computation, the writes or the renames,
+removes the temporary files, leaves a ``FAILED`` marker naming it and
+removes an earlier run's manifest.  Nothing written here contains a
+timestamp — two runs of the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .ergodic import (
 )
 from .hilbert import _label_text, evolve, expectation
 from .measurement import (
-    format_measurement_log,
+    _log_blocks,
+    _row_tail,
     format_sequence_distribution,
     sequence_records,
     SequenceDistribution,
@@ -57,9 +60,6 @@ __all__ = ["run_scenario", "run_experiment", "FAILURE_MARKER"]
 
 FAILURE_MARKER = "FAILED"
 MANIFEST = "manifest.txt"
-
-# (filename, blocks) pairs — computed fully before anything is written.
-Artifacts = list[tuple[str, list[str]]]
 
 
 def _run_trajectory(config: ScenarioConfig, exp: TrajectoryExperiment, prefix: str):
@@ -97,13 +97,31 @@ def _run_sub_tau(config: ScenarioConfig, exp: SubTauExperiment, prefix: str):
 
 
 def _run_sequential(config: ScenarioConfig, exp: SequentialExperiment, prefix: str):
-    histories, renorms = [], 0
-    for sys in sequence_records(config.scenario, list(exp.steps), exp.runs, exp.seed):
-        histories.append(sys.history)
-        renorms += sys.renorm_events
-    dist = SequenceDistribution.from_runs(exp.steps, histories)
+    steps = list(exp.steps)
+    runs = sequence_records(config.scenario, steps, exp.runs, exp.seed)
+    csets = [config.scenario.cset(cid) for cid, _ in steps]
+    # One pass: the counter reads each run's labels, and the log keeps only
+    # its measurement times and outcome indices.
+    times = np.empty((exp.runs, len(steps)))
+    outcomes = np.empty((exp.runs, len(steps)), np.min_scalar_type(max(c.dimension for c in csets) - 1))
+    renorms = 0
+
+    def histories():
+        nonlocal renorms
+        for r, sys in enumerate(runs):
+            times[r] = [rec.time for rec in sys.history]
+            outcomes[r] = [rec.outcome_index for rec in sys.history]
+            renorms += sys.renorm_events
+            yield sys.history
+
+    dist = SequenceDistribution.from_runs(steps, histories())
+    tails = [[_row_tail(c.id, *outcome) for outcome in zip(c.labels, c.eigenvalues)] for c in csets]
+    log = _log_blocks(
+        zip(t.tolist(), [tails[step][i] for step, i in enumerate(k.tolist())])
+        for t, k in zip(times, outcomes)
+    )
     files = [
-        (f"{prefix}-log.csv", [format_measurement_log(histories)]),
+        (f"{prefix}-log.csv", log),
         (f"{prefix}-summary.csv", [format_sequence_distribution(dist)]),
     ]
     return files, renorms
@@ -132,11 +150,15 @@ _RUNNERS = {
 
 
 def run_experiment(config: ScenarioConfig, exp: Experiment, ordinal: int):
-    """Compute one experiment's artifacts in memory.
+    """Compute one experiment's artifacts, ready to be written.
 
     Returns ``(artifacts, renorm_events)`` where artifacts is a list of
-    ``(filename, blocks)`` pairs: the file's text is ``"".join(blocks)``.
-    Nothing is written to disk here.
+    ``(filename, blocks)`` pairs: ``blocks`` is an iterable of strings,
+    to be consumed once, and the file's text is their join.  Everything
+    but the text is computed here, the renormalization count included; a
+    trajectory CSV or a measurement log is formatted a block at a time as
+    its blocks are consumed, holding its trajectory's arrays or its runs'
+    times and outcomes until then.  Nothing is written to disk here.
     """
     return _RUNNERS[type(exp)](config, exp, f"{_index(ordinal, 'ordinal', 0):02d}-{exp.name}")
 
@@ -146,11 +168,7 @@ def _experiment_seed(exp: Experiment) -> str:
     return "-" if seed is None else str(seed)
 
 
-def _manifest(
-    config: ScenarioConfig,
-    config_path: Path,
-    per_experiment_files: list[Artifacts],
-) -> str:
+def _manifest(config: ScenarioConfig, config_path: Path, names: list[list[str]]) -> str:
     # Only config identity, seeds, versions, and outputs: bytes must not
     # depend on run parameters like the output directory.
     lines = [
@@ -160,13 +178,17 @@ def _manifest(
         f"config = {config_path.name}",
         f"config_sha256 = {config.sha256}",
     ]
-    for exp, files in zip(config.experiments, per_experiment_files):
-        names = ";".join(name for name, _ in files)
+    for exp, files in zip(config.experiments, names):
         lines.append(
-            f"experiment = {exp.name} kind={exp.kind} seed={_experiment_seed(exp)} files={names}"
+            f"experiment = {exp.name} kind={exp.kind} seed={_experiment_seed(exp)} files={';'.join(files)}"
         )
     lines.append("status = ok")
     return "\n".join(lines) + "\n"
+
+
+def _temporary(path: Path) -> Path:
+    """Where ``path`` is written before it is published: a hidden sibling."""
+    return path.with_name(f".{path.name}.tmp")
 
 
 def _write_failure_marker(out_dir: Path, message: str):
@@ -186,12 +208,15 @@ def run_scenario(
 ) -> list[Path]:
     """Run every experiment block of a config and write its artifacts.
 
-    All experiments are computed before any file is written.  On any
-    failure, computing or writing, a ``FAILED`` marker naming the error is
-    left in the output directory, an earlier run's manifest is removed and
-    the error is raised again; a failed write can leave the files written
-    before it beside the marker.  Returns the written paths, the manifest
-    last.
+    Each experiment's files are written as soon as it is computed, block by
+    block, under hidden temporary names in the output directory, so a run
+    holds one block of a trajectory CSV or measurement log at a time.  Only
+    once every experiment has succeeded are the files published: each is
+    renamed to its artifact name, and the manifest is written last.  On
+    any failure, computing, writing or publishing, the temporary files are
+    removed, a ``FAILED`` marker naming the error is left in the output
+    directory, an earlier run's manifest is removed and the error is raised
+    again.  Returns the published paths, the manifest last.
     """
     config_path = Path(config_path)
     config = load_config(config_path)
@@ -200,34 +225,36 @@ def run_scenario(
     else:
         out = Path(out_dir)
 
+    written: list[Path] = []
+    names: list[list[str]] = []
     try:
-        results = [
-            run_experiment(config, exp, i) for i, exp in enumerate(config.experiments)
-        ]
-        if strict_float:
-            for exp, (_, renorms) in zip(config.experiments, results):
-                if renorms:
-                    raise InvariantViolation(
-                        f"strict-float: {renorms} renormalization event(s) while "
-                        f"running experiment {exp.name!r}"
-                    )
-        per_experiment_files = [files for files, _ in results]
         out.mkdir(parents=True, exist_ok=True)
-        (out / FAILURE_MARKER).unlink(missing_ok=True)
-        written: list[Path] = []
-        for files in per_experiment_files:
+        for i, exp in enumerate(config.experiments):
+            files, renorms = run_experiment(config, exp, i)
+            if strict_float and renorms:
+                raise InvariantViolation(
+                    f"strict-float: {renorms} renormalization event(s) while "
+                    f"running experiment {exp.name!r}"
+                )
+            names.append([])
             for name, blocks in files:
-                path = out / name
-                with path.open("w", encoding="utf-8") as fh:
+                written.append(out / name)
+                names[-1].append(name)
+                with _temporary(out / name).open("w", encoding="utf-8") as fh:
                     fh.writelines(blocks)
-                written.append(path)
-        manifest_path = out / MANIFEST
-        manifest_path.write_text(
-            _manifest(config, config_path, per_experiment_files),
-            encoding="utf-8",
-        )
-        written.append(manifest_path)
+        written.append(out / MANIFEST)
+        _temporary(out / MANIFEST).write_text(_manifest(config, config_path, names), encoding="utf-8")
+        # From here the tree changes: no marker or manifest may describe a mix.
+        (out / FAILURE_MARKER).unlink(missing_ok=True)
+        (out / MANIFEST).unlink(missing_ok=True)
+        for path in written:
+            _temporary(path).replace(path)
     except Exception as exc:
+        for path in written:
+            try:
+                _temporary(path).unlink(missing_ok=True)
+            except OSError:
+                pass  # as with the marker, the original error comes first
         _write_failure_marker(out, f"{type(exc).__name__}: {exc}")
         raise
     return written

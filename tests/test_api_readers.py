@@ -35,6 +35,10 @@ KEEP = {
         "the one-string form of the blocks the runner writes; perfbench's tracer names it, and "
         "tests/test_perfbench_contract.py requires it to be public"
     ),
+    "measurement.format_measurement_log": (
+        "the one-string form of the log blocks the runner writes for a sequential experiment; "
+        "perfbench's tracer names it"
+    ),
 }
 
 # ``qergo`` and its modules, the names a module-level function is read through.

@@ -1,8 +1,8 @@
 """Runner artifacts, reproducibility, exit codes, dump-partition."""
 
 import math
-import tracemalloc
 import weakref
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,12 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def read_tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def joined(result):
+    """``run_experiment``'s result with each artifact's blocks joined into its file's text."""
+    artifacts, renorms = result
+    return [(name, "".join(blocks)) for name, blocks in artifacts], renorms
 
 
 def test_minimal_run_single_event(tmp_path):
@@ -149,13 +155,13 @@ def test_a_shared_trajectory_is_held_until_its_last_reader_only(monkeypatch):
     whole, born, offset = config.experiments
     run_experiment(config, whole, 0)
     assert built[0][1]() is None  # read once: never held
-    first = run_experiment(config, born, 1)
+    first = joined(run_experiment(config, born, 1))
     assert len(built) == 2 and built[1][1]() is not None  # held for the offset block
-    last = run_experiment(config, offset, 2)
+    last = joined(run_experiment(config, offset, 2))
     assert len(built) == 2 and built[1][1]() is None  # released after its last reader
     # Reads out of turn build again and give the same artifacts.
-    assert run_experiment(config, offset, 2) == last
-    assert run_experiment(config, born, 1) == first
+    assert joined(run_experiment(config, offset, 2)) == last
+    assert joined(run_experiment(config, born, 1)) == first
     assert len(built) == 4 and built[2][1]() is None and built[3][1]() is not None
 
 
@@ -212,7 +218,9 @@ def test_interleaved_readers_share_one_build_per_key_held_until_its_own_last_rea
     alive = []
     results = []
     for i, exp in enumerate(config.experiments):
-        results.append(run_experiment(config, exp, i))
+        # A trajectory artifact's blocks hold its arrays until they are
+        # consumed, as the runner consumes them before the next experiment.
+        results.append(joined(run_experiment(config, exp, i)))
         alive.append([ref() is not None for _, ref in built])
     assert [windows for windows, _ in built] == [3, 4]  # one build per key
     # A is held after a1 and b1, and dropped after a2, its last reader; B is
@@ -221,7 +229,7 @@ def test_interleaved_readers_share_one_build_per_key_held_until_its_own_last_rea
     # Each experiment gives the artifacts it gives when it runs alone.
     for i, (exp, result) in enumerate(zip(INTERLEAVED_EXPERIMENTS, results)):
         alone = _interleaved_config([exp])
-        assert run_experiment(alone, alone.experiments[0], i) == result
+        assert joined(run_experiment(alone, alone.experiments[0], i)) == result
 
 
 SCHEDULED_TRAJECTORY = """
@@ -269,7 +277,9 @@ def test_each_artifact_is_blocks_whose_join_is_the_file_written(tmp_path, config
     ]
     run_scenario(CONFIG_DIR / config, out_dir=tmp_path)
     for name, blocks in artifacts:
-        assert type(blocks) is list and all(type(block) is str for block in blocks)
+        assert isinstance(blocks, Iterable) and not isinstance(blocks, str)
+        blocks = list(blocks)
+        assert all(type(block) is str for block in blocks)
         assert (tmp_path / name).read_bytes() == "".join(blocks).encode("utf-8")
 
 
@@ -277,65 +287,10 @@ def test_each_artifact_is_blocks_whose_join_is_the_file_written(tmp_path, config
 def test_dump_trajectory_is_the_join_of_the_blocks_the_runner_writes(scheduler):
     config = parse_config_text(SCHEDULED_TRAJECTORY % scheduler)
     [(_, blocks)], _ = run_experiment(config, config.experiments[0], 0)
-    assert type(blocks) is list and len(blocks) > 2  # the header and more than one block of rows
+    assert isinstance(blocks, Iterable) and not isinstance(blocks, str)
+    blocks = list(blocks)
+    assert len(blocks) > 2  # the header and more than one block of rows
     assert "".join(blocks) == dump_trajectory(config.scenario.build_trajectory("sz", 400))
-
-
-# A driven 4-level system: H does not commute with the set, so every window
-# draws its own seeded-random layout.
-DRIVEN_WALK = """
-system {
-  dimension = 4
-  state = 0.5, 0.5, 0.5, 0.5
-  hamiltonian {
-    row = 0.3, 0.7, 0.1, 0.0
-    row = 0.7, -0.2, 0.4, 0.2
-    row = 0.1, 0.4, 0.5, -0.6
-    row = 0.0, 0.2, -0.6, -0.1
-  }
-}
-csco {
-  id = h
-  basis {
-    row = 1, 0, 0, 0
-    row = 0, 1, 0, 0
-    row = 0, 0, 1, 0
-    row = 0, 0, 0, 1
-  }
-  labels = (0), (1), (2), (3)
-  eigenvalues = (1.5), (-0.25), (3.125), (-2)
-  scheduler {
-    kind = seeded-random
-    max_subintervals = 4
-    seed = 11
-  }
-}
-experiment {
-  kind = trajectory
-  id = walk
-  windows = 1500
-}
-"""
-
-
-def test_the_runner_holds_a_trajectory_csv_once(tmp_path):
-    cfg = tmp_path / "walk.cfg"
-    cfg.write_text(DRIVEN_WALK)
-    traj = load_config(cfg).scenario.build_trajectory("h", 1500)
-    arrays = sum(a.nbytes for a in (traj.bounds, traj.labels, traj.offsets, traj.probabilities, traj.amplitudes))
-    del traj
-    tracemalloc.start()
-    try:
-        run_scenario(cfg, out_dir=tmp_path / "out")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    csv = (tmp_path / "out" / "00-walk.csv").stat().st_size
-    assert csv > arrays
-    # The trajectory's arrays, its CSV's blocks once, and one block's
-    # formatting lists; a joined copy of the text, or its encoded bytes,
-    # would add another whole CSV.
-    assert peak - arrays < 1.5 * csv, f"{(peak - arrays) / csv:.2f} times the CSV"
 
 
 def test_config_scenario_is_built_once(tmp_path, monkeypatch):
@@ -405,6 +360,65 @@ def test_failed_rerun_removes_the_earlier_manifest(tmp_path, failure):
         run_scenario(cfg, out_dir=out)
     assert (out / FAILURE_MARKER).exists()
     assert not (out / "manifest.txt").exists()
+
+
+def _rabi_born(tmp_path, old: str, new: str) -> Path:
+    """rabi-born.cfg with one line replaced."""
+    text = (CONFIG_DIR / "rabi-born.cfg").read_text()
+    assert text.count(old) == 1
+    cfg = tmp_path / "rabi-born.cfg"
+    cfg.write_text(text.replace(old, new))
+    return cfg
+
+
+def test_a_later_experiments_failure_publishes_nothing(tmp_path):
+    # The trajectory block is written before the born-sampling block fails.
+    cfg = _rabi_born(tmp_path, "  window = 2\n", "  window = 3\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="window must be an integer"):
+        run_scenario(cfg, out_dir=out)
+    assert [p.name for p in out.iterdir()] == [FAILURE_MARKER]
+
+
+def test_a_failed_write_leaves_an_earlier_runs_artifacts_unchanged(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_scenario(_rabi_born(tmp_path, "  windows = 8\n", "  windows = 7\n"), out_dir=out)
+    before = read_tree(out)
+    original = Path.open
+
+    def failing(self, mode="r", *args, **kwargs):
+        if "01-rabi-sampling.csv" in self.name and "w" in mode:
+            raise OSError(f"no space left for {self.name}")
+        return original(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing)
+    with pytest.raises(OSError, match="no space left"):
+        run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=out)
+    monkeypatch.undo()
+    after = read_tree(out)
+    assert "no space left" in after.pop(FAILURE_MARKER).decode()
+    # The 8-window trajectory was written in full, but never published.
+    del before["manifest.txt"]
+    assert after == before
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_a_successful_run_leaves_no_temporary_file(tmp_path, config):
+    written = run_scenario(CONFIG_DIR / config, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+
+
+def test_a_rerun_after_a_failure_publishes_the_complete_tree(tmp_path):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=fresh)
+    (out / "01-rabi-sampling.csv").mkdir(parents=True)  # fails at publication
+    with pytest.raises(OSError):
+        run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=out)
+    (out / "01-rabi-sampling.csv").rmdir()
+    with pytest.raises(ValueError):
+        run_scenario(_rabi_born(tmp_path, "  window = 2\n", "  window = 3\n"), out_dir=out)
+    run_scenario(CONFIG_DIR / "rabi-born.cfg", out_dir=out)
+    assert read_tree(out) == read_tree(fresh)
 
 
 def test_strict_float_passes_on_clean_scenario(tmp_path):

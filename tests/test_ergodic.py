@@ -463,6 +463,26 @@ def test_sub_tau_reports_the_base_span_it_sampled():
         assert sub_tau_correlation(traj, delta, 10, seed=0).base_windows == base_windows
 
 
+# A base span of B windows fits a lag delta in W windows iff delta <= W - B,
+# decided exactly: the rounded B + delta or W - delta can miss by an ulp.
+def test_a_lag_an_ulp_past_a_whole_window_leaves_no_base_window():
+    traj = stationary_half_trajectory(windows=2)
+    delta = 1.0 + 2.0**-52  # 1.0 + delta rounds to 2.0
+    with pytest.raises(ValueError, match="base span plus delta must fit"):
+        same_outcome_measure(traj, delta, 1)
+    with pytest.raises(ValueError, match="leaves no whole base window inside 2 windows"):
+        sub_tau_correlation(traj, delta, 10, seed=0)
+
+
+def test_a_tiny_lag_takes_one_base_window_off_the_span():
+    traj = stationary_half_trajectory(windows=126)
+    delta = 2.0**-50  # 126 - delta rounds to 126.0
+    assert sub_tau_correlation(traj, delta, 10, seed=0).base_windows == 125
+    assert 0.0 < same_outcome_measure(traj, delta, 125) <= 1.0
+    with pytest.raises(ValueError, match="base span plus delta must fit"):
+        same_outcome_measure(traj, delta, 126)
+
+
 def test_offset_window_average_rejects_another_sets_eigenbasis():
     rabi = Hamiltonian(np.array([[0.0, 0.5], [0.5, 0.0]]))
     traj = trajectory(make_state([1.0, 0.0]), rabi, sigma_z_set(), SchedulerSpec(), 3)

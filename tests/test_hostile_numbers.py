@@ -256,6 +256,13 @@ REAL, INTEGER = "real", "integer"
 # back to float(2**53).
 WINDOW_INDEX = (0, 2**53 - 1)
 
+
+def _joined(result):
+    """``run_experiment``'s result with each artifact's blocks joined into its file's text."""
+    artifacts, renorms = result
+    return [(name, "".join(blocks)) for name, blocks in artifacts], renorms
+
+
 ROWS = {
     ("ergodic.EmpiricalDistribution.estimate", "label"): (INTEGER, lambda x: DIST.estimate(x), 1, None, None),
     ("ergodic.window_average_step", "label"): (INTEGER, lambda x: window_average_step(PART, x), 1, 0, 1),
@@ -315,7 +322,7 @@ ROWS = {
     ("qgrid.load_grid", "planck_step"): (REAL, lambda x: load_grid(GRID_FILE, x, 9.0), 1.0),
     ("qgrid.load_grid", "compton_wavelength"): (REAL, lambda x: load_grid(GRID_FILE, 1.0, x), 9.0),
     ("qgrid.format_cell_probabilities", "k_center"): (INTEGER, lambda x: format_cell_probabilities(GRID, x), 1, 0, 1),
-    ("runner.run_experiment", "ordinal"): (INTEGER, lambda x: run_experiment(CONFIG, CONFIG.experiments[0], x), 1, 0, None),
+    ("runner.run_experiment", "ordinal"): (INTEGER, lambda x: _joined(run_experiment(CONFIG, CONFIG.experiments[0], x)), 1, 0, None),
 }
 
 
