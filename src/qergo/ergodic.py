@@ -63,8 +63,9 @@ class EmpiricalDistribution:
     total: int
 
     def __post_init__(self):
-        if self.total < 1:
-            raise ValueError("empirical distribution needs at least one sample")
+        _index(self.total, "total", 1)
+        for c in self.counts.values():
+            _index(c, "count", 0)
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
 

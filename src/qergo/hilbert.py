@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .partition import _index, _real
+from .partition import _index, _of, _readonly, _real
 
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -49,11 +49,6 @@ _NORM_SQ_SLACK = 1.9 * NORM_TOL
 
 # Below this norm some squares summed by np.linalg.norm may be subnormal.
 _MIN_PLAIN_NORM = 1e-150
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,19 +89,6 @@ class QuantumState:
     @property
     def dimension(self) -> int:
         return self.amplitudes.size
-
-
-def _unit_state(vec: np.ndarray) -> QuantumState:
-    """A :class:`QuantumState` that holds ``vec`` itself, made read-only.
-
-    For a fresh 1-d complex128 vector whose norm the caller has just found
-    within ``NORM_TOL`` of 1: the constructor would accept it and store a
-    bitwise copy, so its checks and its copy are skipped.
-    """
-    state = object.__new__(QuantumState)
-    object.__setattr__(state, "amplitudes", _readonly(vec))
-    object.__setattr__(state, "renormalized", False)
-    return state
 
 
 def make_state(amplitudes) -> QuantumState:
@@ -316,21 +298,21 @@ def step(propagator: np.ndarray, state: QuantumState) -> QuantumState:
     For callers that take many equal steps and build the propagator once
     (a complex ``d x d`` matrix, as :meth:`Hamiltonian.propagator` gives).
     A product within ``NORM_TOL`` of unit norm becomes the new state as it
-    is, without a second norm check or a copy.  Left out of ``__all__`` so
-    that perfbench's tracer, which wraps the functions listed there, counts
-    a step's time in its caller's span.
+    is, made read-only and stored without the constructor's checks and
+    copy, which would keep it bitwise.  Left out of ``__all__`` so that
+    perfbench's tracer, which wraps the functions listed there, counts a
+    step's time in its caller's span.
     """
     psi = propagator @ state.amplitudes
     # One reduction decides the common case, as in QuantumState: a squared
     # norm within _NORM_SQ_SLACK of 1 puts np.linalg.norm within NORM_TOL.
     re_im = psi.view(np.float64)
-    if abs(float(re_im @ re_im) - 1.0) <= _NORM_SQ_SLACK:
-        return _unit_state(psi)
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) <= NORM_TOL:
-        return _unit_state(psi)
-    # Drifted, or not finite: the constructor's checks and messages decide.
-    return QuantumState(psi / nrm, renormalized=True)
+    if not abs(float(re_im @ re_im) - 1.0) <= _NORM_SQ_SLACK:
+        nrm = float(np.linalg.norm(psi))
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            # Drifted, or not finite: the constructor's checks and messages decide.
+            return QuantumState(psi / nrm, renormalized=True)
+    return _of(QuantumState, amplitudes=_readonly(psi), renormalized=False)
 
 
 def born_probabilities(state: QuantumState, cset: CommutingSet) -> np.ndarray:
@@ -341,17 +323,6 @@ def born_probabilities(state: QuantumState, cset: CommutingSet) -> np.ndarray:
         )
     amp = cset._adjoint @ state.amplitudes
     return np.abs(amp) ** 2
-
-
-def _born_rows(amplitudes: np.ndarray, cset: CommutingSet) -> np.ndarray:
-    """:func:`born_probabilities` of each row of ``amplitudes`` (``[W, d]``), bit for bit.
-
-    A stacked matmul takes each row's product as ``born_probabilities``
-    does; one gemm (``amplitudes @ basis.conj()``) does not round the same.
-    Left out of ``__all__``, as :func:`step` is.
-    """
-    adjoint = np.broadcast_to(cset._adjoint, (len(amplitudes), *cset._adjoint.shape))
-    return np.abs((adjoint @ amplitudes[:, :, None])[:, :, 0]) ** 2
 
 
 def expectation(state: QuantumState, cset: CommutingSet, member: int = 0) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .hilbert import CommutingSet, QuantumState, _eigenvalue_text, _label_text, evolve
 from .microstate import LayoutBase, Scenario, span_partition
-from .partition import _TABLE_ROWS, WindowPartition, _index, _integer, _real, active_label
+from .partition import _TABLE_ROWS, WindowPartition, _index, _integer, _of, _real, active_label
 # Unused here: every layout goes through span_partition.  The name stays bound
 # because perfbench's tracer test expects to rebind measurement.build_partition.
 from .partition import build_partition  # noqa: F401
@@ -141,18 +141,6 @@ class SystemUnderObservation:
     @property
     def partitions(self) -> Mapping[str, WindowPartition]:
         return {c.id: self.partition(c.id) for c in self.scenario.csets}
-
-
-def _of(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
-
-    The protocol's constructor for fields it knows are good: they are stored
-    without ``__init__``, which would set each one through its own
-    ``object.__setattr__``.  Every field, ``init=False`` ones included, must
-    be given; the instance stays frozen.
-    """
-    vars(obj := object.__new__(cls)).update(fields)
-    return obj
 
 
 def _read(scenario: Scenario, span: Span, cset_id: str) -> WindowPartition:
@@ -269,6 +257,9 @@ class SequenceDistribution:
     total: int
 
     def __post_init__(self):
+        _index(self.total, "total", 1)
+        for c in self.counts.values():
+            _index(c, "count", 0)
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
 

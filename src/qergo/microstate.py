@@ -22,7 +22,6 @@ from .hilbert import (
     CommutingSet,
     Hamiltonian,
     QuantumState,
-    _born_rows,
     _eigenvalue_text,
     _label_text,
     born_probabilities,
@@ -38,6 +37,8 @@ from .partition import (
     _WINDOW_END,
     _draw_layouts,
     _index,
+    _of,
+    _readonly,
     _stretch_table,
     active_label,
     build_partition,
@@ -76,8 +77,7 @@ class MicrostateSnapshot:
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"microstate vector norm {nrm!r} is not 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "basis_vector", v)
+        object.__setattr__(self, "basis_vector", _readonly(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +128,9 @@ class JumpTrajectory:
         """Window ``n``'s layout, built on each call from views into the arrays."""
         n = _index(n, "window", 0, self.windows_covered - 1)
         i, j = self.offsets[n], self.offsets[n + 1]
-        return WindowPartition._of(
-            n, float(n), n + 1.0, self.probabilities[n], self.bounds[i:j + 1], self.labels[i:j]
-        )
+        return _of(WindowPartition, window_index=n, lo=float(n), hi=n + 1.0,
+                   probabilities=self.probabilities[n],
+                   bounds=self.bounds[i:j + 1], labels=self.labels[i:j])
 
     @property
     def events(self) -> tuple[TrajectoryEvent, ...]:
@@ -312,22 +312,32 @@ def span_partition(
 ) -> WindowPartition:
     """The layout of ``(lo, floor(lo) + 1]``, from ``state`` frozen at ``lo``.
 
-    The one rule behind every layout of a trajectory and of the measurement
-    protocol.  A span that starts inside a window (after a collapse) is a
-    remainder, laid out from ``state`` over what is left of the window.  A
-    whole window ``N`` is ``base``'s window-0 layout shifted by ``N`` where
-    :func:`shift_is_sound` holds (window 0 is that layout itself), and is
-    otherwise built from ``state``.
+    The rule behind every layout of the measurement protocol, which
+    :func:`trajectory` applies to its windows too.  A span that starts
+    inside a window (after a collapse) is a remainder, laid out from
+    ``state`` over what is left of the window.  A whole window ``N`` is
+    ``base``'s window-0 layout shifted by ``N`` where :func:`shift_is_sound`
+    holds (see :func:`_shifted`), and is otherwise built from ``state``.
     """
     n = math.floor(lo)
     if lo != n:
         return build_partition_span(born_probabilities(state, cset), lo, n + 1.0, scheduler, n)
     if shift_is_sound(hamiltonian, cset, n):
-        layouts = base.layouts
-        if cset.id not in layouts:
-            layouts[cset.id] = build_partition(born_probabilities(base.state, cset), 0, scheduler)
-        return periodic_extend(layouts[cset.id], n) if n else layouts[cset.id]
+        return _shifted(cset, scheduler, base, n)
     return build_partition(born_probabilities(state, cset), n, scheduler)
+
+
+def _shifted(cset: CommutingSet, scheduler: SchedulerSpec, base: LayoutBase, n: int) -> WindowPartition:
+    """Whole window ``n``'s layout: ``base``'s window-0 layout of ``cset``, shifted by ``n``.
+
+    For a window where :func:`shift_is_sound` holds.  The window-0 layout is
+    built from ``base.state`` on first use and kept in ``base``; window 0 is
+    that layout itself.
+    """
+    layouts = base.layouts
+    if cset.id not in layouts:
+        layouts[cset.id] = build_partition(born_probabilities(base.state, cset), 0, scheduler)
+    return periodic_extend(layouts[cset.id], n) if n else layouts[cset.id]
 
 
 # Bounds are absolute floats, each off by up to ulp(windows) / 2; this cap
@@ -347,22 +357,25 @@ def trajectory(
 ) -> JumpTrajectory:
     """Deterministic jump trajectory over windows ``0 .. windows-1``.
 
-    Works through ``_CHUNK`` windows at a time.  It first steps the state
-    to each of their starts with ``exp(-iH)``, built once, writing each
-    window-start state into row ``n`` of a ``[W, d]`` array; a
-    seeded-random chunk then draws the layouts of the windows it will
-    build in one batch (see :func:`_draw_layouts`).  Then each window is
-    laid out with :func:`span_partition` from its state and a
-    :class:`LayoutBase` of ``state0``, and its weights written into row
-    ``n``; the layouts end up back to back in the trajectory's ``bounds``
-    and ``labels``, and no per-window object is kept.  When every
-    member observable commutes with the Hamiltonian the weights are
-    constants of motion, and window 0's layout is reused verbatim, shifted
-    by the window index, in every window where :func:`shift_is_sound`
-    holds: the layout freedom is resolved in favour of exact periodicity.
-    So a window's layout does not depend on how many windows are asked for,
-    and it is the layout the measurement protocol gives that window before
-    any collapse.  Mismatched dimensions are rejected before any step.
+    Applies :func:`span_partition`'s rule to each window once, ``_CHUNK``
+    windows at a time.  A stepping pass takes the state to each window's
+    start with ``exp(-iH)``, built once, and writes it into row ``n`` of a
+    ``[W, d]`` array; it decides with :func:`shift_is_sound` whether the
+    window is shifted, and writes a built window's Born weights into row
+    ``n`` of another.  A seeded-random chunk then draws its built windows'
+    layouts in one batch from those rows (see :func:`_draw_layouts`).
+    :func:`build_partition` lays each built window out from its row, and
+    :func:`_shifted` gives each shifted one from a :class:`LayoutBase` of
+    ``state0``.  Row ``n`` ends up holding the weights window ``n``'s
+    layout realizes, and the layouts end up back to back in ``bounds`` and
+    ``labels``, with no per-window object kept.  When every member
+    observable commutes with the Hamiltonian the weights are constants of
+    motion, and window 0's layout is reused verbatim, shifted by the window
+    index, in every window where :func:`shift_is_sound` holds: the layout
+    freedom is resolved in favour of exact periodicity.  So a window's
+    layout does not depend on how many windows are asked for, and it is the
+    layout the measurement protocol gives that window before any collapse.
+    Mismatched dimensions are rejected before any step.
     """
     windows = _index(windows, "windows", 1, MAX_WINDOWS)
     if not state0.dimension == hamiltonian.dimension == cset.dimension:
@@ -376,19 +389,22 @@ def trajectory(
     amplitudes = np.empty((windows, cset.dimension), dtype=np.complex128)
     bounds, labels = [], []
     for start in range(0, windows, _CHUNK):
-        chunk, states = range(start, min(start + _CHUNK, windows)), []
+        chunk, built = range(start, min(start + _CHUNK, windows)), []
         for n in chunk:
-            states.append(psi)
             amplitudes[n] = psi.amplitudes
+            if not shift_is_sound(hamiltonian, cset, n):
+                probabilities[n] = born_probabilities(psi, cset)
+                built.append(n)
             if n + 1 < windows:
                 psi = step(u, psi)
                 renorms += int(psi.renormalized)
-        if scheduler.kind == "seeded-random":
-            built = [n for n in chunk if not shift_is_sound(hamiltonian, cset, n)]
-            if built:
-                _draw_layouts(_born_rows(amplitudes[built], cset), built, scheduler)
-        for n, state in zip(chunk, states):
-            part = span_partition(hamiltonian, cset, scheduler, state, n, base)
+        if built and scheduler.kind == "seeded-random":
+            _draw_layouts(probabilities[built], built, scheduler)
+        # A window once unsound stays so: the chunk's built windows come last.
+        first_built = chunk.stop - len(built)
+        for n in chunk:
+            part = (_shifted(cset, scheduler, base, n) if n < first_built
+                    else build_partition(probabilities[n], n, scheduler))
             probabilities[n] = part.probabilities
             # Windows share their boundary float: each keeps its lower bounds.
             bounds.append(part.bounds[:-1])
@@ -396,9 +412,7 @@ def trajectory(
     bounds.append(part.bounds[-1:])
     offsets = np.cumsum([0] + [a.size for a in labels])
     arrays = (np.concatenate(bounds), np.concatenate(labels), offsets, probabilities, amplitudes)
-    for a in arrays:
-        a.setflags(write=False)
-    return JumpTrajectory(cset, *arrays, renorms)
+    return JumpTrajectory(cset, *map(_readonly, arrays), renorms)
 
 
 def _trajectory_blocks(traj: JumpTrajectory) -> Iterator[str]:

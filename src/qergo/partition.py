@@ -135,6 +135,24 @@ def _index(x, name: str, lo: int | None = None, hi: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
 
 
+def _of(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    The one constructor for fields already checked: they are stored without
+    ``__init__``, which would check or convert them again and set each one
+    through its own ``object.__setattr__``.  Every field, ``init=False``
+    ones included, must be given; the instance stays frozen.
+    """
+    vars(obj := object.__new__(cls)).update(fields)
+    return obj
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: the one way an array is frozen in place."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SchedulerSpec:
     """Strategy and knobs for arranging one window's sub-intervals.
@@ -181,10 +199,7 @@ class SchedulerSpec:
 def _frozen(a, dtype) -> np.ndarray:
     """``a`` as a read-only array; copied only when the caller could still write it."""
     a = np.asarray(a, dtype=dtype)
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
+    return _readonly(a.copy()) if a.flags.writeable else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,20 +227,6 @@ class WindowPartition:
         object.__setattr__(self, "probabilities", _frozen(self.probabilities, float))
         object.__setattr__(self, "bounds", _frozen(self.bounds, float))
         object.__setattr__(self, "labels", _frozen(self.labels, np.intp))
-
-    @classmethod
-    def _of(cls, window_index, lo, hi, probabilities, bounds, labels) -> WindowPartition:
-        """The partition of arrays that are read-only ``float64``/``intp`` already.
-
-        The builders' constructor: ``__init__`` would keep such arrays as they
-        are, so they are stored without its conversions.
-        """
-        part = object.__new__(cls)
-        vars(part).update(
-            window_index=window_index, lo=lo, hi=hi,
-            probabilities=probabilities, bounds=bounds, labels=labels,
-        )
-        return part
 
     @property
     def dimension(self) -> int:
@@ -383,12 +384,14 @@ def _random_layouts(p: np.ndarray, bitgens: list, max_subintervals: int) -> list
 def _draw_layouts(weights: np.ndarray, windows: list, spec: SchedulerSpec):
     """Draw the seeded-random layouts of many windows in one batch, for :func:`_layout` to take.
 
-    Row ``i`` of ``weights`` holds the weights ``build_partition`` will be
-    given for window ``windows[i]``.  Left to :func:`_seeded_random_layout`:
-    rows the validation would rescale or reject, rows with a zero weight,
-    keys already memoized, rows whose draw rejects a word, and batches that
-    could read more than ``_BATCH_WORDS`` words.  The spec keeps the rest
-    until its next batch, and :func:`_layout` takes each one on first read.
+    Row ``i`` of ``weights`` holds window ``windows[i]``'s Born weights,
+    the row ``build_partition`` is then given for that window; a trajectory
+    computes each such row once, in its stepping pass.  Left to
+    :func:`_seeded_random_layout`: rows the validation would rescale or
+    reject, rows with a zero weight, keys already memoized, rows whose draw
+    rejects a word, and batches that could read more than ``_BATCH_WORDS``
+    words.  The spec keeps the rest until its next batch, and
+    :func:`_layout` takes each one on first read.
     """
     drawn, memo, excl = spec._drawn, spec._layouts, spec.max_subintervals
     drawn.clear()
@@ -445,9 +448,7 @@ def _seal(bounds: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if np.count_nonzero(keep) < keep.size:
         bounds = np.concatenate((bounds[:1], bounds[1:][keep]))
         labels = labels[keep]
-    bounds.setflags(write=False)
-    labels.setflags(write=False)
-    return bounds, labels
+    return _readonly(bounds), _readonly(labels)
 
 
 def _validated_probabilities(probabilities) -> np.ndarray:
@@ -468,9 +469,7 @@ def _validated_probabilities(probabilities) -> np.ndarray:
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, off 1 by more than {PROB_SUM_TOL}")
-    p = p / total
-    p.setflags(write=False)  # WindowPartition keeps it without a copy
-    return p
+    return _readonly(p / total)  # WindowPartition keeps it without a copy
 
 
 def build_partition_span(
@@ -504,7 +503,9 @@ def build_partition_span(
     # are slivers; clamped to hi, they collapse and _seal drops them.
     if bounds[-2] > hi:
         np.minimum(bounds, hi, out=bounds)
-    return WindowPartition._of(window_index, lo, hi, p, *_seal(bounds, labels))
+    bounds, labels = _seal(bounds, labels)
+    return _of(WindowPartition, window_index=window_index, lo=lo, hi=hi,
+               probabilities=p, bounds=bounds, labels=labels)
 
 
 def build_partition(probabilities, window_index: int, scheduler: SchedulerSpec) -> WindowPartition:
@@ -570,9 +571,9 @@ def periodic_extend(base: WindowPartition, window_index: int) -> WindowPartition
     if (window_index := _index(window_index, "window_index", 0, _WINDOW_END - 1)) == 0:
         return base
     n = float(window_index)
-    return WindowPartition._of(
-        window_index, n, n + 1.0, base.probabilities, *_seal(base.bounds + n, base.labels)
-    )
+    bounds, labels = _seal(base.bounds + n, base.labels)
+    return _of(WindowPartition, window_index=window_index, lo=n, hi=n + 1.0,
+               probabilities=base.probabilities, bounds=bounds, labels=labels)
 
 
 def check_partition(partition: WindowPartition) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .partition import SchedulerSpec, WindowPartition, _index, _real, build_partition
+from .partition import SchedulerSpec, WindowPartition, _index, _readonly, _real, build_partition
 
 MIN_WINDOW_MASS = 1e-300
 MIN_NODES_PER_CELL = 16
@@ -92,8 +92,7 @@ class GridWavefunction:
             raise ValueError(
                 f"compton_wavelength/planck_step must be an odd positive integer, got {ratio!r}"
             )
-        s.setflags(write=False)
-        vars(self).update(samples=s, origin=origin, spacing=spacing, planck_step=planck_step,
+        vars(self).update(samples=_readonly(s), origin=origin, spacing=spacing, planck_step=planck_step,
                           compton_wavelength=compton, nodes_per_cell=nodes, cells_per_window=cells,
                           n_cells=(s.size - 1) // nodes)
 

@@ -118,6 +118,26 @@ def test_empirical_distribution_contract():
         EmpiricalDistribution(counts={0: 10}, total=11)
 
 
+# Each of these was accepted, and a negative count made stderr raise
+# "math domain error"; no sampling run produces such counts.
+@pytest.mark.parametrize("counts,total,message", [
+    ({0: 3, 1: -2}, 1, "count must be an integer of at least 0, got -2"),
+    ({0: 1.5, 1: -0.5}, 1, "count must be an integer, got 1.5"),
+    ({0: True}, 1, "count must be an integer, got True"),
+    ({}, 0, "total must be an integer of at least 1, got 0"),
+    ({0: 2}, 2.0, "total must be an integer, got 2.0"),
+], ids=repr)
+def test_empirical_distribution_refuses_counts_no_run_produces(counts, total, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        EmpiricalDistribution(counts=counts, total=total)
+
+
+def test_empirical_distribution_takes_numpy_integer_counts():
+    d = EmpiricalDistribution(counts={0: np.int64(2), 1: 0}, total=np.int64(2))
+    assert d.estimates == {0: 1.0, 1: 0.0}
+    assert d.stderr == {0: 0.0, 1: 0.0}
+
+
 def test_empirical_distribution_computes_estimates_and_stderr_once():
     counts, total = {0: 3, 1: 7, 2: 1}, 11
     d = EmpiricalDistribution(counts=counts, total=total)

@@ -480,6 +480,18 @@ def test_total_variation_refuses_a_reorder_that_is_no_permutation(reorder):
         total_variation(b, b, reorder=reorder)
 
 
+# Each of these was accepted, and the empty one made frequency() divide by 0.
+@pytest.mark.parametrize("counts,total,message", [
+    ({}, 0, "total must be an integer of at least 1, got 0"),
+    ({((0,),): 3, ((1,),): -2}, 1, "count must be an integer of at least 0, got -2"),
+    ({((0,),): 1.5, ((1,),): -0.5}, 1, "count must be an integer, got 1.5"),
+    ({((0,),): 1}, True, "total must be an integer, got True"),
+], ids=repr)
+def test_sequence_distribution_refuses_counts_no_run_produces(counts, total, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        SequenceDistribution(steps=("sz",), counts=counts, total=total)
+
+
 def test_total_variation_accepts_every_permutation_numpy_integers_included():
     a = SequenceDistribution(steps=("sz", "sx"), counts={((0,), (1,)): 1, ((0,), (0,)): 3}, total=4)
     b = SequenceDistribution(steps=("sx", "sz"), counts={((1,), (0,)): 1, ((0,), (0,)): 3}, total=4)

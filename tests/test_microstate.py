@@ -1,12 +1,13 @@
 import ast
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qergo import partition
+from qergo import microstate, partition
 from qergo.ergodic import window_average_value
 from qergo.hilbert import (
     CONSERVED_TOL,
@@ -407,15 +408,18 @@ def test_partitions_are_views_into_the_trajectory_arrays():
 
 def test_a_trajectory_constructs_one_partition_per_window(monkeypatch):
     # Every builder, the shift and the trajectory's accessor make their
-    # partitions through WindowPartition._of, so it sees every construction.
+    # partitions through partition._of, so it sees every construction; it is
+    # replaced under each name that binds it in a qergo module.
     count = [0]
-    make = WindowPartition._of
+    make = partition._of
 
-    def counted(*args):
-        count[0] += 1
-        return make(*args)
+    def counted(cls, **fields):
+        count[0] += cls is WindowPartition
+        return make(cls, **fields)
 
-    monkeypatch.setattr(WindowPartition, "_of", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qergo" and getattr(module, "_of", None) is make:
+            monkeypatch.setattr(module, "_of", counted)
     rng = np.random.default_rng(38)
     for conserved in (False, True):
         cs = random_cset(rng, 3)
@@ -429,6 +433,36 @@ def test_a_trajectory_constructs_one_partition_per_window(monkeypatch):
         for n in range(25):
             traj.partition(n)
         assert count[0] == 50, conserved
+
+
+@pytest.mark.parametrize("conserved", [False, True])
+def test_a_trajectory_decides_and_weighs_each_window_once(monkeypatch, conserved):
+    # One shift_is_sound per window, and one born_probabilities per built
+    # window (a conserved set builds only window 0, from the initial state),
+    # the batch of a seeded-random chunk included.
+    calls = {"shift_is_sound": [], "born_probabilities": 0}
+    sound, born = microstate.shift_is_sound, microstate.born_probabilities
+
+    def counted_sound(h, c, n):
+        calls["shift_is_sound"].append(n)
+        return sound(h, c, n)
+
+    def counted_born(state, c):
+        calls["born_probabilities"] += 1
+        return born(state, c)
+
+    monkeypatch.setattr(microstate, "shift_is_sound", counted_sound)
+    monkeypatch.setattr(microstate, "born_probabilities", counted_born)
+    rng = np.random.default_rng(41)
+    cs = random_cset(rng, 4)
+    if conserved:
+        h = Hamiltonian((cs.basis * rng.standard_normal(4)) @ cs.basis.conj().T)
+    else:
+        h = random_hamiltonian(rng, 4)
+    windows = 150  # three chunks, the last one partial
+    trajectory(random_state(rng, 4), h, cs, SchedulerSpec("seeded-random", 3, 5), windows)
+    assert calls["shift_is_sound"] == list(range(windows))
+    assert calls["born_probabilities"] == (1 if conserved else windows)
 
 
 def test_a_trajectory_is_read_only_arrays():
@@ -464,7 +498,9 @@ def test_only_the_partition_accessor_constructs_window_partitions():
         for node in ast.walk(f)
         if isinstance(node, ast.Call) and "WindowPartition" in (
             getattr(node.func, "id", None),  # WindowPartition(...)
-            getattr(getattr(node.func, "value", None), "id", None),  # WindowPartition._of(...)
+            getattr(getattr(node.func, "value", None), "id", None),  # WindowPartition.x(...)
+            # _of(WindowPartition, ...)
+            getattr(node.args[0], "id", None) if getattr(node.func, "id", None) == "_of" else None,
         )
     ]
     assert callers == ["JumpTrajectory.partition"]
